@@ -3,7 +3,7 @@
 Solves u'' + k^2 u = f on (0, L) with impedance boundary conditions
 u'(0) - ik u(0) = g0, u'(L) + ik u(L) = gL, using a Bernoulli phase-fitted
 (BPF) scheme that is exact on plane waves, plus classical and
-dispersion-corrected three-point baselines, a complex Thomas solver, and a
+dispersion-corrected three-point baselines, a complex tridiagonal solver, and a
 verification layer for the scheme's identities, bounds and convergence
 behavior.
 """

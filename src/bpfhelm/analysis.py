@@ -12,7 +12,6 @@ Nothing here proves anything; every check samples and compares.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -596,15 +595,13 @@ def fit_rate(hs, errs) -> float:
 
 def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
                       reference: str = "exact", n_ref: int | None = None,
-                      workers: int | None = None,
                       tol: float = GUARD_TOL) -> ConvergenceTable:
     """Solve one benchmark over a strictly increasing list of subinterval
     counts and fit log-log rates of the relative max and V errors.
 
     reference = "exact" compares against the attached closed form;
     reference = "fine" restricts a cached fine-grid solve (n_ref must be a
-    multiple of every entry of n_list). Cells are dispatched to a small
-    thread pool and merged back in deterministic order.
+    multiple of every entry of n_list). Cells run in n_list order.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -629,9 +626,7 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
             ref = restrict(fine, u_h.grid)
         return ConvergenceRow(k, n, u_h.grid.h, error_report(u_h, ref, k))
 
-    max_workers = workers or min(len(n_list), 8)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(run_cell, n_list))
+    rows = [run_cell(n) for n in n_list]
 
     hs = [row.h for row in rows]
     rates: dict[str, float] = {}

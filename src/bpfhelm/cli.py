@@ -16,14 +16,14 @@ runs diff cleanly. Exit codes: 0 success, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .analysis import VERIFY_SUITES, convergence_study, error_report
-from .errors import NumericalGuardError
+from .errors import InvalidGrid, NonNestedGrids, NumericalGuardError
 from .grid import restrict, sample
-from .numerics import nyquist_guard
 from .reference import fine_grid_reference, make_benchmark, plane_wave_problem
 from .schemes import SchemeKind, solve_scheme
 
@@ -40,12 +40,35 @@ _NORMS = ("linf", "l2h", "h1", "v")
 _DEFAULT_N_REF = {"box": 3**12, "sine2": 2**18}
 
 
+class UsageError(Exception):
+    """Command-line input that no subcommand can run; main exits with EXIT_USAGE."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+def wavenumber(text: str) -> float:
+    """Parse a wavenumber, rejecting NaN, infinities and k <= 0."""
+    k = float(text)
+    if not math.isfinite(k) or k <= 0:
+        raise ValueError(f"wavenumber must be finite and positive, got {text!r}")
+    return k
+
+
 def _parse_list(text: str, cast):
-    return [cast(tok) for tok in text.replace(",", " ").split()]
+    try:
+        return [cast(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise UsageError(f"bad list {text!r}: {exc}") from None
+
+
+def _n_from_h(h: float, L: float) -> int:
+    """Subinterval count for mesh size h, which must divide L."""
+    n = round(L / h) if math.isfinite(h) and h > 0 else 0
+    if n < 1 or not math.isclose(n * h, L, rel_tol=1e-9):
+        raise UsageError(f"mesh size {h!r} does not divide L = {L:g}")
+    return n
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -61,8 +84,8 @@ def _resolve_n_list(args, L: float) -> list[int]:
     if args.n_list:
         return _parse_list(args.n_list, int)
     if args.h_list:
-        return [round(L / h) for h in _parse_list(args.h_list, float)]
-    raise SystemExit(EXIT_USAGE)
+        return [_n_from_h(h, L) for h in _parse_list(args.h_list, float)]
+    raise UsageError("give --n-list or --h-list")
 
 
 def cmd_exactness(args) -> int:
@@ -70,7 +93,6 @@ def cmd_exactness(args) -> int:
     max-norm error; fails (exit 1) above 1e-12."""
     k = args.k
     n = args.n
-    nyquist_guard(k, 1.0 / n, args.nyquist_tol)
     problem, exact = plane_wave_problem(k, 2.0, 1.0)
     u_h = solve_scheme(problem, n, SchemeKind.BPF, args.nyquist_tol)
     ref = sample(exact.u, u_h.grid)
@@ -85,6 +107,8 @@ def cmd_convergence(args) -> int:
     """Refinement study; rates are appended as comment footer lines."""
     k = args.k
     n_list = sorted(_resolve_n_list(args, 1.0))
+    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
+        raise UsageError("convergence needs at least two mesh sizes, each given once")
     kind = _SCHEMES[args.scheme]
     if args.benchmark == "box":
         table = convergence_study(args.benchmark, kind, k, n_list,
@@ -146,13 +170,15 @@ def _diagonal_summary(k_list, h_list, matrix) -> list[str]:
 def cmd_table(args) -> int:
     """Relative error matrix (rows k_list, columns h_list) for the sine2
     benchmark, against both the closed-form and fine-grid references."""
-    k_list = _parse_list(args.k_list, float)
+    k_list = _parse_list(args.k_list, wavenumber)
     if args.h_list:
         h_list = _parse_list(args.h_list, float)
+        for h in h_list:
+            _n_from_h(h, 1.0)
     elif args.n_list:
         h_list = [1.0 / n for n in _parse_list(args.n_list, int)]
     else:
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError("give --h-list or --n-list")
     header = "k\\h," + ",".join(_fmt(h) for h in h_list)
     lines = [f"# reference,exact,norm,{args.norm}", header]
     exact_matrix = _table_matrix(k_list, h_list, args.norm, "exact", None,
@@ -173,16 +199,16 @@ def cmd_table(args) -> int:
 def cmd_compare(args) -> int:
     """All three schemes on paired (k, n) lists; one CSV row per scheme and
     pair, reporting the relative error in the selected norm."""
-    k_list = _parse_list(args.k_list, float)
+    k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args, 1.0)
     if len(k_list) != len(n_list):
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"{len(k_list)} wavenumbers but {len(n_list)} mesh sizes")
     lines = [f"scheme,k,h,kh,err_{args.norm}_rel"]
     for kind in (SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD, SchemeKind.CLASSICAL_FD):
         for k, n in zip(k_list, n_list):
             problem, exact = make_benchmark(args.benchmark, k)
             if exact is None:
-                raise SystemExit(EXIT_USAGE)
+                raise UsageError(f"benchmark {args.benchmark!r} has no exact solution to compare against")
             u_h = solve_scheme(problem, n, kind, args.nyquist_tol)
             ref = sample(exact.u, u_h.grid)
             err = error_report(u_h, ref, k).rel(args.norm)
@@ -221,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative guard distance from kh in pi*Z")
 
     p = sub.add_parser("exactness", help="plane-wave reproduction test")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=wavenumber, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_exactness)
 
     p = sub.add_parser("convergence", help="mesh-refinement study")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=wavenumber, required=True)
     p.add_argument("--n-list", default=None, help="comma-separated subinterval counts")
     p.add_argument("--h-list", default=None, help="comma-separated mesh sizes (L=1)")
     p.add_argument("--n", type=int, default=None,
@@ -276,8 +302,9 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (UsageError, InvalidGrid, NonNestedGrids) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

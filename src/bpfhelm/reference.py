@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -224,12 +223,10 @@ def pde_residual_check(p: HelmholtzProblem, n_points: int = 100,
 
 
 _reference_cache: dict[tuple, GridFunction] = {}
-_cache_lock = threading.Lock()
 
 
 def clear_reference_cache() -> None:
-    with _cache_lock:
-        _reference_cache.clear()
+    _reference_cache.clear()
 
 
 def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
@@ -237,17 +234,17 @@ def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
                         tol: float = 1e-8) -> GridFunction:
     """Fine-grid solve used as a surrogate exact solution.
 
-    Cached by (problem name, k, L, n_ref, scheme) for named problems;
-    insert-if-absent under a lock, so concurrent callers at worst duplicate
-    one solve and agree on the stored result.
+    Cached for named problems by everything that defines the solve: the
+    problem's name, k, L, boundary data and source callable (the object
+    itself, whose identity cannot be reused while the key holds it), plus
+    n_ref, the scheme and the guard tolerance. dict.setdefault inserts only
+    if absent, so concurrent callers at worst duplicate one solve and agree
+    on the stored result.
     """
     if not p.name:
         return solve_scheme(p, n_ref, kind, tol)
-    key = (p.name, p.k, p.L, n_ref, kind)
-    with _cache_lock:
-        hit = _reference_cache.get(key)
+    key = (p.name, p.k, p.L, p.g0, p.gL, p.f, n_ref, kind, tol)
+    hit = _reference_cache.get(key)
     if hit is not None:
         return hit
-    sol = solve_scheme(p, n_ref, kind, tol)
-    with _cache_lock:
-        return _reference_cache.setdefault(key, sol)
+    return _reference_cache.setdefault(key, solve_scheme(p, n_ref, kind, tol))

@@ -58,8 +58,9 @@ class HelmholtzProblem:
     exact: "ExactSolution | None" = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.k <= 0 or self.L <= 0:
-            raise ValueError("wavenumber and domain length must be positive")
+        if not (math.isfinite(self.k) and math.isfinite(self.L)) or self.k <= 0 or self.L <= 0:
+            raise ValueError("wavenumber and domain length must be finite and positive, "
+                             f"got k = {self.k!r}, L = {self.L!r}")
 
 
 def _sample_source(f: Callable, x: np.ndarray) -> np.ndarray:

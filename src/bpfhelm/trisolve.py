@@ -1,11 +1,18 @@
 """Direct solution of complex tridiagonal systems.
 
-Plain Thomas elimination (no row pivoting): the assembled Helmholtz systems
-are well conditioned away from the Nyquist guard, and a pivot-magnitude
-check converts genuine breakdown into SingularSystem instead of returning
-garbage. The elimination runs over Python lists of native complex numbers,
-which is considerably faster than per-element ndarray indexing for the
-largest systems used here (2^18 + 1 unknowns).
+Two elimination paths, chosen by system size:
+
+* Below LAPACK_MIN_SIZE unknowns, plain Thomas elimination (no row
+  pivoting) over Python lists of native complex numbers, which is faster
+  than per-element ndarray indexing and needs nothing beyond numpy. The
+  assembled Helmholtz systems are well conditioned away from the Nyquist
+  guard, so they need no pivoting.
+* From LAPACK_MIN_SIZE unknowns on, LAPACK ``zgtsv`` (LU with partial
+  pivoting) through ``scipy.linalg.lapack``, imported on first use.
+
+Both paths apply the same breakdown test: a pivot whose magnitude drops
+below PIVOT_REL_TOL times the largest coefficient magnitude raises
+SingularSystem instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -17,6 +24,13 @@ import numpy as np
 from .errors import SingularSystem
 
 PIVOT_REL_TOL = 1e-14
+
+# Systems with at least this many unknowns go to LAPACK zgtsv. Importing
+# scipy.linalg costs about 0.3 s once per process, which is what the Thomas
+# loop spends on roughly 2.5e5 unknowns; the bound keeps every coarse solve
+# and every small start-up solve free of that import, while the 2^18 and
+# 3^12 fine-grid references take the LAPACK path.
+LAPACK_MIN_SIZE = 2**15
 
 
 @dataclass
@@ -60,12 +74,19 @@ class TridiagonalSystem:
 
 
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
-    """Thomas forward elimination / back substitution.
+    """Solve sys, by Thomas elimination below LAPACK_MIN_SIZE unknowns and
+    by LAPACK zgtsv from there on.
 
     Raises SingularSystem when any pivot magnitude drops below
     PIVOT_REL_TOL times the largest input coefficient magnitude.
     """
-    m = sys.size
+    breakdown = _breakdown_threshold(sys)
+    if sys.size >= LAPACK_MIN_SIZE:
+        return _solve_lapack(sys, breakdown)
+    return _solve_thomas(sys, breakdown)
+
+
+def _breakdown_threshold(sys: TridiagonalSystem) -> float:
     scale = max(
         np.max(np.abs(sys.diag), initial=0.0),
         np.max(np.abs(sys.lower), initial=0.0),
@@ -73,8 +94,12 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     )
     if scale == 0.0:
         raise SingularSystem("all matrix coefficients are zero")
-    breakdown = PIVOT_REL_TOL * scale
+    return PIVOT_REL_TOL * scale
 
+
+def _solve_thomas(sys: TridiagonalSystem, breakdown: float) -> np.ndarray:
+    """Thomas forward elimination / back substitution without pivoting."""
+    m = sys.size
     lower = sys.lower.tolist()
     diag = sys.diag.tolist()
     upper = sys.upper.tolist()
@@ -103,6 +128,25 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     for i in range(m - 2, -1, -1):
         x[i] = dprime[i] - cprime[i] * x[i + 1]
     return np.asarray(x, dtype=complex)
+
+
+def _solve_lapack(sys: TridiagonalSystem, breakdown: float) -> np.ndarray:
+    """LAPACK zgtsv: LU with partial pivoting, tested on the pivots of U.
+
+    zgtsv works on copies (its overwrite flags default to off), so sys
+    keeps its coefficients for the caller's residual check.
+    """
+    from scipy.linalg import lapack
+
+    _, u_diag, _, x, info = lapack.zgtsv(sys.lower, sys.diag, sys.upper, sys.rhs)
+    if info > 0:
+        raise SingularSystem(f"pivot is exactly zero at row {info - 1}")
+    if info < 0:
+        raise ValueError(f"zgtsv rejected argument {-info}")
+    row = int(np.argmin(np.abs(u_diag)))
+    if abs(u_diag[row]) < breakdown:
+        raise SingularSystem(f"pivot {abs(u_diag[row]):.3e} below threshold at row {row}")
+    return x
 
 
 def residual_inf_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:

@@ -183,6 +183,34 @@ class TestVerify:
         assert main(["verify", "nonsense"]) == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["exactness", "--k", "8", "--n", "1"],
+        ["exactness", "--k", "8", "--n", "0"],
+        ["convergence", "--k", "32", "--h-list", "0.3"],
+        ["convergence", "--k", "32", "--h-list", "0.3,0.1"],
+        ["convergence", "--k", "32", "--n-list", "8,8,16"],
+        ["convergence", "--k", "32", "--n-list", "10,20", "--benchmark", "box"],
+        ["convergence", "--k", "32"],
+        ["table", "--k-list", "32"],
+        ["table", "--k-list", "32", "--h-list", "0.3"],
+        ["compare", "--k-list", "32", "--n-list", "64", "--benchmark", "box"],
+        ["compare", "--k-list", "32,64", "--n-list", "64"],
+        ["compare", "--k-list", "nan", "--n-list", "64"],
+    ], ids=["n-1", "n-0", "single-h", "h-not-dividing", "repeated-n", "not-nested",
+            "convergence-no-list", "table-no-list", "table-h-not-dividing",
+            "compare-no-exact", "compare-unpaired", "compare-nan-k"])
+    def test_exit_2_with_one_line_reason(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_finite_wavenumber_rejected_by_parser(self, capsys):
+        assert main(["exactness", "--k", "nan", "--n", "8"]) == 2
+        assert "--k" in capsys.readouterr().err
+
+
 class TestParser:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2

@@ -189,6 +189,27 @@ class TestFineGridReference:
         c = fine_grid_reference(p, 256, SchemeKind.CLASSICAL_FD)
         assert a is not b and a is not c
 
+    def test_cache_key_includes_boundary_data(self):
+        # same name, k, L and n_ref; only the plane-wave amplitude differs
+        clear_reference_cache()
+        p2, _ = plane_wave_problem(2.0**5, 2.0, 1.0)
+        p5, exact5 = plane_wave_problem(2.0**5, 5.0, 1.0)
+        fine_grid_reference(p2, 256, SchemeKind.BPF)
+        fine = fine_grid_reference(p5, 256, SchemeKind.BPF)
+        ref = sample(exact5.u, make_grid(1.0, 256))
+        assert np.max(np.abs(fine.values - ref.values)) <= 1e-11
+
+    def test_cache_key_includes_data_source_and_tolerance(self):
+        from dataclasses import replace
+        clear_reference_cache()
+        p, _ = sine_squared_problem(2.0**5)
+        a = fine_grid_reference(p, 256, SchemeKind.BPF)
+        for other in (replace(p, g0=0j), replace(p, gL=0j),
+                      replace(p, f=lambda x: 2.0 * p.f(x))):
+            assert not np.allclose(fine_grid_reference(other, 256, SchemeKind.BPF).values,
+                                   a.values)
+        assert fine_grid_reference(p, 256, SchemeKind.BPF, tol=1e-6) is not a
+
     def test_unnamed_problem_not_cached(self):
         from dataclasses import replace
         clear_reference_cache()

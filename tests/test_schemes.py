@@ -222,6 +222,18 @@ class TestDispersionCorrectedAssembly:
             assemble_dispersion_corrected_fd(p, 4)
 
 
+class TestHelmholtzProblem:
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_wavenumber(self, k):
+        with pytest.raises(ValueError):
+            HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x)), 0j, 0j)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_length(self, L):
+        with pytest.raises(ValueError):
+            HelmholtzProblem(1.0, L, lambda x: np.zeros_like(np.asarray(x)), 0j, 0j)
+
+
 class TestSolveScheme:
     def test_zero_data_zero_solution(self):
         p = HelmholtzProblem(12.0, 1.0, lambda x: np.zeros_like(np.asarray(x)),
