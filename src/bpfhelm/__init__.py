@@ -51,7 +51,6 @@ from .grid import (
     seminorm_h1h,
 )
 from .numerics import (
-    WaveParameters,
     bernoulli,
     envelope_derivative_sup,
     nyquist_guard,
@@ -75,9 +74,7 @@ from .schemes import (
     SchemeKind,
     apply_one_way_minus,
     apply_one_way_plus,
-    assemble_bpf,
-    assemble_classical_fd,
-    assemble_dispersion_corrected_fd,
+    assemble,
     solve_scheme,
 )
 from .trisolve import TridiagonalSystem, residual_inf_norm, solve_tridiagonal

@@ -30,6 +30,7 @@ from .grid import (
 )
 from .numerics import GUARD_TOL, nyquist_guard, stability_constant_a0, theta
 from .reference import (
+    BENCHMARKS,
     ExactSolution,
     fine_grid_reference,
     make_benchmark,
@@ -479,22 +480,6 @@ def modal_residual_representation_check(p: HelmholtzProblem, n: int,
 # stability and flux inequalities
 
 
-def _interior_source_values(p: HelmholtzProblem, grid: UniformGrid) -> np.ndarray:
-    x = grid.nodes()[1:-1]
-    try:
-        fv = np.asarray(p.f(x), dtype=complex)
-        if fv.shape != x.shape:
-            raise ValueError
-    except (ValueError, TypeError):
-        fv = np.array([complex(p.f(xi)) for xi in x])
-    return fv
-
-
-def _source_norm(p: HelmholtzProblem, grid: UniformGrid) -> float:
-    fv = _interior_source_values(p, grid)
-    return float(math.sqrt(grid.h * np.sum(np.abs(fv) ** 2)))
-
-
 def stability_bound_check(p: HelmholtzProblem, u_h: GridFunction) -> StabilityReport:
     """Evaluate k ||u||_{0,h} and sqrt(Theta) |u|_{1,h} against
     A0(kh, kL) ||f||_{0,h} + sqrt(L)/2 (|g0| + |gL|)."""
@@ -502,7 +487,7 @@ def stability_bound_check(p: HelmholtzProblem, u_h: GridFunction) -> StabilityRe
     s = p.k * grid.h
     t = p.k * p.L
     a0 = stability_constant_a0(s, t, p.L)
-    rhs = a0 * _source_norm(p, grid) + 0.5 * math.sqrt(p.L) * (abs(p.g0) + abs(p.gL))
+    rhs = a0 * norm_l2h(sample(p.f, grid)) + 0.5 * math.sqrt(p.L) * (abs(p.g0) + abs(p.gL))
     lhs_l2 = p.k * norm_l2h(u_h)
     lhs_h1 = math.sqrt(theta(s)) * seminorm_h1h(u_h)
     slack = rhs * 1e-12 + 1e-300
@@ -523,7 +508,7 @@ def flux_estimate_check(p: HelmholtzProblem, u_h: GridFunction) -> FluxReport:
     dplus = apply_one_way_plus(u_h, p.k)
     dminus = apply_one_way_minus(u_h, p.k)
     flux_lhs = float(h * (np.sum(np.abs(dplus) ** 2) + np.sum(np.abs(dminus) ** 2)))
-    fnorm2 = _source_norm(p, grid) ** 2
+    fnorm2 = norm_l2h(sample(p.f, grid)) ** 2
     flux_rhs = p.L**2 / th * fnorm2
     u = u_h.values
     aux_lhs = (th * math.cos(s) * seminorm_h1h(u_h) ** 2
@@ -551,7 +536,7 @@ def energy_identity_mismatch(p: HelmholtzProblem, u_h: GridFunction) -> float:
     lhs = (th * seminorm_h1h(u_h) ** 2
            - 0.5 * p.k**2 * grid.h * (abs(u[0]) ** 2 + abs(u[-1]) ** 2)
            - p.k**2 * norm_l2h(u_h) ** 2)
-    fv = _interior_source_values(p, grid)
+    fv = sample(p.f, grid).values[1:-1]
     rhs = -float(np.real(grid.h * np.sum(fv * np.conj(u[1:-1]))))
     scale = max(abs(lhs), abs(rhs), th * seminorm_h1h(u_h) ** 2)
     return abs(lhs - rhs) / scale if scale > 0 else 0.0
@@ -816,7 +801,7 @@ def verify_stability(k_exponents=(5, 6, 7, 8), n_exponents=(7, 8, 9, 10)) -> lis
     the full problems plus the flux and auxiliary energy bounds on their
     homogeneous-radiation counterparts."""
     checks = []
-    for bench in ("planewave", "smooth", "box", "sine2"):
+    for bench in BENCHMARKS:
         for ke in k_exponents:
             k = float(2**ke)
             p, _ = make_benchmark(bench, k)

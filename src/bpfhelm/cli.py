@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import VERIFY_SUITES, convergence_study, error_report
 from .errors import InvalidGrid, NonNestedGrids, NumericalGuardError
 from .grid import restrict, sample
-from .reference import fine_grid_reference, make_benchmark, plane_wave_problem
+from .reference import BENCHMARKS, fine_grid_reference, make_benchmark, plane_wave_problem
 from .schemes import SchemeKind, solve_scheme
 
 EXIT_OK = 0
@@ -33,11 +33,7 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 _SCHEMES = {kind.value: kind for kind in SchemeKind}
-_BENCHMARKS = ("planewave", "smooth", "box", "sine2")
 _NORMS = ("linf", "l2h", "h1", "v")
-
-# Default fine-reference resolutions for benchmarks without a closed form.
-_DEFAULT_N_REF = {"box": 3**12, "sine2": 2**18}
 
 
 class UsageError(Exception):
@@ -110,13 +106,14 @@ def cmd_convergence(args) -> int:
     if len(n_list) < 2 or len(set(n_list)) < len(n_list):
         raise UsageError("convergence needs at least two mesh sizes, each given once")
     kind = _SCHEMES[args.scheme]
-    if args.benchmark == "box":
-        table = convergence_study(args.benchmark, kind, k, n_list,
-                                  reference="fine", n_ref=args.n or _DEFAULT_N_REF["box"],
-                                  tol=args.nyquist_tol)
-    else:
-        table = convergence_study(args.benchmark, kind, k, n_list, reference="exact",
-                                  tol=args.nyquist_tol)
+    has_closed_form = make_benchmark(args.benchmark, k)[1] is not None
+    if has_closed_form and args.n is not None:
+        raise UsageError(f"--n sets a fine reference, but {args.benchmark} is compared "
+                         "against its closed form")
+    table = convergence_study(args.benchmark, kind, k, n_list,
+                              reference="exact" if has_closed_form else "fine",
+                              n_ref=args.n or BENCHMARKS[args.benchmark][1],
+                              tol=args.nyquist_tol)
     lines = ["k,h,err_linf_rel,err_v_rel"]
     for row in table.rows:
         lines.append(f"{_fmt(row.k)},{_fmt(row.h)},"
@@ -142,7 +139,7 @@ def _table_matrix(k_list, h_list, norm: str, reference: str, n_ref_override,
             if reference == "exact":
                 ref = sample(exact.u, u_h.grid)
             else:
-                n_ref = n_ref_override or _DEFAULT_N_REF["sine2"]
+                n_ref = n_ref_override or BENCHMARKS["sine2"][1]
                 ref = restrict(fine_grid_reference(problem, n_ref, SchemeKind.BPF, tol),
                                u_h.grid)
             row.append(error_report(u_h, ref, k).rel(norm))
@@ -259,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="fine-reference resolution override (box benchmark)")
     p.add_argument("--scheme", choices=sorted(_SCHEMES), default="bpf")
-    p.add_argument("--benchmark", choices=_BENCHMARKS, default="smooth")
-    p.add_argument("--norm", choices=_NORMS, default="v")
+    p.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="smooth")
     common(p)
     p.set_defaults(func=cmd_convergence)
 
@@ -278,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True)
     p.add_argument("--n-list", default=None)
     p.add_argument("--h-list", default=None)
-    p.add_argument("--benchmark", choices=_BENCHMARKS, default="sine2")
+    p.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="sine2")
     p.add_argument("--norm", choices=_NORMS, default="linf")
     common(p)
     p.set_defaults(func=cmd_compare)

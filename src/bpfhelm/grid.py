@@ -89,11 +89,6 @@ def discrete_laplacian(v: GridFunction) -> np.ndarray:
     return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / v.grid.h**2
 
 
-def inner_h(v: GridFunction, w: GridFunction) -> complex:
-    """Interior discrete inner product h * sum_{i=1}^{n-1} v_i conj(w_i)."""
-    return v.grid.h * complex(np.sum(v.values[1:-1] * np.conj(w.values[1:-1])))
-
-
 def norm_l2h(v: GridFunction) -> float:
     """Interior discrete L2 norm (nodes 1..n-1 only)."""
     return float(np.sqrt(v.grid.h * np.sum(np.abs(v.values[1:-1]) ** 2)))

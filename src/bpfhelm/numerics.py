@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,33 +24,6 @@ GUARD_TOL = 1e-8
 
 # Below this |z| the closed form of B(z) is replaced by its Taylor series.
 BERNOULLI_SERIES_THRESHOLD = 1e-3
-
-
-@dataclass(frozen=True)
-class WaveParameters:
-    """Wavenumber/grid scalars bundled with their dimensionless products.
-
-    s = k*h and t = k*L are the only combinations the estimates depend on.
-    """
-
-    k: float
-    L: float
-    h: float
-
-    def __post_init__(self):
-        if self.k <= 0 or self.L <= 0 or self.h <= 0:
-            raise ValueError("k, L and h must all be positive")
-
-    @property
-    def s(self) -> float:
-        return self.k * self.h
-
-    @property
-    def t(self) -> float:
-        return self.k * self.L
-
-    def check_nyquist(self, tol: float = GUARD_TOL) -> None:
-        nyquist_guard(self.k, self.h, tol)
 
 
 def _distance_to_multiples(s: float, period: float) -> tuple[float, int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -126,13 +126,19 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
     data. Rejects wavenumbers resonant with the source (k^2 near 4 pi^2)
     and the degenerate limit k near 0.
     """
+    def f(x):
+        return np.sin(math.pi * np.asarray(x)) ** 2 + 0.0j
+
+    g0, gL = 2.0 + 0.0j, 1j
+    # Built first so that its finite/positive check on k runs before any
+    # of the arithmetic below.
+    problem = HelmholtzProblem(k, 1.0, f, g0, gL, name="sine2")
     if k < 1e-8:
         raise ResonantSource(f"k = {k!r} too small for the particular solution")
     denom = k * k - TWO_PI_SQ
     if abs(denom) < 1e-8 * k * k:
         raise ResonantSource(f"k^2 = {k * k!r} resonates with the source frequency 2*pi")
 
-    g0, gL = 2.0 + 0.0j, 1j
     c_pole = 1.0 / (2.0 * denom)
 
     def u_p(x):
@@ -165,12 +171,8 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
         x = np.asarray(x)
         return u_p_doubleprime(x) - k * k * (alpha * np.exp(1j * k * x) + beta * np.exp(-1j * k * x))
 
-    def f(x):
-        return np.sin(math.pi * np.asarray(x)) ** 2 + 0.0j
-
     exact = ExactSolution(u, u_prime, u_doubleprime)
-    problem = HelmholtzProblem(k, 1.0, f, g0, gL, name="sine2", exact=exact)
-    return problem, exact
+    return replace(problem, exact=exact), exact
 
 
 def sine_squared_source_derivatives() -> tuple[Callable, Callable, Callable]:
@@ -191,20 +193,22 @@ def box_source_problem(k: float) -> HelmholtzProblem:
     return HelmholtzProblem(k, 1.0, f, 2.0 + 0.0j, 1j, name="box")
 
 
-_BENCHMARKS = ("planewave", "smooth", "box", "sine2")
+# Benchmark registry, keyed by CLI name: the factory k -> (problem, exact
+# solution or None) and the default fine-reference resolution (None when
+# the closed form is the only reference).
+BENCHMARKS: dict[str, tuple[Callable, int | None]] = {
+    "planewave": (lambda k: plane_wave_problem(k, 2.0, 1.0), None),
+    "smooth": (smooth_manufactured_problem, None),
+    "box": (lambda k: (box_source_problem(k), None), 3**12),
+    "sine2": (sine_squared_problem, 2**18),
+}
 
 
 def make_benchmark(name: str, k: float) -> tuple[HelmholtzProblem, ExactSolution | None]:
     """Benchmark factory keyed by CLI name."""
-    if name == "planewave":
-        return plane_wave_problem(k, 2.0, 1.0)
-    if name == "smooth":
-        return smooth_manufactured_problem(k)
-    if name == "sine2":
-        return sine_squared_problem(k)
-    if name == "box":
-        return box_source_problem(k), None
-    raise ValueError(f"unknown benchmark {name!r}; expected one of {_BENCHMARKS}")
+    if name not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
+    return BENCHMARKS[name][0](k)
 
 
 def pde_residual_check(p: HelmholtzProblem, n_points: int = 100,

@@ -1,12 +1,14 @@
 """Tridiagonal assembly for the three Helmholtz discretizations.
 
-The headline scheme (BPF) composes two discrete one-way flux operators
-built from Bernoulli weights B(+-ikh); the composition collapses to a
-phase-fitted three-point stencil Theta(kh)*Delta_h + k^2 with boundary
-rows (k/sin kh)(u_1 - e^{ikh} u_0) = g0 (mirrored on the right) that are
-exact on sampled plane waves. The classical and dispersion-corrected
-baselines share a second-order ghost-point impedance closure so that the
-comparison isolates interior dispersion.
+One table-driven `assemble` builds all three schemes. They differ only in
+the interior weight pair (w, kk) of the rows w Delta_h u + kk u = f and in
+the boundary closure. The headline scheme (BPF) composes two discrete
+one-way flux operators built from Bernoulli weights B(+-ikh); the
+composition collapses to the phase-fitted stencil Theta(kh) Delta_h + k^2,
+with boundary rows (k/sin kh)(u_1 - e^{ikh} u_0) = g0 (mirrored on the
+right) that are exact on sampled plane waves. The classical and
+dispersion-corrected baselines share a second-order ghost-point impedance
+closure so that the comparison isolates interior dispersion.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import SolveQualityWarning
-from .grid import GridFunction, make_grid
+from .grid import GridFunction, make_grid, sample
 from .numerics import GUARD_TOL, bernoulli, nyquist_guard, shifted_wavenumber, theta
 from .trisolve import TridiagonalSystem, residual_inf_norm, solve_tridiagonal
 
@@ -63,18 +65,6 @@ class HelmholtzProblem:
                              f"got k = {self.k!r}, L = {self.L!r}")
 
 
-def _sample_source(f: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(x), dtype=complex)
-        if vals.shape != x.shape:
-            raise ValueError
-    except (ValueError, TypeError):
-        vals = np.array([complex(f(xi)) for xi in x])
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-        raise ValueError("source function produced non-finite nodal values")
-    return vals
-
-
 def _check_flux_weights(k: float, h: float, tol: float = GUARD_TOL) -> tuple[complex, complex]:
     """Bernoulli weights B(+-ikh); rejects kh near nonzero multiples of 2*pi."""
     s = k * h
@@ -113,103 +103,59 @@ def apply_one_way_composition(v: GridFunction, k: float) -> np.ndarray:
     return (b_minus * w[1:] - b_plus * w[:-1]) / v.grid.h
 
 
-def _interior_rows(diag_coeff: complex, off_coeff: complex, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lower = np.full(n, off_coeff, dtype=complex)
-    diag = np.full(n + 1, diag_coeff, dtype=complex)
-    upper = np.full(n, off_coeff, dtype=complex)
-    return lower, diag, upper
-
-
-def assemble_bpf(p: HelmholtzProblem, n: int, tol: float = GUARD_TOL) -> TridiagonalSystem:
-    """Phase-fitted system: Theta(kh) Delta_h u + k^2 u = f inside,
-    (k/sin kh)(u_1 - e^{ikh} u_0) = g0 and (k/sin kh)(e^{ikh} u_n - u_{n-1}) = gL.
-    """
-    grid = make_grid(p.L, n)
-    h = grid.h
-    nyquist_guard(p.k, h, tol)
-    s = p.k * h
-    th = theta(s, tol)
-
-    lower, diag, upper = _interior_rows(p.k**2 - 2.0 * th / h**2, th / h**2, n)
-    x = grid.nodes()
-    rhs = np.empty(n + 1, dtype=complex)
-    rhs[1:-1] = _sample_source(p.f, x[1:-1])
-
-    bfac = p.k / math.sin(s)
-    phase = cmath.exp(1j * s)
-    diag[0] = -bfac * phase
-    upper[0] = bfac
-    rhs[0] = p.g0
-    lower[-1] = -bfac
-    diag[-1] = bfac * phase
-    rhs[-1] = p.gL
-    return TridiagonalSystem(lower, diag, upper, rhs)
-
-
-def _ghost_boundary_rows(sys: TridiagonalSystem, p: HelmholtzProblem, h: float,
-                         f0: complex, fn: complex) -> None:
-    """Second-order impedance closure by ghost-node elimination.
-
-    Combining the centered condition (u_1 - u_{-1})/(2h) - ik u_0 = g0 with
-    the stencil row at node 0 eliminates the ghost value and yields
-        (2/h^2)(u_1 - u_0) + (k^2 - 2ik/h) u_0 = f(x_0) + (2/h) g0,
-    and at the right endpoint
-        (2/h^2)(u_{n-1} - u_n) + (k^2 - 2ik/h) u_n = f(x_n) - (2/h) gL.
-    The k^2 here is whatever sits in the stencil row (the physical one for
-    both baselines, since the corrected scheme modifies interior rows only).
-    """
-    k = p.k
-    two_over_h2 = 2.0 / h**2
-    robin = k * k - 2.0j * k / h - two_over_h2
-    sys.diag[0] = robin
-    sys.upper[0] = two_over_h2
-    sys.rhs[0] = f0 + 2.0 / h * p.g0
-    sys.diag[-1] = robin
-    sys.lower[-1] = two_over_h2
-    sys.rhs[-1] = fn - 2.0 / h * p.gL
-
-
-def assemble_classical_fd(p: HelmholtzProblem, n: int) -> TridiagonalSystem:
-    """Centered three-point scheme Delta_h u + k^2 u = f with ghost-point
-    impedance rows."""
-    grid = make_grid(p.L, n)
-    h = grid.h
-    lower, diag, upper = _interior_rows(p.k**2 - 2.0 / h**2, 1.0 / h**2, n)
-    x = grid.nodes()
-    fvals = _sample_source(p.f, x)
-    rhs = fvals.copy()
-    sys = TridiagonalSystem(lower, diag, upper, rhs)
-    _ghost_boundary_rows(sys, p, h, fvals[0], fvals[-1])
-    return sys
-
-
-def assemble_dispersion_corrected_fd(p: HelmholtzProblem, n: int,
-                                     tol: float = GUARD_TOL) -> TridiagonalSystem:
-    """Classical stencil with the shifted wavenumber in interior rows only:
-    Delta_h u + khat^2 u = f, khat = (2/h) sin(kh/2). Boundary rows are the
-    same ghost-point closure as the classical scheme, with the physical k.
-    """
-    grid = make_grid(p.L, n)
-    h = grid.h
-    nyquist_guard(p.k, h, tol)
-    khat = shifted_wavenumber(p.k, h, tol)
-    lower, diag, upper = _interior_rows(khat**2 - 2.0 / h**2, 1.0 / h**2, n)
-    x = grid.nodes()
-    fvals = _sample_source(p.f, x)
-    rhs = fvals.copy()
-    sys = TridiagonalSystem(lower, diag, upper, rhs)
-    _ghost_boundary_rows(sys, p, h, fvals[0], fvals[-1])
-    return sys
-
-
 def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
              tol: float = GUARD_TOL) -> TridiagonalSystem:
-    """Dispatch to the assembler for the requested scheme."""
-    if kind is SchemeKind.BPF:
-        return assemble_bpf(p, n, tol)
+    """Tridiagonal system of the requested scheme on n uniform subintervals.
+
+    Interior rows are w Delta_h u + kk u = f, i.e. kk - 2w/h^2 on the
+    diagonal and w/h^2 off it, with one (w, kk) pair per scheme:
+
+        bpf    w = Theta(kh)   kk = k^2
+        fd     w = 1           kk = k^2
+        fd-dc  w = 1           kk = khat^2, khat = (2/h) sin(kh/2)
+
+    The boundary closure is the only other difference. BPF uses the exact
+    rows (k/sin kh)(u_1 - e^{ikh} u_0) = g0 and
+    (k/sin kh)(e^{ikh} u_n - u_{n-1}) = gL. Both baselines use the
+    second-order ghost-point closure: the centered condition
+    (u_1 - u_{-1})/(2h) - ik u_0 = g0 combined with the stencil row at
+    node 0 eliminates the ghost value and gives
+        (2/h^2)(u_1 - u_0) + (k^2 - 2ik/h) u_0 = f(x_0) + (2/h) g0,
+    mirrored at x = L with -(2/h) gL; it carries the physical k, since the
+    corrected scheme modifies interior rows only. The Nyquist guard
+    applies to bpf and fd-dc.
+    """
+    grid = make_grid(p.L, n)
+    h = grid.h
     if kind is SchemeKind.CLASSICAL_FD:
-        return assemble_classical_fd(p, n)
-    return assemble_dispersion_corrected_fd(p, n, tol)
+        w, kk = 1.0, p.k**2
+    else:
+        nyquist_guard(p.k, h, tol)
+        if kind is SchemeKind.BPF:
+            w, kk = theta(p.k * h, tol), p.k**2
+        else:
+            w, kk = 1.0, shifted_wavenumber(p.k, h, tol) ** 2
+    lower = np.full(n, w / h**2, dtype=complex)
+    diag = np.full(n + 1, kk - 2.0 * w / h**2, dtype=complex)
+    upper = np.full(n, w / h**2, dtype=complex)
+    rhs = sample(p.f, grid).values.copy()
+
+    if kind is SchemeKind.BPF:
+        bfac = p.k / math.sin(p.k * h)
+        phase = cmath.exp(1j * p.k * h)
+        diag[0] = -bfac * phase
+        upper[0] = bfac
+        rhs[0] = p.g0
+        lower[-1] = -bfac
+        diag[-1] = bfac * phase
+        rhs[-1] = p.gL
+    else:
+        two_over_h2 = 2.0 / h**2
+        diag[0] = diag[-1] = p.k * p.k - 2.0j * p.k / h - two_over_h2
+        upper[0] = lower[-1] = two_over_h2
+        rhs[0] += 2.0 / h * p.g0
+        rhs[-1] -= 2.0 / h * p.gL
+    return TridiagonalSystem(lower, diag, upper, rhs)
 
 
 def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,

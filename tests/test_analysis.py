@@ -46,7 +46,7 @@ from bpfhelm.reference import (
     smooth_manufactured_problem,
     smooth_source_derivatives,
 )
-from bpfhelm.schemes import SchemeKind, assemble_bpf, solve_scheme
+from bpfhelm.schemes import SchemeKind, assemble, solve_scheme
 from bpfhelm.trisolve import residual_inf_norm
 
 
@@ -397,7 +397,7 @@ class TestErrorEquation:
         u_h = solve_scheme(p, n, SchemeKind.BPF)
         ref = sample(exact.u, u_h.grid)
         e = u_h.values - ref.values
-        sys = assemble_bpf(p, n)
+        sys = assemble(p, n, SchemeKind.BPF)
         tau, _ = interior_residual(exact, k, u_h.grid)
         b0, bL = boundary_residuals(exact, k, u_h.grid.h, 1.0)
         sys.rhs[1:-1] = -tau

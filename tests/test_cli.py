@@ -1,11 +1,14 @@
 """CLI subcommands: CSV schemas, exit codes, determinism."""
 
+import argparse
 import math
 
 import pytest
 
-from bpfhelm.cli import main
-from bpfhelm.reference import clear_reference_cache
+from bpfhelm import cli
+from bpfhelm.analysis import verify_stability
+from bpfhelm.cli import build_parser, main
+from bpfhelm.reference import BENCHMARKS, clear_reference_cache, make_benchmark
 
 
 def _run(tmp_path, args, name="out.csv"):
@@ -79,6 +82,22 @@ class TestConvergence:
         code = main(["convergence", "--k", "32",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_norm_option_rejected(self, tmp_path, capsys):
+        # the CSV always reports linf and v, so --norm has nothing to select
+        code = main(["convergence", "--k", "32", "--n-list", "8,16", "--norm", "l2h",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "--norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sine2", "smooth", "planewave"])
+    def test_n_rejected_for_closed_form_benchmark(self, tmp_path, capsys, name):
+        code = main(["convergence", "--k", "4", "--n-list", "8,16", "--benchmark", name,
+                     "--n", "12345", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "--n" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestTable:
@@ -228,3 +247,40 @@ class TestParser:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "err_linf_abs" in proc.stdout
+
+
+def _option_choices(command, dest):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    return tuple(action.choices)
+
+
+class TestBenchmarkRegistry:
+    def test_every_list_of_benchmarks_is_the_registry(self):
+        names = tuple(BENCHMARKS)
+        assert names == ("planewave", "smooth", "box", "sine2")
+        assert _option_choices("convergence", "benchmark") == names
+        assert _option_choices("compare", "benchmark") == names
+        with pytest.raises(ValueError) as info:
+            make_benchmark("gaussian", 4.0)
+        assert str(names) in str(info.value)
+        checks = verify_stability(k_exponents=(5,), n_exponents=(5,))
+        covered = tuple(dict.fromkeys(c.detail.split()[0] for c in checks))
+        assert covered == names
+
+    def test_table_default_fine_resolution_from_registry(self, tmp_path, monkeypatch):
+        factory, n_ref = BENCHMARKS["sine2"]
+        assert n_ref == 2**18
+        monkeypatch.setitem(BENCHMARKS, "sine2", (factory, 64))
+        seen = []
+        real = cli.fine_grid_reference
+
+        def spy(p, n, *args):
+            seen.append(n)
+            return real(p, n, *args)
+
+        monkeypatch.setattr(cli, "fine_grid_reference", spy)
+        code, _ = _run(tmp_path, ["table", "--k-list", "4", "--h-list", "0.25,0.125"])
+        assert code == 0
+        assert seen == [64, 64]

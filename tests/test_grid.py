@@ -10,7 +10,6 @@ from bpfhelm.grid import (
     GridFunction,
     discrete_laplacian,
     forward_diff,
-    inner_h,
     make_grid,
     norm_l2h,
     norm_linf,
@@ -168,12 +167,6 @@ class TestNorms:
                    + grad[-1] * np.conj(v.values[-1])
                    - grad[0] * np.conj(v.values[0]))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-
-    def test_inner_product_interior_only(self):
-        g = make_grid(1.0, 4)
-        v = GridFunction(g, np.array([9.0, 1.0, 2.0, 3.0, 9.0], dtype=complex))
-        w = GridFunction(g, np.ones(5, dtype=complex))
-        assert inner_h(v, w) == pytest.approx((1 + 2 + 3) * g.h)
 
 
 class TestRestrict:

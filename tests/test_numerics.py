@@ -8,7 +8,6 @@ import pytest
 
 from bpfhelm.errors import NearNyquist, SingularParameter
 from bpfhelm.numerics import (
-    WaveParameters,
     _bernoulli_closed,
     _bernoulli_series,
     bernoulli,
@@ -219,17 +218,3 @@ class TestEnvelopeDerivatives:
         with pytest.raises(ValueError):
             envelope_derivative_sup("g", 100)
 
-
-class TestWaveParameters:
-    def test_products(self):
-        wp = WaveParameters(k=4.0, L=2.0, h=0.25)
-        assert wp.s == 1.0
-        assert wp.t == 8.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WaveParameters(k=-1.0, L=1.0, h=0.1)
-
-    def test_nyquist_passthrough(self):
-        with pytest.raises(NearNyquist):
-            WaveParameters(k=math.pi, L=1.0, h=1.0).check_nyquist()

@@ -255,6 +255,14 @@ class TestBenchmarkRegistry:
         with pytest.raises(ValueError):
             make_benchmark("gaussian", 2.0**5)
 
+    @pytest.mark.parametrize("name", ["planewave", "smooth", "box", "sine2"])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wavenumber_rejected(self, name, k):
+        # sine2 used to reach its 2x2 amplitude solve first and raise
+        # LinAlgError; every benchmark now fails HelmholtzProblem's check
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_benchmark(name, k)
+
     def test_every_exact_solution_validates(self):
         for name in ("planewave", "smooth", "sine2"):
             p, _ = make_benchmark(name, 2.0**6)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bpfhelm.errors import NearNyquist, SingularParameter
+from bpfhelm.errors import NearNyquist, NonFiniteSample, SingularParameter
 from bpfhelm.grid import (
     GridFunction,
     discrete_laplacian,
@@ -25,9 +25,7 @@ from bpfhelm.schemes import (
     apply_one_way_composition,
     apply_one_way_minus,
     apply_one_way_plus,
-    assemble_bpf,
-    assemble_classical_fd,
-    assemble_dispersion_corrected_fd,
+    assemble,
     solve_scheme,
 )
 from bpfhelm.trisolve import residual_inf_norm, solve_tridiagonal
@@ -94,7 +92,7 @@ class TestBpfAssembly:
         k = 2.0**5
         p, exact = plane_wave_problem(k, 1.0, 0.0)
         n = 64
-        sys = assemble_bpf(p, n)
+        sys = assemble(p, n, SchemeKind.BPF)
         for sign in (1.0, -1.0):
             g = make_grid(1.0, n)
             u = np.exp(sign * 1j * k * g.nodes())
@@ -105,7 +103,7 @@ class TestBpfAssembly:
     def test_nyquist_rejected(self):
         p, _ = plane_wave_problem(math.pi * 8, 1.0, 1.0)
         with pytest.raises(NearNyquist):
-            assemble_bpf(p, 8)  # kh = pi
+            assemble(p, 8, SchemeKind.BPF)  # kh = pi
 
     def test_zero_interior_diagonal_still_solvable(self):
         # at kh = pi/2, sin^2(kh/2) = 1/2 makes k^2 - 2 Theta/h^2 vanish;
@@ -113,7 +111,7 @@ class TestBpfAssembly:
         n = 16
         k = math.pi / 2.0 * n
         p, exact = plane_wave_problem(k, 2.0, 1.0)
-        sys = assemble_bpf(p, n)
+        sys = assemble(p, n, SchemeKind.BPF)
         assert abs(sys.diag[3]) <= 1e-9
         u_h = solve_scheme(p, n, SchemeKind.BPF)
         ref = sample(exact.u, u_h.grid)
@@ -133,7 +131,7 @@ class TestBpfAssembly:
     def test_boundary_rows_encode_impedance(self):
         k, n = 9.0, 32
         p, exact = plane_wave_problem(k, 0.7 - 0.2j, 1.1 + 0.5j)
-        sys = assemble_bpf(p, n)
+        sys = assemble(p, n, SchemeKind.BPF)
         u = sample(exact.u, make_grid(1.0, n)).values
         row0 = sys.diag[0] * u[0] + sys.upper[0] * u[1]
         rown = sys.lower[-1] * u[-2] + sys.diag[-1] * u[-1]
@@ -158,7 +156,7 @@ class TestClassicalAssembly:
         # (k^2 - (4/h^2) sin^2(kh/2)) e^{ikx_i}
         k, n = 6.0, 24
         p, _ = plane_wave_problem(k, 1.0, 0.0)
-        sys = assemble_classical_fd(p, n)
+        sys = assemble(p, n, SchemeKind.CLASSICAL_FD)
         g = make_grid(1.0, n)
         x = g.nodes()
         u = np.exp(1j * k * x)
@@ -172,7 +170,7 @@ class TestClassicalAssembly:
         k, n = 1.0, 2  # h = 0.5
         p = HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x)),
                              g0=0.0 + 0.0j, gL=0.0 + 0.0j)
-        sys = assemble_classical_fd(p, n)
+        sys = assemble(p, n, SchemeKind.CLASSICAL_FD)
         h = 0.5
         assert sys.diag[0] == pytest.approx(k * k - 2j * k / h - 2.0 / h**2)
         assert sys.upper[0] == pytest.approx(2.0 / h**2)
@@ -197,7 +195,7 @@ class TestDispersionCorrectedAssembly:
         # khat^2 cancels the stencil symbol at frequency k
         k, n = 11.0, 32
         p, _ = plane_wave_problem(k, 1.0, 0.0)
-        sys = assemble_dispersion_corrected_fd(p, n)
+        sys = assemble(p, n, SchemeKind.DISPERSION_CORRECTED_FD)
         g = make_grid(1.0, n)
         u = np.exp(1j * k * g.nodes())
         interior = sys.lower[:-1] * u[:-2] + sys.diag[1:-1] * u[1:-1] + sys.upper[1:] * u[2:]
@@ -210,8 +208,8 @@ class TestDispersionCorrectedAssembly:
     def test_boundary_rows_match_classical(self):
         k, n = 9.0, 32
         p, _ = plane_wave_problem(k, 1.0, 2.0)
-        dc = assemble_dispersion_corrected_fd(p, n)
-        cl = assemble_classical_fd(p, n)
+        dc = assemble(p, n, SchemeKind.DISPERSION_CORRECTED_FD)
+        cl = assemble(p, n, SchemeKind.CLASSICAL_FD)
         assert dc.diag[0] == cl.diag[0] and dc.upper[0] == cl.upper[0]
         assert dc.diag[-1] == cl.diag[-1] and dc.lower[-1] == cl.lower[-1]
         assert dc.rhs[0] == cl.rhs[0] and dc.rhs[-1] == cl.rhs[-1]
@@ -219,7 +217,7 @@ class TestDispersionCorrectedAssembly:
     def test_nyquist_rejected(self):
         p, _ = plane_wave_problem(math.pi * 4, 1.0, 1.0)
         with pytest.raises(NearNyquist):
-            assemble_dispersion_corrected_fd(p, 4)
+            assemble(p, 4, SchemeKind.DISPERSION_CORRECTED_FD)
 
 
 class TestHelmholtzProblem:
@@ -232,6 +230,13 @@ class TestHelmholtzProblem:
     def test_rejects_bad_length(self, L):
         with pytest.raises(ValueError):
             HelmholtzProblem(1.0, L, lambda x: np.zeros_like(np.asarray(x)), 0j, 0j)
+
+    @pytest.mark.parametrize("kind", list(SchemeKind))
+    def test_non_finite_source_rejected(self, kind):
+        p = HelmholtzProblem(4.0, 1.0, lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.0),
+                             0j, 0j)
+        with pytest.raises(NonFiniteSample):
+            assemble(p, 8, kind)
 
 
 class TestSolveScheme:
@@ -282,7 +287,7 @@ class TestSolveScheme:
 
     def test_solver_consistency_with_assembly(self):
         p, _ = sine_squared_problem(2.0**5)
-        sys = assemble_bpf(p, 256)
+        sys = assemble(p, 256, SchemeKind.BPF)
         x = solve_tridiagonal(sys)
         u_h = solve_scheme(p, 256, SchemeKind.BPF)
         assert np.array_equal(x, u_h.values)
@@ -295,7 +300,7 @@ class TestSolveScheme:
         # on moderate grids the roundoff floor sits below 1e-10 (||b|| + 1)
         for ke, n in ((5, 2**7), (6, 2**9), (7, 2**10)):
             p, _ = sine_squared_problem(2.0**ke)
-            sys = assemble_bpf(p, n)
+            sys = assemble(p, n, SchemeKind.BPF)
             x = solve_tridiagonal(sys)
             bscale = float(np.max(np.abs(sys.rhs))) + 1.0
             assert residual_inf_norm(sys, x) <= 1e-10 * bscale

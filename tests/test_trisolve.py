@@ -10,7 +10,7 @@ import pytest
 from bpfhelm import trisolve
 from bpfhelm.errors import SingularSystem
 from bpfhelm.reference import sine_squared_problem
-from bpfhelm.schemes import assemble_bpf
+from bpfhelm.schemes import SchemeKind, assemble
 from bpfhelm.trisolve import (
     LAPACK_MIN_SIZE,
     TridiagonalSystem,
@@ -85,7 +85,7 @@ class TestSolve:
 class TestSizeRouting:
     def test_bound_goes_to_lapack(self, monkeypatch):
         p, _ = sine_squared_problem(2.0**5)
-        sys = assemble_bpf(p, LAPACK_MIN_SIZE - 1)
+        sys = assemble(p, LAPACK_MIN_SIZE - 1, SchemeKind.BPF)
         assert sys.size == LAPACK_MIN_SIZE
         breakdown = trisolve._breakdown_threshold(sys)
         x_thomas = trisolve._solve_thomas(sys, breakdown)
