@@ -44,12 +44,12 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def wavenumber(text: str) -> float:
-    """Parse a wavenumber, rejecting NaN, infinities and k <= 0."""
-    k = float(text)
-    if not math.isfinite(k) or k <= 0:
-        raise ValueError(f"wavenumber must be finite and positive, got {text!r}")
-    return k
+def positive(text: str) -> float:
+    """Parse a wavenumber or a tolerance, rejecting NaN, infinities and x <= 0."""
+    x = float(text)
+    if not math.isfinite(x) or x <= 0:
+        raise ValueError(f"must be finite and positive, got {text!r}")
+    return x
 
 
 def _parse_list(text: str, cast):
@@ -77,6 +77,8 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def _resolve_n_list(args, L: float) -> list[int]:
+    """Subinterval counts from --n-list or --h-list, which the parser keeps
+    mutually exclusive."""
     if args.n_list:
         return _parse_list(args.n_list, int)
     if args.h_list:
@@ -106,13 +108,10 @@ def cmd_convergence(args) -> int:
     if len(n_list) < 2 or len(set(n_list)) < len(n_list):
         raise UsageError("convergence needs at least two mesh sizes, each given once")
     kind = _SCHEMES[args.scheme]
-    has_closed_form = make_benchmark(args.benchmark, k)[1] is not None
-    if has_closed_form and args.n is not None:
+    if args.n is not None and make_benchmark(args.benchmark, k)[1] is not None:
         raise UsageError(f"--n sets a fine reference, but {args.benchmark} is compared "
                          "against its closed form")
-    table = convergence_study(args.benchmark, kind, k, n_list,
-                              reference="exact" if has_closed_form else "fine",
-                              n_ref=args.n or BENCHMARKS[args.benchmark][1],
+    table = convergence_study(args.benchmark, kind, k, n_list, n_ref=args.n,
                               tol=args.nyquist_tol)
     lines = ["k,h,err_linf_rel,err_v_rel"]
     for row in table.rows:
@@ -125,26 +124,6 @@ def cmd_convergence(args) -> int:
             lines.append(f"# rate_fit,err_{norm}_rel,floored")
     _emit(lines, args.out)
     return EXIT_OK
-
-
-def _table_matrix(k_list, h_list, norm: str, reference: str, n_ref_override,
-                  tol: float):
-    rows = []
-    for k in k_list:
-        problem, exact = make_benchmark("sine2", k)
-        row = []
-        for h in h_list:
-            n = round(1.0 / h)
-            u_h = solve_scheme(problem, n, SchemeKind.BPF, tol)
-            if reference == "exact":
-                ref = sample(exact.u, u_h.grid)
-            else:
-                n_ref = n_ref_override or BENCHMARKS["sine2"][1]
-                ref = restrict(fine_grid_reference(problem, n_ref, SchemeKind.BPF, tol),
-                               u_h.grid)
-            row.append(error_report(u_h, ref, k).rel(norm))
-        rows.append(row)
-    return rows
 
 
 def _diagonal_summary(k_list, h_list, matrix) -> list[str]:
@@ -165,52 +144,66 @@ def _diagonal_summary(k_list, h_list, matrix) -> list[str]:
 
 
 def cmd_table(args) -> int:
-    """Relative error matrix (rows k_list, columns h_list) for the sine2
-    benchmark, against both the closed-form and fine-grid references."""
-    k_list = _parse_list(args.k_list, wavenumber)
-    if args.h_list:
-        h_list = _parse_list(args.h_list, float)
-        for h in h_list:
-            _n_from_h(h, 1.0)
-    elif args.n_list:
-        h_list = [1.0 / n for n in _parse_list(args.n_list, int)]
-    else:
-        raise UsageError("give --h-list or --n-list")
+    """Relative error matrix (rows k_list, columns h = 1/n) for the sine2
+    benchmark. Each cell is solved once and measured against both the
+    closed form and a fine-grid BPF reference on --n subintervals (default:
+    the registry's resolution); the diagonal summary reads the closed-form
+    matrix."""
+    k_list = _parse_list(args.k_list, positive)
+    n_list = _resolve_n_list(args, 1.0)
+    n_ref = BENCHMARKS["sine2"][1] if args.n is None else args.n
+    matrices = {"exact": [], "fine": []}
+    for k in k_list:
+        problem, exact = make_benchmark("sine2", k)
+        exact_row, fine_row = [], []
+        for n in n_list:
+            u_h = solve_scheme(problem, n, SchemeKind.BPF, args.nyquist_tol)
+            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF, args.nyquist_tol)
+            exact_row.append(error_report(u_h, sample(exact.u, u_h.grid), k).rel(args.norm))
+            fine_row.append(error_report(u_h, restrict(fine, u_h.grid), k).rel(args.norm))
+        matrices["exact"].append(exact_row)
+        matrices["fine"].append(fine_row)
+    h_list = [1.0 / n for n in n_list]
     header = "k\\h," + ",".join(_fmt(h) for h in h_list)
-    lines = [f"# reference,exact,norm,{args.norm}", header]
-    exact_matrix = _table_matrix(k_list, h_list, args.norm, "exact", None,
-                                 args.nyquist_tol)
-    for k, row in zip(k_list, exact_matrix):
-        lines.append(",".join([_fmt(k)] + [_fmt(v) for v in row]))
-    lines.append(f"# reference,fine,norm,{args.norm}")
-    lines.append(header)
-    fine_matrix = _table_matrix(k_list, h_list, args.norm, "fine", args.n,
-                                args.nyquist_tol)
-    for k, row in zip(k_list, fine_matrix):
-        lines.append(",".join([_fmt(k)] + [_fmt(v) for v in row]))
-    lines.extend(_diagonal_summary(k_list, h_list, exact_matrix))
+    lines = []
+    for reference, matrix in matrices.items():
+        lines.append(f"# reference,{reference},norm,{args.norm}")
+        lines.append(header)
+        for k, row in zip(k_list, matrix):
+            lines.append(",".join([_fmt(k)] + [_fmt(v) for v in row]))
+    lines.extend(_diagonal_summary(k_list, h_list, matrices["exact"]))
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     """All three schemes on paired (k, n) lists; one CSV row per scheme and
-    pair, reporting the relative error in the selected norm."""
-    k_list = _parse_list(args.k_list, wavenumber)
+    pair, reporting the relative error in the selected norm. A benchmark
+    without a closed form is measured against one fine-grid BPF reference
+    per pair at the registry's resolution, shared by the three schemes."""
+    k_list = _parse_list(args.k_list, positive)
     n_list = _resolve_n_list(args, 1.0)
     if len(k_list) != len(n_list):
         raise UsageError(f"{len(k_list)} wavenumbers but {len(n_list)} mesh sizes")
-    lines = [f"scheme,k,h,kh,err_{args.norm}_rel"]
-    for kind in (SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD, SchemeKind.CLASSICAL_FD):
-        for k, n in zip(k_list, n_list):
-            problem, exact = make_benchmark(args.benchmark, k)
-            if exact is None:
-                raise UsageError(f"benchmark {args.benchmark!r} has no exact solution to compare against")
+    kinds = (SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD, SchemeKind.CLASSICAL_FD)
+    rows = {kind: [] for kind in kinds}
+    for k, n in zip(k_list, n_list):
+        problem, exact = make_benchmark(args.benchmark, k)
+        if exact is None:
+            fine = fine_grid_reference(problem, BENCHMARKS[args.benchmark][1],
+                                       SchemeKind.BPF, args.nyquist_tol)
+        for kind in kinds:
             u_h = solve_scheme(problem, n, kind, args.nyquist_tol)
-            ref = sample(exact.u, u_h.grid)
+            if exact is None:
+                ref = restrict(fine, u_h.grid)
+            else:
+                ref = sample(exact.u, u_h.grid)
             err = error_report(u_h, ref, k).rel(args.norm)
             h = 1.0 / n
-            lines.append(f"{kind.value},{_fmt(k)},{_fmt(h)},{_fmt(k * h)},{_fmt(err)}")
+            rows[kind].append(f"{kind.value},{_fmt(k)},{_fmt(h)},{_fmt(k * h)},{_fmt(err)}")
+    lines = [f"scheme,k,h,kh,err_{args.norm}_rel"]
+    for kind in kinds:
+        lines.extend(rows[kind])
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -240,19 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--nyquist-tol", type=float, default=1e-8,
+        p.add_argument("--nyquist-tol", type=positive, default=1e-8,
                        help="relative guard distance from kh in pi*Z")
 
+    def mesh_lists(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--n-list", default=None, help="comma-separated subinterval counts")
+        group.add_argument("--h-list", default=None, help="comma-separated mesh sizes (L=1)")
+
     p = sub.add_parser("exactness", help="plane-wave reproduction test")
-    p.add_argument("--k", type=wavenumber, required=True)
+    p.add_argument("--k", type=positive, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_exactness)
 
     p = sub.add_parser("convergence", help="mesh-refinement study")
-    p.add_argument("--k", type=wavenumber, required=True)
-    p.add_argument("--n-list", default=None, help="comma-separated subinterval counts")
-    p.add_argument("--h-list", default=None, help="comma-separated mesh sizes (L=1)")
+    p.add_argument("--k", type=positive, required=True)
+    mesh_lists(p)
     p.add_argument("--n", type=int, default=None,
                    help="fine-reference resolution override (box benchmark)")
     p.add_argument("--scheme", choices=sorted(_SCHEMES), default="bpf")
@@ -262,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="relative V-error matrix (sine2 benchmark)")
     p.add_argument("--k-list", required=True)
-    p.add_argument("--h-list", default=None)
-    p.add_argument("--n-list", default=None)
+    mesh_lists(p)
     p.add_argument("--n", type=int, default=None,
                    help="fine-reference resolution override (default 2^18)")
     p.add_argument("--norm", choices=_NORMS, default="v")
@@ -272,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="scheme comparison at paired (k, n) lists")
     p.add_argument("--k-list", required=True)
-    p.add_argument("--n-list", default=None)
-    p.add_argument("--h-list", default=None)
+    mesh_lists(p)
     p.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="sine2")
     p.add_argument("--norm", choices=_NORMS, default="linf")
     common(p)

@@ -128,8 +128,7 @@ def test_criterion_03_table_spot_checks_and_diagonals():
 
 def test_criterion_04_nonsmooth_source_trend():
     table = convergence_study("box", SchemeKind.BPF, BOX_WAVENUMBER,
-                              [3**e for e in range(5, 11)],
-                              reference="fine", n_ref=3**12)
+                              [3**e for e in range(5, 11)], n_ref=3**12)
     ok = (1.6 <= table.rates["v"] <= 2.3) and (1.6 <= table.rates["linf"] <= 2.3)
     _report(4, "nonsmooth-source trend", ok,
             f"k=2^7: rate_v={table.rates['v']:.3f}, "

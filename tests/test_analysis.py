@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bpfhelm.analysis import (
+    CheckResult,
     ModalExpansion,
     boundary_multiplier,
     boundary_multiplier_bound,
@@ -337,7 +338,7 @@ class TestStabilityChecks:
         p, _ = plane_wave_problem(4.0, 0.0, 0.0)
         u_h = solve_scheme(p, 64, SchemeKind.BPF)
         st = stability_bound_check(p, u_h)
-        assert st.ok_l2 and st.ok_h1
+        assert st.lhs_l2 <= st.rhs * (1.0 + 1e-12) and st.lhs_h1 <= st.rhs * (1.0 + 1e-12)
         assert st.lhs_l2 == 0.0 and st.rhs == 0.0
 
     def test_plane_wave_lifting_bound(self):
@@ -347,14 +348,14 @@ class TestStabilityChecks:
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
         st = stability_bound_check(p, u_h)
         assert st.rhs == pytest.approx(0.5 * (abs(p.g0) + abs(p.gL)))
-        assert st.ok_l2 and st.ok_h1
+        assert st.lhs_l2 <= st.rhs * (1.0 + 1e-12) and st.lhs_h1 <= st.rhs * (1.0 + 1e-12)
 
     def test_benchmark_sweep_sample(self):
         for name_k in ((2.0**5), (2.0**7)):
             p, _ = sine_squared_problem(name_k)
             u_h = solve_scheme(p, 2**9, SchemeKind.BPF)
             st = stability_bound_check(p, u_h)
-            assert st.ok_l2 and st.ok_h1
+            assert st.lhs_l2 <= st.rhs * (1.0 + 1e-12) and st.lhs_h1 <= st.rhs * (1.0 + 1e-12)
 
     def test_flux_estimate_homogeneous(self):
         k = 2.0**5
@@ -362,7 +363,7 @@ class TestStabilityChecks:
         p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j, name="")
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
         fx = flux_estimate_check(p, u_h)
-        assert fx.ok_flux and fx.ok_aux
+        assert fx.aux_lhs <= fx.aux_rhs * (1.0 + 1e-12)
         assert fx.flux_lhs <= fx.flux_rhs
 
     def test_flux_estimate_rejects_inhomogeneous(self):
@@ -425,8 +426,7 @@ class TestConvergenceStudy:
     def test_fine_reference_mode(self):
         from bpfhelm.reference import clear_reference_cache
         clear_reference_cache()
-        tab = convergence_study("box", SchemeKind.BPF, 2.0**5, [27, 81],
-                                reference="fine", n_ref=3**7)
+        tab = convergence_study("box", SchemeKind.BPF, 2.0**5, [27, 81], n_ref=3**7)
         assert len(tab.rows) == 2
         assert tab.rows[0].errors.rel_v > tab.rows[1].errors.rel_v
 
@@ -436,9 +436,33 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study("smooth", SchemeKind.BPF, 4.0, [16, 8])
         with pytest.raises(ValueError):
-            convergence_study("box", SchemeKind.BPF, 4.0, [8, 16])  # no exact
+            convergence_study("box", SchemeKind.BPF, 4.0, [8, 16], n_ref=81)  # not nested
         with pytest.raises(ValueError):
-            convergence_study("box", SchemeKind.BPF, 4.0, [8, 16], reference="fine")
+            convergence_study("smooth", SchemeKind.BPF, 4.0, [8, 16], n_ref=64)
+
+    @pytest.mark.parametrize("name", ["planewave", "smooth", "sine2"])
+    def test_n_ref_rejected_for_closed_form(self, name):
+        # the closed form is the reference; a fine resolution would be ignored
+        with pytest.raises(ValueError, match="closed form"):
+            convergence_study(name, SchemeKind.BPF, 4.0, [8, 16], n_ref=64)
+
+    def test_fine_reference_defaults_to_registry(self, monkeypatch):
+        from bpfhelm import analysis
+        from bpfhelm.reference import BENCHMARKS, clear_reference_cache
+        clear_reference_cache()
+        factory, _ = BENCHMARKS["box"]
+        monkeypatch.setitem(BENCHMARKS, "box", (factory, 3**5))
+        seen = []
+        real = analysis.fine_grid_reference
+
+        def spy(p, n_ref, *args):
+            seen.append(n_ref)
+            return real(p, n_ref, *args)
+
+        monkeypatch.setattr(analysis, "fine_grid_reference", spy)
+        tab = convergence_study("box", SchemeKind.BPF, 2.0**3, [9, 27])
+        assert seen == [3**5]
+        assert tab.rows[0].errors.rel_v > tab.rows[1].errors.rel_v
 
     def test_explicit_error_bound_holds(self):
         # k ||e||_{0,h} <= Theta A0 (L h^2/12 ||f'''|| + h^2/3 ||f''||)
@@ -488,6 +512,15 @@ class TestErrorReport:
         assert rep.rel("linf") == rep.rel_linf
         assert rep.rel("v") == rep.rel_v
         assert rep.rel_linf == pytest.approx(0.1, rel=1e-12)
+
+
+class TestCheckResult:
+    def test_verdict_is_value_within_bound(self):
+        assert CheckResult("x", 1.0, 1.0).passed
+        assert not CheckResult("x", 1.0 + 1e-15, 1.0).passed
+        assert not CheckResult("x", math.nan, 1.0).passed
+        assert CheckResult("x", -math.inf, 0.0).passed
+        assert "passed" not in CheckResult.__dataclass_fields__
 
 
 class TestVerifySuites:

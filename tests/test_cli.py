@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bpfhelm import cli
+from bpfhelm import cli, reference
 from bpfhelm.analysis import verify_stability
 from bpfhelm.cli import build_parser, main
 from bpfhelm.reference import BENCHMARKS, clear_reference_cache, make_benchmark
@@ -128,6 +128,44 @@ class TestTable:
             name="b.csv")
         assert first == second
 
+    def test_each_cell_solved_once(self, tmp_path, monkeypatch):
+        # 2 x 2 coarse solves plus one fine reference per wavenumber
+        clear_reference_cache()
+        calls = {"solve": 0, "benchmark": 0}
+        real_solve, real_benchmark = cli.solve_scheme, cli.make_benchmark
+
+        def solve_spy(*args):
+            calls["solve"] += 1
+            return real_solve(*args)
+
+        def benchmark_spy(*args):
+            calls["benchmark"] += 1
+            return real_benchmark(*args)
+
+        monkeypatch.setattr(cli, "solve_scheme", solve_spy)
+        monkeypatch.setattr(reference, "solve_scheme", solve_spy)
+        monkeypatch.setattr(cli, "make_benchmark", benchmark_spy)
+        code, text = _run(tmp_path, ["table", "--k-list", "4,8", "--h-list", "0.25,0.125",
+                                     "--n", "64"])
+        assert code == 0
+        assert calls == {"solve": 6, "benchmark": 2}
+        assert text.count("# reference,") == 2
+
+    def test_header_is_the_solved_mesh_size(self, tmp_path):
+        # 0.3333333333 is accepted as 1/3; the columns report h = 1/n
+        code, text = _run(tmp_path, ["table", "--k-list", "4", "--h-list",
+                                     "0.3333333333,0.25", "--n", "12"])
+        assert code == 0
+        header = text.splitlines()[1]
+        assert header == "k\\h,3.3333333333333331e-01,2.5000000000000000e-01"
+
+    def test_n_list_and_h_list_agree(self, tmp_path):
+        _, by_h = _run(tmp_path, ["table", "--k-list", "4", "--h-list", "0.25,0.125",
+                                  "--n", "64"], name="h.csv")
+        _, by_n = _run(tmp_path, ["table", "--k-list", "4", "--n-list", "4,8",
+                                  "--n", "64"], name="n.csv")
+        assert by_h == by_n
+
     def test_requires_h_or_n_list(self, tmp_path):
         code = main(["table", "--k-list", "32", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -183,6 +221,40 @@ class TestCompare:
         assert fd_errs[1] > fd_errs[0]      # classical deteriorates
         assert bpf_errs[1] < bpf_errs[0]    # phase-fitted improves
 
+    def test_box_against_shared_fine_reference(self, tmp_path, monkeypatch):
+        clear_reference_cache()
+        built, refs = [], []
+        real_benchmark, real_reference = cli.make_benchmark, cli.fine_grid_reference
+
+        def benchmark_spy(name, k):
+            built.append(k)
+            return real_benchmark(name, k)
+
+        def reference_spy(p, n_ref, kind, tol):
+            refs.append((p.k, n_ref, kind))
+            return real_reference(p, n_ref, kind, tol)
+
+        monkeypatch.setattr(cli, "make_benchmark", benchmark_spy)
+        monkeypatch.setattr(cli, "fine_grid_reference", reference_spy)
+        code, text = _run(tmp_path, ["compare", "--k-list", "8,16", "--n-list", "81,243",
+                                     "--benchmark", "box"])
+        assert code == 0
+        body = text.strip().splitlines()[1:]
+        assert len(body) == 6  # 3 schemes x 2 pairs
+        assert [ln.split(",")[0] for ln in body] == ["bpf", "bpf", "fd-dc", "fd-dc", "fd", "fd"]
+        assert built == [8.0, 16.0]
+        n_ref = BENCHMARKS["box"][1]
+        assert refs == [(8.0, n_ref, cli.SchemeKind.BPF), (16.0, n_ref, cli.SchemeKind.BPF)]
+        assert all(0.0 < float(ln.split(",")[4]) < 1e-2 for ln in body)
+
+    def test_box_mesh_must_divide_fine_reference(self, tmp_path, monkeypatch, capsys):
+        factory, _ = BENCHMARKS["box"]
+        monkeypatch.setitem(BENCHMARKS, "box", (factory, 81))
+        code = main(["compare", "--k-list", "8", "--n-list", "64", "--benchmark", "box",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestVerify:
     def test_residual_suite_passes(self, tmp_path):
@@ -213,12 +285,13 @@ class TestUsageErrors:
         ["convergence", "--k", "32"],
         ["table", "--k-list", "32"],
         ["table", "--k-list", "32", "--h-list", "0.3"],
-        ["compare", "--k-list", "32", "--n-list", "64", "--benchmark", "box"],
+        ["table", "--k-list", "4", "--h-list", "0.25", "--n", "0"],
+        ["convergence", "--k", "4", "--n-list", "3,9", "--benchmark", "box", "--n", "0"],
         ["compare", "--k-list", "32,64", "--n-list", "64"],
         ["compare", "--k-list", "nan", "--n-list", "64"],
     ], ids=["n-1", "n-0", "single-h", "h-not-dividing", "repeated-n", "not-nested",
             "convergence-no-list", "table-no-list", "table-h-not-dividing",
-            "compare-no-exact", "compare-unpaired", "compare-nan-k"])
+            "table-fine-n-0", "box-fine-n-0", "compare-unpaired", "compare-nan-k"])
     def test_exit_2_with_one_line_reason(self, tmp_path, capsys, argv):
         code = main(argv + ["--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
@@ -228,6 +301,26 @@ class TestUsageErrors:
     def test_non_finite_wavenumber_rejected_by_parser(self, capsys):
         assert main(["exactness", "--k", "nan", "--n", "8"]) == 2
         assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_nyquist_tol_must_be_finite_and_positive(self, capsys, tol):
+        # nan would switch the guard off: k = 8*pi, n = 8 puts kh on pi
+        code = main(["exactness", "--k", str(8.0 * math.pi), "--n", "8",
+                     "--nyquist-tol", tol])
+        assert code == 2
+        assert "--nyquist-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--k", "4"],
+        ["table", "--k-list", "4"],
+        ["compare", "--k-list", "4"],
+    ], ids=["convergence", "table", "compare"])
+    def test_mesh_lists_are_exclusive(self, tmp_path, capsys, argv):
+        code = main(argv + ["--n-list", "4", "--h-list", "0.25",
+                            "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestParser:

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bpfhelm.errors import NearNyquist, NonFiniteSample, SingularParameter
+from bpfhelm import schemes
+from bpfhelm.errors import NearNyquist, NonFiniteSample, SingularParameter, SolveQualityWarning
 from bpfhelm.grid import (
     GridFunction,
     discrete_laplacian,
@@ -268,6 +269,14 @@ class TestSolveScheme:
         p, _ = sine_squared_problem(2.0**5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            solve_scheme(p, 2**12, SchemeKind.BPF)
+
+    def test_quality_warning_fires_above_threshold(self, monkeypatch):
+        # no residual is below 0 * scale unless it is exactly 0, so the
+        # check must fire on any solve that leaves round-off in A x - b
+        monkeypatch.setattr(schemes, "SOLVE_RESIDUAL_TOL", 0.0)
+        p, _ = sine_squared_problem(2.0**5)
+        with pytest.warns(SolveQualityWarning, match="solve residual"):
             solve_scheme(p, 2**12, SchemeKind.BPF)
 
     def test_flux_energy_relation(self):
