@@ -11,28 +11,22 @@ behavior.
 from .analysis import (
     ConvergenceTable,
     ErrorReport,
-    ModalExpansion,
     boundary_multiplier,
     boundary_residuals,
     convergence_study,
-    dirichlet_modal_solution,
     error_report,
     interior_multiplier,
     interior_residual,
-    kernel_lifting,
-    sine_coefficients,
     stability_bound_check,
 )
 from .errors import (
     InvalidGrid,
-    ModalResonance,
     NearNyquist,
     NearResonantFrequency,
     NonFiniteSample,
     NonNestedGrids,
     NumericalGuardError,
     ResonantSource,
-    ResonantWavenumber,
     SingularParameter,
     SingularSystem,
     SolveQualityWarning,
@@ -61,7 +55,6 @@ from .numerics import (
 )
 from .reference import (
     ExactSolution,
-    PlaneWaveCoefficients,
     box_source_problem,
     fine_grid_reference,
     make_benchmark,

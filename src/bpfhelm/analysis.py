@@ -1,5 +1,5 @@
-"""Numerical verification layer: residuals, modal machinery, bound checks,
-and the convergence-study driver.
+"""Numerical verification layer: residuals, Fourier multipliers, bound
+checks, and convergence studies.
 
 The routines here evaluate, numerically, the identities and inequalities
 that underpin the phase-fitted scheme: interior/boundary consistency
@@ -16,10 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ModalResonance, NearResonantFrequency, ResonantWavenumber
+from .errors import NearResonantFrequency
 from .grid import (
     GridFunction,
     UniformGrid,
+    check_nested,
+    discrete_laplacian,
     make_grid,
     norm_l2h,
     norm_linf,
@@ -28,25 +30,36 @@ from .grid import (
     sample,
     seminorm_h1h,
 )
-from .numerics import GUARD_TOL, nyquist_guard, stability_constant_a0, theta
+from .numerics import (
+    GUARD_TOL,
+    _bernoulli_closed,
+    _bernoulli_series,
+    bernoulli,
+    envelope_derivative_sup,
+    nyquist_guard,
+    phase_factor_m,
+    stability_constant_a0,
+    theta,
+)
 from .reference import (
     BENCHMARKS,
     ExactSolution,
     fine_grid_reference,
     make_benchmark,
+    sine_squared_problem,
     smooth_manufactured_problem,
     smooth_source_derivatives,
 )
 from .schemes import (
     HelmholtzProblem,
     SchemeKind,
+    apply_one_way_composition,
     apply_one_way_minus,
     apply_one_way_plus,
     solve_scheme,
 )
 
 QUAD_PANELS = 2**14  # composite-Simpson resolution for Sobolev norms of sources
-MODAL_TRUNCATION = 400  # default number of retained sine modes
 ERROR_FLOOR = 1e-11  # below this, rate fitting is meaningless and skipped
 
 
@@ -72,15 +85,6 @@ class MultiplierSample:
     xi: float
     value: float
     bound: float
-
-
-@dataclass(frozen=True)
-class ModalExpansion:
-    """Sine-basis coefficients (f, phi_n) for modes n = 1..count."""
-
-    L: float
-    coefficients: np.ndarray
-    count: int
 
 
 @dataclass(frozen=True)
@@ -138,20 +142,6 @@ class FluxReport:
 
 
 @dataclass(frozen=True)
-class ModalRepresentationReport:
-    """Direct-vs-modal comparison of the consistency residuals."""
-
-    tau_abs_mismatch: float
-    tau_rel_mismatch: float
-    beta0_abs_mismatch: float
-    beta0_rel_mismatch: float
-    betaL_abs_mismatch: float
-    betaL_rel_mismatch: float
-    tau_tail: float
-    beta_tail: float
-
-
-@dataclass(frozen=True)
 class CheckResult:
     """One named verification: it passes when the measured value is within
     its bound (a NaN value fails)."""
@@ -198,10 +188,8 @@ def interior_residual(exact: ExactSolution, k: float, grid: UniformGrid,
     """
     nyquist_guard(k, grid.h, tol)
     th = theta(k * grid.h, tol)
-    x = grid.nodes()
-    u = np.asarray(exact.u(x), dtype=complex)
-    lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h**2
-    tau = th * lap - np.asarray(exact.u_doubleprime(x[1:-1]), dtype=complex)
+    lap = discrete_laplacian(sample(exact.u, grid))
+    tau = th * lap - np.asarray(exact.u_doubleprime(grid.nodes()[1:-1]), dtype=complex)
     return tau, float(math.sqrt(grid.h * np.sum(np.abs(tau) ** 2)))
 
 
@@ -225,15 +213,13 @@ def boundary_residuals(exact: ExactSolution, k: float, h: float, L: float,
     return beta0, betaL
 
 
-def residual_report(p: HelmholtzProblem, n: int, fpp, fppp,
+def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp, fppp,
                     panels: int = QUAD_PANELS) -> ResidualReport:
-    """Residuals of the attached exact solution together with the
-    second-order bounds driven by ||f''|| and ||f'''||."""
-    if p.exact is None:
-        raise ValueError("problem has no exact solution attached")
+    """Residuals of p's exact solution together with the second-order
+    bounds driven by ||f''|| and ||f'''||."""
     grid = make_grid(p.L, n)
-    _, tau_norm = interior_residual(p.exact, p.k, grid)
-    beta0, betaL = boundary_residuals(p.exact, p.k, grid.h, p.L)
+    _, tau_norm = interior_residual(exact, p.k, grid)
+    beta0, betaL = boundary_residuals(exact, p.k, grid.h, p.L)
     s = p.k * grid.h
     th = theta(s)
     f2 = l2_norm_quad(fpp, p.L, panels)
@@ -241,75 +227,6 @@ def residual_report(p: HelmholtzProblem, n: int, fpp, fppp,
     tau_bound = p.L * th * grid.h**2 / 12.0 * f3
     beta_bound = 2.0 * math.sqrt(p.L * th) * abs(1.0 / math.cos(0.5 * s)) * grid.h**2 / 6.0 * f2
     return ResidualReport(tau_norm, beta0, betaL, tau_bound, beta_bound)
-
-
-# ---------------------------------------------------------------------------
-# kernel lifting and sine-basis machinery
-
-
-def kernel_lifting(u0: complex, uL: complex, k: float, L: float):
-    """Homogeneous interpolant b(x) = A cos(kx) + B sin(kx) with b(0) = u0,
-    b(L) = uL; the remainder u - b then has zero endpoint traces.
-
-    Raises ResonantWavenumber when |sin(kL)| <= 1e-8.
-    """
-    sin_kl = math.sin(k * L)
-    if abs(sin_kl) <= 1e-8:
-        raise ResonantWavenumber(f"sin(kL) = {sin_kl:.3e} too small at k = {k!r}")
-    a = complex(u0)
-    b = (complex(uL) - a * math.cos(k * L)) / sin_kl
-
-    def lifted(x):
-        x = np.asarray(x)
-        return a * np.cos(k * x) + b * np.sin(k * x)
-
-    return lifted
-
-
-def sine_coefficients(f, L: float, N: int, quad_points_per_mode: int = 16) -> ModalExpansion:
-    """Coefficients (f, phi_n) with phi_n = sqrt(2/L) sin(n pi x / L), n = 1..N.
-
-    Composite Simpson with max(quad_points_per_mode * n, 1024) panels per
-    mode; the floor keeps low-mode coefficients accurate to ~1e-11.
-    """
-    if N < 1:
-        raise ValueError("need at least one mode")
-    scale = math.sqrt(2.0 / L)
-    coeffs = np.empty(N, dtype=complex)
-    for mode in range(1, N + 1):
-        panels = max(quad_points_per_mode * mode, 1024)
-        panels += panels % 2
-        x = np.linspace(0.0, L, panels + 1)
-        g = np.asarray(f(x), dtype=complex) * (scale * np.sin(mode * math.pi * x / L))
-        coeffs[mode - 1] = _simpson(g, L / panels)
-    return ModalExpansion(L, coeffs, N)
-
-
-def dirichlet_modal_solution(fhat: ModalExpansion, k: float):
-    """Zero-trace solution of -w'' - k^2 w = f from the modal relation
-    (xi_n^2 - k^2) w_n = f_n.
-
-    Note the orientation: this solves the sign-reversed equation. For a
-    problem posed as u'' + k^2 u = f, the zero-trace remainder w = u - b
-    satisfies -w'' - k^2 w = -f, so pass the negated coefficients.
-
-    Returns the synthesis function w(x) and the coefficient array; raises
-    ModalResonance if k^2 comes within relative 1e-8 of a retained xi_n^2.
-    """
-    xi = np.arange(1, fhat.count + 1) * math.pi / fhat.L
-    denom = xi**2 - k * k
-    if np.min(np.abs(denom)) <= 1e-8 * k * k:
-        worst = int(np.argmin(np.abs(denom))) + 1
-        raise ModalResonance(f"k = {k!r} resonates with mode {worst}")
-    what = fhat.coefficients / denom
-    scale = math.sqrt(2.0 / fhat.L)
-
-    def w(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = (scale * np.sin(np.outer(x, xi))) @ what
-        return out if out.shape != (1,) else out[0]
-
-    return w, what
 
 
 # ---------------------------------------------------------------------------
@@ -386,91 +303,6 @@ def sample_multipliers(k: float, h: float, L: float, xi_grid: np.ndarray,
             continue
         out.append(MultiplierSample(float(xi), float(val), float(bound)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# modal representation of the residuals
-
-
-def _extrapolated_tail(modes: np.ndarray, terms: np.ndarray) -> float:
-    """Estimate the full series tail sum_{n > N} |t_n| from a window of
-    computed terms, assuming power-law decay t_n ~ c n^{-p}.
-
-    The window sum alone badly underestimates slowly decaying tails (the
-    boundary-residual series decays like n^-3 regardless of h), so the
-    remainder beyond the window is added via the integral approximation
-    t_M * M / (p - 1)."""
-    window = float(np.sum(terms))
-    nz = terms > 1e-300
-    if np.count_nonzero(nz) < 4:
-        return window
-    logs_n = np.log(modes[nz].astype(float))
-    logs_t = np.log(terms[nz])
-    p_fit = -float(np.polyfit(logs_n, logs_t, 1)[0])
-    if p_fit <= 1.05:
-        return math.inf
-    last_idx = np.nonzero(nz)[0][-1]
-    return window + float(terms[last_idx]) * float(modes[last_idx]) / (p_fit - 1.0)
-
-
-def modal_residual_representation_check(p: HelmholtzProblem, n: int,
-                                        N: int = MODAL_TRUNCATION,
-                                        quad_points_per_mode: int = 16,
-                                        tail_modes: int = 100) -> ModalRepresentationReport:
-    """Rebuild tau, beta0, betaL from modal sums and compare against the
-    direct residual formulas.
-
-    With f_n the coefficients of the problem's source (orientation
-    u'' + k^2 u = f), the representations read
-        tau(x) = sum_n M(xi_n) f_n phi_n(x),
-        beta0 = -sum_n B(xi_n) f_n,
-        betaL = -sum_n (-1)^n B(xi_n) f_n;
-    the remainder w = u - b solves the sign-reversed Dirichlet problem, and
-    the flip cancels in tau (two factors) but survives in the betas (one).
-    The report carries absolute and relative mismatches plus tail estimates
-    from `tail_modes` extra modes.
-    """
-    if p.exact is None:
-        raise ValueError("problem has no exact solution attached")
-    grid = make_grid(p.L, n)
-    h = grid.h
-    tau_direct, tau_norm = interior_residual(p.exact, p.k, grid)
-    b0_direct, bL_direct = boundary_residuals(p.exact, p.k, h, p.L)
-
-    fhat = sine_coefficients(p.f, p.L, N + tail_modes, quad_points_per_mode)
-    modes = np.arange(1, N + tail_modes + 1)
-    xi = modes * math.pi / p.L
-    mh = np.array([interior_multiplier(x, h, p.k) for x in xi])
-    bh = np.array([boundary_multiplier(x, h, p.k, p.L) for x in xi])
-    signs = np.where(modes % 2 == 0, 1.0, -1.0)
-
-    terms = fhat.coefficients[:N]
-    x_int = grid.nodes()[1:-1]
-    basis = math.sqrt(2.0 / p.L) * np.sin(np.outer(x_int, xi[:N]))
-    tau_modal = basis @ (mh[:N] * terms)
-    b0_modal = -complex(np.sum(bh[:N] * terms))
-    bL_modal = -complex(np.sum(signs[:N] * bh[:N] * terms))
-
-    tail = slice(N, N + tail_modes)
-    tail_coeffs = np.abs(fhat.coefficients[tail])
-    beta_tail = _extrapolated_tail(modes[tail], np.abs(bh[tail]) * tail_coeffs)
-    tau_tail = _extrapolated_tail(
-        modes[tail], math.sqrt(2.0 / p.L) * np.abs(mh[tail]) * tail_coeffs)
-
-    tau_abs = float(math.sqrt(h * np.sum(np.abs(tau_modal - tau_direct) ** 2)))
-    b0_abs = abs(b0_modal - b0_direct)
-    bL_abs = abs(bL_modal - bL_direct)
-
-    return ModalRepresentationReport(
-        tau_abs_mismatch=tau_abs,
-        tau_rel_mismatch=_ratio(tau_abs, tau_norm),
-        beta0_abs_mismatch=b0_abs,
-        beta0_rel_mismatch=_ratio(b0_abs, abs(b0_direct)),
-        betaL_abs_mismatch=bL_abs,
-        betaL_rel_mismatch=_ratio(bL_abs, abs(bL_direct)),
-        tau_tail=tau_tail,
-        beta_tail=beta_tail,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +412,8 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     compared against it, and passing n_ref for one raises ValueError. Any
     other benchmark is compared against a cached fine-grid solve of the same
     scheme on n_ref subintervals (default: the registry's resolution), which
-    every entry of n_list must divide. Cells run in n_list order.
+    every entry of n_list must divide; that is checked before anything is
+    solved. Cells run in n_list order.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -593,6 +426,9 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
         fine = None
     else:
         n_ref = BENCHMARKS[benchmark][1] if n_ref is None else n_ref
+        fine_grid = make_grid(problem.L, n_ref)
+        for n in n_list:
+            check_nested(fine_grid, make_grid(problem.L, n))
         fine = fine_grid_reference(problem, n_ref, kind, tol)
 
     def run_cell(n: int) -> ConvergenceRow:
@@ -635,16 +471,6 @@ def verify_identities(seed: int = 0) -> list[CheckResult]:
     """Algebraic identity suite: Bernoulli reflection/difference, weight
     consistency, factorization, boundary rewrite, flux-energy relation,
     discrete energy identity, envelope derivative sups."""
-    from .numerics import (
-        _bernoulli_closed,
-        _bernoulli_series,
-        bernoulli,
-        envelope_derivative_sup,
-        phase_factor_m,
-    )
-    from .reference import sine_squared_problem
-    from .schemes import apply_one_way_composition
-
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
@@ -688,9 +514,7 @@ def verify_identities(seed: int = 0) -> list[CheckResult]:
         grid = make_grid(1.0, n)
         v = _random_grid_function(rng, grid)
         composed = apply_one_way_composition(v, k)
-        u = v.values
-        lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h**2
-        direct = theta(k * grid.h) * lap + k * k * u[1:-1]
+        direct = theta(k * grid.h) * discrete_laplacian(v) + k * k * v.values[1:-1]
         num = math.sqrt(grid.h * float(np.sum(np.abs(composed - direct) ** 2)))
         worst = max(worst, num / norm_l2h(v))
     checks.append(CheckResult("factorization_three_point", worst, 1e-12))
@@ -771,13 +595,13 @@ def verify_residuals(k_exponents=(4, 5, 6, 7, 8), n_exponents=(5, 6, 7, 8)) -> l
     checks = []
     for ke in k_exponents:
         k = float(2**ke)
-        p, _ = smooth_manufactured_problem(k)
+        p, exact = smooth_manufactured_problem(k)
         _, fpp, fppp = smooth_source_derivatives(k)
         for ne in n_exponents:
             n = 3**ne
             if k / n >= math.pi:
                 continue
-            rep = residual_report(p, n, fpp, fppp)
+            rep = residual_report(p, exact, n, fpp, fppp)
             tau_ratio = rep.tau_norm / rep.tau_bound
             beta_ratio = (abs(rep.beta0) + abs(rep.betaL)) / rep.beta_bound
             tag = f"k=2^{ke} n=3^{ne}"

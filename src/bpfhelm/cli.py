@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import VERIFY_SUITES, convergence_study, error_report
 from .errors import InvalidGrid, NonNestedGrids, NumericalGuardError
-from .grid import restrict, sample
+from .grid import check_nested, make_grid, restrict, sample
 from .reference import BENCHMARKS, fine_grid_reference, make_benchmark, plane_wave_problem
 from .schemes import SchemeKind, solve_scheme
 
@@ -180,18 +180,22 @@ def cmd_compare(args) -> int:
     """All three schemes on paired (k, n) lists; one CSV row per scheme and
     pair, reporting the relative error in the selected norm. A benchmark
     without a closed form is measured against one fine-grid BPF reference
-    per pair at the registry's resolution, shared by the three schemes."""
+    per pair at the registry's resolution, shared by the three schemes; every
+    n must divide that resolution, which is checked before anything is solved."""
     k_list = _parse_list(args.k_list, positive)
     n_list = _resolve_n_list(args, 1.0)
     if len(k_list) != len(n_list):
         raise UsageError(f"{len(k_list)} wavenumbers but {len(n_list)} mesh sizes")
     kinds = (SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD, SchemeKind.CLASSICAL_FD)
     rows = {kind: [] for kind in kinds}
-    for k, n in zip(k_list, n_list):
-        problem, exact = make_benchmark(args.benchmark, k)
+    n_ref = BENCHMARKS[args.benchmark][1]
+    pairs = [(k, n, *make_benchmark(args.benchmark, k)) for k, n in zip(k_list, n_list)]
+    for _, n, problem, exact in pairs:
         if exact is None:
-            fine = fine_grid_reference(problem, BENCHMARKS[args.benchmark][1],
-                                       SchemeKind.BPF, args.nyquist_tol)
+            check_nested(make_grid(problem.L, n_ref), make_grid(problem.L, n))
+    for k, n, problem, exact in pairs:
+        if exact is None:
+            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF, args.nyquist_tol)
         for kind in kinds:
             u_h = solve_scheme(problem, n, kind, args.nyquist_tol)
             if exact is None:

@@ -31,14 +31,6 @@ class ResonantSource(NumericalGuardError):
     """Wavenumber resonates with the source frequency (particular solution blows up)."""
 
 
-class ResonantWavenumber(NumericalGuardError):
-    """sin(kL) is too small for the two-point kernel interpolant to be well posed."""
-
-
-class ModalResonance(NumericalGuardError):
-    """k**2 coincides with a retained sine-mode eigenvalue xi_n**2."""
-
-
 class NearResonantFrequency(NumericalGuardError):
     """Multiplier evaluation requested too close to the removable point xi = k."""
 

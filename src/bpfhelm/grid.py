@@ -110,18 +110,18 @@ def norm_linf(v: GridFunction) -> float:
     return float(np.max(np.abs(v.values)))
 
 
-def restrict(fine: GridFunction, coarse: UniformGrid) -> GridFunction:
-    """Copy values from a nested fine grid onto the coarse nodes, exactly.
+def check_nested(fine: UniformGrid, coarse: UniformGrid) -> None:
+    """Raise NonNestedGrids unless every coarse node is a fine node: the same
+    domain length and n_fine an integer multiple of n_coarse."""
+    if abs(fine.L - coarse.L) > 1e-14 * max(abs(coarse.L), 1.0):
+        raise NonNestedGrids(f"domain lengths differ: {fine.L!r} vs {coarse.L!r}")
+    if fine.n % coarse.n != 0:
+        raise NonNestedGrids(f"{fine.n} subintervals are not a multiple of {coarse.n}")
 
-    Requires the same domain length and n_fine an integer multiple of
-    n_coarse; no interpolation is ever performed.
-    """
-    nf, nc = fine.grid.n, coarse.n
-    if abs(fine.grid.L - coarse.L) > 1e-14 * max(abs(coarse.L), 1.0):
-        raise NonNestedGrids(
-            f"domain lengths differ: {fine.grid.L!r} vs {coarse.L!r}"
-        )
-    if nf % nc != 0:
-        raise NonNestedGrids(f"{nf} subintervals are not a multiple of {nc}")
-    stride = nf // nc
+
+def restrict(fine: GridFunction, coarse: UniformGrid) -> GridFunction:
+    """Copy values from a nested fine grid onto the coarse nodes, exactly;
+    no interpolation is ever performed."""
+    check_nested(fine.grid, coarse)
+    stride = fine.grid.n // coarse.n
     return GridFunction(coarse, fine.values[::stride].copy())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,19 +38,6 @@ class ExactSolution:
     u_doubleprime: Callable
 
 
-@dataclass(frozen=True)
-class PlaneWaveCoefficients:
-    """Amplitudes of the outgoing/incoming components alpha e^{ikx} + beta e^{-ikx}."""
-
-    alpha: complex
-    beta: complex
-
-    @classmethod
-    def from_impedance(cls, k: float, L: float, g0: complex, gL: complex) -> "PlaneWaveCoefficients":
-        """Invert -2ik beta = g0 and 2ik e^{ikL} alpha = gL."""
-        return cls(alpha=gL / (2j * k * cmath.exp(1j * k * L)), beta=-g0 / (2j * k))
-
-
 def plane_wave_problem(k: float, alpha: complex, beta: complex,
                        L: float = 1.0) -> tuple[HelmholtzProblem, ExactSolution]:
     """Homogeneous problem whose exact solution is alpha e^{ikx} + beta e^{-ikx}."""
@@ -68,10 +55,9 @@ def plane_wave_problem(k: float, alpha: complex, beta: complex,
     def u_doubleprime(x):
         return -k * k * u(x)
 
-    exact = ExactSolution(u, u_prime, u_doubleprime)
     problem = HelmholtzProblem(k, L, lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
-                               g0, gL, name="planewave", exact=exact)
-    return problem, exact
+                               g0, gL, name="planewave")
+    return problem, ExactSolution(u, u_prime, u_doubleprime)
 
 
 # Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis.
@@ -100,11 +86,10 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
         x = np.asarray(x)
         return -k * k * np.exp(1j * k * x) + r2(x)
 
-    exact = ExactSolution(u, u_prime, u_doubleprime)
     problem = HelmholtzProblem(k, 1.0, lambda x: f_poly(np.asarray(x)),
                                0.0 + 0.0j, 2j * k * cmath.exp(1j * k),
-                               name="smooth", exact=exact)
-    return problem, exact
+                               name="smooth")
+    return problem, ExactSolution(u, u_prime, u_doubleprime)
 
 
 def smooth_source_derivatives(k: float) -> tuple[Callable, Callable, Callable]:
@@ -171,15 +156,7 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
         x = np.asarray(x)
         return u_p_doubleprime(x) - k * k * (alpha * np.exp(1j * k * x) + beta * np.exp(-1j * k * x))
 
-    exact = ExactSolution(u, u_prime, u_doubleprime)
-    return replace(problem, exact=exact), exact
-
-
-def sine_squared_source_derivatives() -> tuple[Callable, Callable, Callable]:
-    """First three derivatives of sin^2(pi x) = 1/2 - cos(2 pi x)/2."""
-    return (lambda x: math.pi * np.sin(2.0 * math.pi * np.asarray(x)),
-            lambda x: 2.0 * math.pi**2 * np.cos(2.0 * math.pi * np.asarray(x)),
-            lambda x: -4.0 * math.pi**3 * np.sin(2.0 * math.pi * np.asarray(x)))
+    return problem, ExactSolution(u, u_prime, u_doubleprime)
 
 
 def box_source_problem(k: float) -> HelmholtzProblem:
@@ -211,18 +188,16 @@ def make_benchmark(name: str, k: float) -> tuple[HelmholtzProblem, ExactSolution
     return BENCHMARKS[name][0](k)
 
 
-def pde_residual_check(p: HelmholtzProblem, n_points: int = 100,
+def pde_residual_check(p: HelmholtzProblem, exact: ExactSolution, n_points: int = 100,
                        seed: int = 0) -> tuple[float, float, float]:
     """Max |u'' + k^2 u - f| at pseudo-random points, plus both boundary
-    condition residuals, for a problem with attached exact handles."""
-    if p.exact is None:
-        raise ValueError("problem has no exact solution attached")
-    e = p.exact
+    condition residuals, for p and its closed-form solution."""
+    u, u1, u2 = exact.u, exact.u_prime, exact.u_doubleprime
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, p.L, n_points)
-    pde = np.abs(e.u_doubleprime(x) + p.k**2 * np.asarray(e.u(x)) - np.asarray(p.f(x)))
-    bc0 = abs(complex(e.u_prime(0.0)) - 1j * p.k * complex(e.u(0.0)) - complex(p.g0))
-    bcL = abs(complex(e.u_prime(p.L)) + 1j * p.k * complex(e.u(p.L)) - complex(p.gL))
+    pde = np.abs(u2(x) + p.k**2 * np.asarray(u(x)) - np.asarray(p.f(x)))
+    bc0 = abs(complex(u1(0.0)) - 1j * p.k * complex(u(0.0)) - complex(p.g0))
+    bcL = abs(complex(u1(p.L)) + 1j * p.k * complex(u(p.L)) - complex(p.gL))
     return float(np.max(pde)), bc0, bcL
 
 

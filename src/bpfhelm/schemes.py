@@ -16,9 +16,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .errors import SolveQualityWarning
 from .grid import GridFunction, make_grid, sample
 from .numerics import GUARD_TOL, bernoulli, nyquist_guard, shifted_wavenumber, theta
 from .trisolve import TridiagonalSystem, residual_inf_norm, solve_tridiagonal
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .reference import ExactSolution
 
 # Post-solve residual threshold; above it a SolveQualityWarning is issued.
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -47,8 +44,7 @@ class HelmholtzProblem:
     """u'' + k^2 u = f on (0, L) with impedance data at both endpoints.
 
     Boundary conditions: u'(0) - i k u(0) = g0 and u'(L) + i k u(L) = gL.
-    `name` identifies benchmark problems for reference caching; `exact`
-    optionally carries closed-form solution handles.
+    `name` identifies benchmark problems for reference caching.
     """
 
     k: float
@@ -57,7 +53,6 @@ class HelmholtzProblem:
     g0: complex
     gL: complex
     name: str = ""
-    exact: "ExactSolution | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and math.isfinite(self.L)) or self.k <= 0 or self.L <= 0:

@@ -1,5 +1,4 @@
-"""Verification layer: residuals, modal machinery, multipliers, bounds,
-convergence studies."""
+"""Verification layer: residuals, multipliers, bounds, convergence studies."""
 
 import math
 from dataclasses import replace
@@ -9,12 +8,10 @@ import pytest
 
 from bpfhelm.analysis import (
     CheckResult,
-    ModalExpansion,
     boundary_multiplier,
     boundary_multiplier_bound,
     boundary_residuals,
     convergence_study,
-    dirichlet_modal_solution,
     energy_identity_mismatch,
     error_report,
     fit_rate,
@@ -22,26 +19,17 @@ from bpfhelm.analysis import (
     interior_multiplier,
     interior_multiplier_bound,
     interior_residual,
-    kernel_lifting,
     l2_norm_quad,
-    modal_residual_representation_check,
     residual_report,
     sample_multipliers,
-    sine_coefficients,
     stability_bound_check,
     verify_identities,
 )
-from bpfhelm.errors import (
-    ModalResonance,
-    NearNyquist,
-    NearResonantFrequency,
-    ResonantWavenumber,
-)
+from bpfhelm.errors import NearNyquist, NearResonantFrequency
 from bpfhelm.grid import GridFunction, make_grid, norm_l2h, sample
 from bpfhelm.numerics import stability_constant_a0, theta
 from bpfhelm.reference import (
     ExactSolution,
-    box_source_problem,
     plane_wave_problem,
     sine_squared_problem,
     smooth_manufactured_problem,
@@ -125,112 +113,11 @@ class TestBoundaryResiduals:
 class TestResidualReport:
     def test_bounds_hold_on_sweep_sample(self):
         k = 2.0**6
-        p, _ = smooth_manufactured_problem(k)
+        p, exact = smooth_manufactured_problem(k)
         _, fpp, fppp = smooth_source_derivatives(k)
-        rep = residual_report(p, 3**6, fpp, fppp)
+        rep = residual_report(p, exact, 3**6, fpp, fppp)
         assert rep.tau_norm <= rep.tau_bound
         assert abs(rep.beta0) + abs(rep.betaL) <= rep.beta_bound
-
-    def test_requires_exact_solution(self):
-        p = box_source_problem(2.0**5)
-        with pytest.raises(ValueError):
-            residual_report(p, 81, lambda x: x, lambda x: x)
-
-
-class TestKernelLifting:
-    def test_cosine_interpolant(self):
-        k, L = 3.0, 1.0
-        b = kernel_lifting(1.0, math.cos(k * L), k, L)
-        x = np.linspace(0, 1, 33)
-        assert np.max(np.abs(b(x) - np.cos(k * x))) <= 1e-13
-
-    def test_zero_data(self):
-        b = kernel_lifting(0.0, 0.0, 5.0, 1.0)
-        assert np.max(np.abs(b(np.linspace(0, 1, 17)))) == 0.0
-
-    def test_resonant_rejected(self):
-        with pytest.raises(ResonantWavenumber):
-            kernel_lifting(1.0, 1.0, 3.0 * math.pi, 1.0)
-
-    def test_interpolation_conditions(self):
-        u0, uL = 0.3 + 1j, -2.0 + 0.5j
-        k, L = 7.3, 1.0
-        b = kernel_lifting(u0, uL, k, L)
-        assert abs(complex(b(0.0)) - u0) <= 1e-14
-        assert abs(complex(b(L)) - uL) <= 1e-13
-
-
-class TestSineCoefficients:
-    def test_orthonormality(self):
-        L = 1.0
-        phi3 = lambda x: math.sqrt(2.0 / L) * np.sin(3.0 * math.pi * np.asarray(x) / L)
-        fhat = sine_coefficients(phi3, L, 8)
-        assert abs(fhat.coefficients[2] - 1.0) <= 1e-10
-        others = np.delete(fhat.coefficients, 2)
-        assert np.max(np.abs(others)) <= 1e-10
-
-    def test_sine_squared_analytic_values(self):
-        # oracle: (f, phi_n) = -(2 sqrt 2/pi) (1-(-1)^n) / (n (n^2-4)), zero
-        # for even n (including the removable n = 2)
-        f = lambda x: np.sin(math.pi * np.asarray(x)) ** 2
-        fhat = sine_coefficients(f, 1.0, 12)
-        for n in range(1, 13):
-            expected = 0.0 if n % 2 == 0 else \
-                -(2.0 * math.sqrt(2.0) / math.pi) * 2.0 / (n * (n * n - 4))
-            assert abs(fhat.coefficients[n - 1] - expected) <= 1e-10
-
-    def test_zero_function(self):
-        fhat = sine_coefficients(lambda x: np.zeros_like(np.asarray(x)), 1.0, 5)
-        assert np.max(np.abs(fhat.coefficients)) == 0.0
-
-    def test_parseval_partial_sums_nondecreasing(self):
-        k = 2.0**4
-        p, _ = smooth_manufactured_problem(k)
-        fhat = sine_coefficients(p.f, 1.0, 50)
-        partial = np.cumsum(np.abs(fhat.coefficients) ** 2)
-        assert np.all(np.diff(partial) >= 0.0)
-
-    def test_requires_modes(self):
-        with pytest.raises(ValueError):
-            sine_coefficients(lambda x: x, 1.0, 0)
-
-
-class TestDirichletModalSolution:
-    def test_single_mode_inversion(self):
-        L, k = 1.0, 2.5
-        xi1 = math.pi / L
-        coeffs = np.zeros(6, dtype=complex)
-        coeffs[0] = xi1**2 - k * k
-        w, what = dirichlet_modal_solution(ModalExpansion(L, coeffs, 6), k)
-        assert what[0] == pytest.approx(1.0)
-        x = np.linspace(0, 1, 21)
-        phi1 = math.sqrt(2.0 / L) * np.sin(xi1 * x)
-        assert np.max(np.abs(w(x) - phi1)) <= 1e-12
-
-    def test_zero_trace(self):
-        k = 2.0**4
-        p, _ = smooth_manufactured_problem(k)
-        fhat = sine_coefficients(lambda x: -np.asarray(p.f(x)), 1.0, 100)
-        w, _ = dirichlet_modal_solution(fhat, k)
-        assert abs(complex(w(0.0))) <= 1e-10
-        assert abs(complex(w(1.0))) <= 1e-10
-
-    def test_resonance_rejected(self):
-        coeffs = np.ones(8, dtype=complex)
-        with pytest.raises(ModalResonance):
-            dirichlet_modal_solution(ModalExpansion(1.0, coeffs, 8), 5.0 * math.pi)
-
-    def test_decomposition_reproduces_exact_solution(self):
-        # u = w + b with w from the sign-reversed Dirichlet problem
-        k = 2.0**5
-        p, exact = smooth_manufactured_problem(k)
-        fhat = sine_coefficients(lambda x: -np.asarray(p.f(x)), 1.0, 400)
-        w, _ = dirichlet_modal_solution(fhat, k)
-        b = kernel_lifting(complex(exact.u(0.0)), complex(exact.u(1.0)), k, 1.0)
-        rng = np.random.default_rng(41)
-        x = rng.uniform(0.0, 1.0, 50)
-        recon = np.asarray(w(x)) + np.asarray(b(x))
-        assert np.max(np.abs(recon - np.asarray(exact.u(x)))) <= 1e-6
 
 
 class TestInteriorMultiplier:
@@ -298,39 +185,6 @@ class TestBoundaryMultiplier:
         expected = (math.sqrt(2.0 * theta(k * h) / L) * 3.0 * h * h / 6.0
                     * abs(1.0 / math.cos(0.5 * k * h)))
         assert boundary_multiplier_bound(3.0, h, k, L) == pytest.approx(expected)
-
-
-class TestModalRepresentation:
-    def test_converged_regime(self):
-        # coarse grid + deep truncation: both betas and tau reproduce
-        k = 2.0**5
-        p, _ = smooth_manufactured_problem(k)
-        rep = modal_residual_representation_check(p, 27, N=800)
-        assert rep.beta0_rel_mismatch <= 5e-4
-        assert rep.betaL_rel_mismatch <= 5e-4
-        assert rep.tau_rel_mismatch <= 1e-4
-
-    def test_tau_series_converges_before_beta_series(self):
-        # at n = 3^6 the beta series needs N >> 1/h; tau converges already
-        k = 2.0**5
-        p, _ = smooth_manufactured_problem(k)
-        rep = modal_residual_representation_check(p, 3**6, N=400)
-        assert rep.tau_rel_mismatch <= 1e-2
-        # the report must flag the unconverged boundary series via its tail
-        assert rep.beta_tail >= 0.01 * abs(rep.beta0_abs_mismatch)
-
-    def test_zero_source(self):
-        k = 2.0**5
-        p, _ = plane_wave_problem(k, 2.0, 1.0)
-        rep = modal_residual_representation_check(p, 81, N=50)
-        assert rep.tau_abs_mismatch <= 1e-12 * k * k
-        assert rep.beta0_abs_mismatch <= 1e-12 * k
-        assert rep.betaL_abs_mismatch <= 1e-12 * k
-
-    def test_requires_exact(self):
-        p = box_source_problem(2.0**5)
-        with pytest.raises(ValueError):
-            modal_residual_representation_check(p, 81)
 
 
 class TestStabilityChecks:

@@ -3,9 +3,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpfhelm.errors import NearNyquist
 from bpfhelm.grid import make_grid, sample
 from bpfhelm.reference import plane_wave_problem
 from bpfhelm.schemes import SchemeKind, assemble, solve_scheme
@@ -45,3 +47,18 @@ def test_dispersion_corrected_interior_rows_annihilate_plane_waves(n, kh):
         u = np.exp(sign * 1j * k * x)
         interior = sys.lower[:-1] * u[:-2] + sys.diag[1:-1] * u[1:-1] + sys.upper[1:] * u[2:]
         assert float(np.max(np.abs(interior))) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(n=grid_sizes, m=st.integers(min_value=1, max_value=8),
+       tol=st.sampled_from([1e-8, 1e-6, 1e-3]), sign=st.sampled_from([1.0, -1.0]))
+def test_nyquist_guard_boundary(n, m, tol, sign):
+    # the guard rejects kh within tol*pi of m*pi and nothing farther out
+    for kind in (SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD):
+        inside, _ = plane_wave_problem((m + sign * 0.5 * tol) * math.pi * n, 1.0, 0.0)
+        with pytest.raises(NearNyquist):
+            assemble(inside, n, kind, tol)
+        outside, _ = plane_wave_problem((m + sign * 2.0 * tol) * math.pi * n, 1.0, 0.0)
+        sys = assemble(outside, n, kind, tol)
+        for coefficients in (sys.lower, sys.diag, sys.upper, sys.rhs):
+            assert np.all(np.isfinite(coefficients))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bpfhelm import cli, reference
+from bpfhelm import analysis, cli, reference
 from bpfhelm.analysis import verify_stability
 from bpfhelm.cli import build_parser, main
 from bpfhelm.reference import BENCHMARKS, clear_reference_cache, make_benchmark
@@ -298,6 +298,28 @@ class TestUsageErrors:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--k-list", "8", "--n-list", "64", "--benchmark", "box"],
+        ["convergence", "--k", "8", "--n-list", "27,64", "--benchmark", "box"],
+    ], ids=["compare", "convergence"])
+    def test_box_nesting_checked_before_any_solve(self, tmp_path, capsys, monkeypatch, argv):
+        # 64 does not divide the 3^12 fine reference: exit before the fine
+        # solve, not after it
+        clear_reference_cache()
+        solves = []
+
+        def spy(*args):
+            solves.append(args[1])
+            raise AssertionError("solve_scheme called")
+
+        for module in (cli, analysis, reference):
+            monkeypatch.setattr(module, "solve_scheme", spy)
+        code = main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert solves == []
+        assert capsys.readouterr().err == (
+            "usage error: 531441 subintervals are not a multiple of 64\n")
+
     def test_non_finite_wavenumber_rejected_by_parser(self, capsys):
         assert main(["exactness", "--k", "nan", "--n", "8"]) == 2
         assert "--k" in capsys.readouterr().err
@@ -332,12 +354,12 @@ class TestParser:
         assert code == 0
         assert "err_linf_abs" in capsys.readouterr().out
 
-    def test_module_entry_point(self):
+    def test_module_entry_point(self, child_env):
         import subprocess
         import sys
         proc = subprocess.run(
             [sys.executable, "-m", "bpfhelm.cli", "exactness", "--k", "128", "--n", "8"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0
         assert "err_linf_abs" in proc.stdout
 

@@ -106,7 +106,7 @@ class TestSizeRouting:
         assert np.max(np.abs(x - x_thomas)) <= 1e-9 * scale
         assert residual_inf_norm(sys, x) <= residual_inf_norm(sys, x_thomas)
 
-    def test_small_solves_do_not_import_scipy(self):
+    def test_small_solves_do_not_import_scipy(self, child_env):
         code = ("import sys\n"
                 "import bpfhelm\n"
                 "from bpfhelm.reference import sine_squared_problem\n"
@@ -114,7 +114,7 @@ class TestSizeRouting:
                 "solve_scheme(sine_squared_problem(32.0)[0], 4096)\n"
                 "assert 'scipy.linalg' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120)
+                              timeout=120, env=child_env)
         assert proc.returncode == 0, proc.stderr
 
 
