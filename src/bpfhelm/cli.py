@@ -147,11 +147,14 @@ def cmd_table(args) -> int:
     """Relative error matrix (rows k_list, columns h = 1/n) for the sine2
     benchmark. Each cell is solved once and measured against both the
     closed form and a fine-grid BPF reference on --n subintervals (default:
-    the registry's resolution); the diagonal summary reads the closed-form
+    the registry's resolution), which every n must divide; that is checked
+    before anything is solved. The diagonal summary reads the closed-form
     matrix."""
     k_list = _parse_list(args.k_list, positive)
     n_list = _resolve_n_list(args, 1.0)
     n_ref = BENCHMARKS["sine2"][1] if args.n is None else args.n
+    for n in n_list:
+        check_nested(make_grid(1.0, n_ref), make_grid(1.0, n))
     matrices = {"exact": [], "fine": []}
     for k in k_list:
         problem, exact = make_benchmark("sine2", k)

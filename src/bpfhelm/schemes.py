@@ -8,7 +8,9 @@ composition collapses to the phase-fitted stencil Theta(kh) Delta_h + k^2,
 with boundary rows (k/sin kh)(u_1 - e^{ikh} u_0) = g0 (mirrored on the
 right) that are exact on sampled plane waves. The classical and
 dispersion-corrected baselines share a second-order ghost-point impedance
-closure so that the comparison isolates interior dispersion.
+closure so that the comparison isolates interior dispersion. Every assembled
+system records the kernel angle of its interior recurrence, which lets
+`trisolve.solve_tridiagonal` solve it in the kernel basis.
 """
 
 from __future__ import annotations
@@ -119,24 +121,34 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
     mirrored at x = L with -(2/h) gL; it carries the physical k, since the
     corrected scheme modifies interior rows only. The Nyquist guard
     applies to bpf and fd-dc.
+
+    The interior rows are one constant recurrence
+    u_{j+1} - 2 cos(theta) u_j + u_{j-1} = h^2 f_j / w, and the system
+    records its kernel angle: theta = kh for bpf and fd-dc, and
+    theta = 2 asin(kh/2) for fd while kh < 2. From kh = 2 on, the fd kernel
+    grows instead of oscillating; theta is None there, and the system goes
+    to Thomas elimination instead of the kernel-basis solve.
     """
     grid = make_grid(p.L, n)
     h = grid.h
+    kh = p.k * h
     if kind is SchemeKind.CLASSICAL_FD:
         w, kk = 1.0, p.k**2
+        kernel_angle = 2.0 * math.asin(0.5 * kh) if kh < 2.0 else None
     else:
         nyquist_guard(p.k, h, tol)
         if kind is SchemeKind.BPF:
-            w, kk = theta(p.k * h, tol), p.k**2
+            w, kk = theta(kh, tol), p.k**2
         else:
             w, kk = 1.0, shifted_wavenumber(p.k, h, tol) ** 2
+        kernel_angle = kh
     lower = np.full(n, w / h**2, dtype=complex)
     diag = np.full(n + 1, kk - 2.0 * w / h**2, dtype=complex)
     upper = np.full(n, w / h**2, dtype=complex)
     rhs = sample(p.f, grid).values.copy()
 
     if kind is SchemeKind.BPF:
-        bfac = p.k / math.sin(p.k * h)
+        bfac = p.k / math.sin(kh)
         phase = cmath.exp(1j * p.k * h)
         diag[0] = -bfac * phase
         upper[0] = bfac
@@ -150,7 +162,7 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
         upper[0] = lower[-1] = two_over_h2
         rhs[0] += 2.0 / h * p.g0
         rhs[-1] -= 2.0 / h * p.gL
-    return TridiagonalSystem(lower, diag, upper, rhs)
+    return TridiagonalSystem(lower, diag, upper, rhs, kernel_angle)
 
 
 def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,

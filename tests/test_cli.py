@@ -320,6 +320,24 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             "usage error: 531441 subintervals are not a multiple of 64\n")
 
+    def test_table_nesting_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # 3 does not divide the 2^18 fine reference: exit before the first
+        # solve, not after the coarse and fine solves
+        clear_reference_cache()
+        solves = []
+
+        def spy(*args):
+            solves.append(args[1])
+            raise AssertionError("solve_scheme called")
+
+        for module in (cli, analysis, reference):
+            monkeypatch.setattr(module, "solve_scheme", spy)
+        code = main(["table", "--k-list", "4", "--n-list", "8,3", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert solves == []
+        assert capsys.readouterr().err == (
+            "usage error: 262144 subintervals are not a multiple of 3\n")
+
     def test_non_finite_wavenumber_rejected_by_parser(self, capsys):
         assert main(["exactness", "--k", "nan", "--n", "8"]) == 2
         assert "--k" in capsys.readouterr().err

@@ -1,22 +1,24 @@
-"""Tridiagonal solvers (Thomas and LAPACK zgtsv) against hand cases and a
-dense-elimination oracle, and the size bound that routes between them."""
+"""Tridiagonal solvers against hand cases, a dense-elimination oracle and a
+40-digit mpmath oracle, and the rule that routes between the kernel-basis
+solve and Thomas elimination."""
 
+import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpfhelm import trisolve
 from bpfhelm.errors import SingularSystem
-from bpfhelm.reference import sine_squared_problem
+from bpfhelm.reference import make_benchmark, sine_squared_problem, smooth_manufactured_problem
 from bpfhelm.schemes import SchemeKind, assemble
-from bpfhelm.trisolve import (
-    LAPACK_MIN_SIZE,
-    TridiagonalSystem,
-    residual_inf_norm,
-    solve_tridiagonal,
-)
+from bpfhelm.trisolve import TridiagonalSystem, residual_inf_norm, solve_tridiagonal
+
+EPS = np.finfo(float).eps
 
 
 def _random_system(rng, m):
@@ -30,15 +32,21 @@ def _random_system(rng, m):
 
 
 def _with_threshold(helper):
-    # the public entry point checks the input once, ahead of either helper
+    # the public entry point checks the input once, ahead of the helper
     def solve(sys):
         return helper(sys, trisolve._breakdown_threshold(sys))
     return solve
 
 
-SOLVERS = pytest.mark.parametrize(
-    "solve", [_with_threshold(trisolve._solve_thomas), _with_threshold(trisolve._solve_lapack)],
-    ids=["thomas", "lapack"])
+SOLVERS = pytest.mark.parametrize("solve", [_with_threshold(trisolve._solve_thomas)],
+                                  ids=["thomas"])
+
+# Every path through the solver on a system that carries a kernel angle.
+PATHS = {
+    "thomas": lambda sys: trisolve._solve_thomas(sys, trisolve._breakdown_threshold(sys)),
+    "bare-kernel": lambda sys: trisolve._solve_kernel(sys, correct=False),
+    "corrected-kernel": lambda sys: trisolve._solve_kernel(sys, correct=True),
+}
 
 
 class TestSolve:
@@ -81,41 +89,178 @@ class TestSolve:
         with pytest.raises(ValueError):
             TridiagonalSystem(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
 
+    @pytest.mark.parametrize("m, theta, c", [(2, 0.5, 1.0), (3, 0.0, 1.0), (3, 0.5, 0.0),
+                                             (3, math.nan, 1.0), (3, math.inf, 1.0)])
+    def test_kernel_angle_validation(self, m, theta, c):
+        with pytest.raises(ValueError):
+            TridiagonalSystem(np.full(m - 1, c), np.ones(m), np.full(m - 1, c), np.ones(m),
+                              theta)
 
-class TestSizeRouting:
-    def test_bound_goes_to_lapack(self, monkeypatch):
-        p, _ = sine_squared_problem(2.0**5)
-        sys = assemble(p, LAPACK_MIN_SIZE - 1, SchemeKind.BPF)
-        assert sys.size == LAPACK_MIN_SIZE
-        breakdown = trisolve._breakdown_threshold(sys)
-        x_thomas = trisolve._solve_thomas(sys, breakdown)
-        routed = []
-        lapack = trisolve._solve_lapack
+    def test_singular_boundary_system(self):
+        # boundary rows that read x_0 = 0 and x_n = 0 with theta = pi/2 on
+        # n = 2 subintervals: sin(theta n) = 0 is a Dirichlet eigenvalue
+        sys = TridiagonalSystem([1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0], [1.0, 1.0, 1.0],
+                                math.pi / 2)
+        with pytest.raises(SingularSystem):
+            solve_tridiagonal(sys)
 
-        def spy(s, b):
-            routed.append(s)
-            return lapack(s, b)
+    def test_degenerate_kernel_basis(self):
+        # at theta = pi the two kernel vectors coincide, (-1)^j
+        sys = TridiagonalSystem([1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0],
+                                math.pi)
+        with pytest.raises(SingularSystem):
+            solve_tridiagonal(sys)
 
-        monkeypatch.setattr(trisolve, "_solve_lapack", spy)
-        coefficients = [a.copy() for a in (sys.lower, sys.diag, sys.upper, sys.rhs)]
+
+def _spy_paths(monkeypatch):
+    """Record which helper each solve_tridiagonal call reaches."""
+    routed = []
+    thomas, kernel = trisolve._solve_thomas, trisolve._solve_kernel
+
+    def thomas_spy(sys, breakdown):
+        routed.append("thomas")
+        return thomas(sys, breakdown)
+
+    def kernel_spy(sys, correct):
+        routed.append("corrected-kernel" if correct else "bare-kernel")
+        return kernel(sys, correct)
+
+    monkeypatch.setattr(trisolve, "_solve_thomas", thomas_spy)
+    monkeypatch.setattr(trisolve, "_solve_kernel", kernel_spy)
+    return routed
+
+
+class TestRouting:
+    @pytest.mark.parametrize("kind, kh", [
+        (SchemeKind.BPF, 0.5),
+        (SchemeKind.BPF, 3.0),
+        (SchemeKind.DISPERSION_CORRECTED_FD, 0.5),
+        (SchemeKind.DISPERSION_CORRECTED_FD, 3.0),
+        (SchemeKind.CLASSICAL_FD, 0.5),
+        (SchemeKind.CLASSICAL_FD, 1.99),
+        # theta within 6e-8 of pi, where the two kernel vectors coalesce
+        (SchemeKind.CLASSICAL_FD, 2.0 - 1e-15),
+    ])
+    def test_oscillating_kernel_takes_kernel_path(self, monkeypatch, kind, kh):
+        n = 64  # h = 1/64 is exact, so the assembled kh is the drawn one
+        p, _ = smooth_manufactured_problem(kh * n)
+        sys = assemble(p, n, kind)
+        if kind is SchemeKind.CLASSICAL_FD:
+            assert sys.theta == 2.0 * math.asin(0.5 * kh)
+        else:
+            assert sys.theta == kh
+        routed = _spy_paths(monkeypatch)
         x = solve_tridiagonal(sys)
-        assert len(routed) == 1 and routed[0] is sys
-        for before, after in zip(coefficients, (sys.lower, sys.diag, sys.upper, sys.rhs)):
-            assert np.array_equal(before, after)
-        scale = np.max(np.abs(x_thomas))
-        assert np.max(np.abs(x - x_thomas)) <= 1e-9 * scale
-        assert residual_inf_norm(sys, x) <= residual_inf_norm(sys, x_thomas)
+        assert routed == ["corrected-kernel"]
+        x_thomas = trisolve._solve_thomas(sys, trisolve._breakdown_threshold(sys))
+        assert np.max(np.abs(x - x_thomas)) <= 1e-12 * np.max(np.abs(x_thomas))
 
-    def test_small_solves_do_not_import_scipy(self, child_env):
+    @pytest.mark.parametrize("kh", [2.0, 2.5, 10.0])
+    def test_growing_fd_kernel_takes_thomas(self, monkeypatch, kh):
+        p, _ = smooth_manufactured_problem(kh * 64)
+        sys = assemble(p, 64, SchemeKind.CLASSICAL_FD)
+        assert sys.theta is None
+        routed = _spy_paths(monkeypatch)
+        solve_tridiagonal(sys)
+        assert routed == ["thomas"]
+
+    def test_hand_built_system_takes_thomas(self, monkeypatch):
+        sys = _random_system(np.random.default_rng(5), 40)
+        assert sys.theta is None
+        routed = _spy_paths(monkeypatch)
+        solve_tridiagonal(sys)
+        assert routed == ["thomas"]
+
+    @pytest.mark.parametrize("k, n, path", [
+        (2.0**5, 3**6, "corrected-kernel"),     # drift 3.7e-12
+        (2.0**5, 6561, "corrected-kernel"),     # drift 3.0e-10, the coarsest box mesh
+        (2.0**8, 2**18, "bare-kernel"),         # drift 6.0e-8, a fine reference
+        (2.0**5, 3**12, "bare-kernel"),         # drift 2.0e-6, the box fine reference
+    ])
+    def test_correction_follows_phase_drift(self, monkeypatch, k, n, path):
+        p, _ = sine_squared_problem(k)
+        sys = assemble(p, n, SchemeKind.BPF)
+        routed = _spy_paths(monkeypatch)
+        solve_tridiagonal(sys)
+        assert routed == [path]
+
+    def test_coefficients_unchanged(self):
+        p, _ = sine_squared_problem(2.0**5)
+        sys = assemble(p, 100, SchemeKind.BPF)
+        before = [a.copy() for a in (sys.lower, sys.diag, sys.upper, sys.rhs)]
+        solve_tridiagonal(sys)
+        for a, b in zip(before, (sys.lower, sys.diag, sys.upper, sys.rhs)):
+            assert np.array_equal(a, b)
+
+    def test_solves_do_not_import_scipy(self, child_env):
         code = ("import sys\n"
                 "import bpfhelm\n"
                 "from bpfhelm.reference import sine_squared_problem\n"
                 "from bpfhelm.schemes import solve_scheme\n"
                 "solve_scheme(sine_squared_problem(32.0)[0], 4096)\n"
+                "solve_scheme(sine_squared_problem(64.0)[0], 2**18)\n"
                 "assert 'scipy.linalg' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env=child_env)
         assert proc.returncode == 0, proc.stderr
+
+
+def _mp_solve(sys):
+    """Thomas elimination in 40-digit arithmetic on the stored coefficients."""
+    with mpmath.workdps(40):
+        lower, diag, upper, rhs = ([mpmath.mpc(v) for v in a.tolist()]
+                                   for a in (sys.lower, sys.diag, sys.upper, sys.rhs))
+        m = len(diag)
+        cprime, dprime = [mpmath.mpc(0)] * m, [mpmath.mpc(0)] * m
+        for i in range(m):
+            pivot = diag[i] - (lower[i - 1] * cprime[i - 1] if i else 0)
+            cprime[i] = upper[i] / pivot if i < m - 1 else 0
+            dprime[i] = (rhs[i] - (lower[i - 1] * dprime[i - 1] if i else 0)) / pivot
+        x = [mpmath.mpc(0)] * m
+        x[-1] = dprime[-1]
+        for i in range(m - 2, -1, -1):
+            x[i] = dprime[i] - cprime[i] * x[i + 1]
+        return np.array([complex(v) for v in x])
+
+
+class TestMpmathOracle:
+    # (benchmark, n, kh): the smallest system, a kh near each end of the
+    # kernel path's range (fd keeps it up to kh < 2) and n = 2^10
+    CASES = [("sine2", 2, 0.5), ("box", 9, 0.05), ("sine2", 100, 1.0),
+             ("box", 100, 1.99), ("sine2", 2**10, 0.25), ("box", 2**10, 1.5)]
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("name, n, kh", CASES)
+    def test_every_path_matches_oracle(self, kind, name, n, kh):
+        p, _ = make_benchmark(name, kh * n)
+        sys = assemble(p, n, kind)
+        x_exact = _mp_solve(sys)
+        # The stored rows' rounding moves theta by about eps / |sin theta|,
+        # which over n steps bounds how far every path may drift.
+        bound = 4.0 * EPS * n / abs(math.sin(sys.theta))
+        scale = np.max(np.abs(x_exact))
+        for path, solve in PATHS.items():
+            err = np.max(np.abs(solve(sys) - x_exact)) / scale
+            assert err <= bound, f"{path}: {err:.3e} > {bound:.3e}"
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(list(SchemeKind)),
+       name=st.sampled_from(["planewave", "smooth", "box"]),
+       n=st.integers(min_value=2, max_value=64),
+       kh=st.floats(min_value=0.05, max_value=3.0))
+def test_paths_match_dense_solve(kind, name, n, kh):
+    p, _ = make_benchmark(name, kh * n)
+    sys = assemble(p, n, kind)
+    a = sys.dense()
+    x_dense = np.linalg.solve(a, sys.rhs)
+    # forward error of a backward-stable solve: a small multiple of eps * cond(A)
+    bound = 8.0 * EPS * np.linalg.cond(a)
+    scale = np.max(np.abs(x_dense))
+    paths = PATHS if sys.theta is not None else {"thomas": PATHS["thomas"]}
+    for path, solve in paths.items():
+        err = np.max(np.abs(solve(sys) - x_dense)) / scale
+        assert err <= bound, f"{path}: {err:.3e} > {bound:.3e}"
 
 
 class TestResidual:
