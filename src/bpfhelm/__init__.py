@@ -70,6 +70,6 @@ from .schemes import (
     assemble,
     solve_scheme,
 )
-from .trisolve import TridiagonalSystem, residual_inf_norm, solve_tridiagonal
+from .trisolve import Stencil, TridiagonalSystem, residual_inf_norm, solve_tridiagonal
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ class GridFunction:
             raise ValueError(
                 f"expected {self.grid.n + 1} nodal values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        if not np.isfinite(vals).all():
             raise NonFiniteSample("grid function contains NaN/Inf entries")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

@@ -216,9 +216,10 @@ def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
     Cached for named problems by everything that defines the solve: the
     problem's name, k, L, boundary data and source callable (the object
     itself, whose identity cannot be reused while the key holds it), plus
-    n_ref, the scheme and the guard tolerance. dict.setdefault inserts only
-    if absent, so concurrent callers at worst duplicate one solve and agree
-    on the stored result.
+    n_ref, the scheme and the guard tolerance. The cache keeps only the last
+    key: every caller asks for one reference many times in a row (`table`
+    per k, `convergence` per study), and a rebuilt problem carries a new
+    source callable, so an older entry would never be hit again.
     """
     if not p.name:
         return solve_scheme(p, n_ref, kind, tol)
@@ -226,4 +227,7 @@ def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
     hit = _reference_cache.get(key)
     if hit is not None:
         return hit
-    return _reference_cache.setdefault(key, solve_scheme(p, n_ref, kind, tol))
+    fine = solve_scheme(p, n_ref, kind, tol)
+    _reference_cache.clear()
+    _reference_cache[key] = fine
+    return fine

@@ -10,7 +10,10 @@ right) that are exact on sampled plane waves. The classical and
 dispersion-corrected baselines share a second-order ghost-point impedance
 closure so that the comparison isolates interior dispersion. Every assembled
 system records the kernel angle of its interior recurrence, which lets
-`trisolve.solve_tridiagonal` solve it in the kernel basis.
+`trisolve.solve_tridiagonal` solve it in the kernel basis, and stores its
+coefficients as a `trisolve.Stencil` (one interior row and four boundary
+entries): no length-n coefficient array exists unless a reader asks for
+the diagonals.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import SolveQualityWarning
 from .grid import GridFunction, make_grid, sample
 from .numerics import GUARD_TOL, bernoulli, nyquist_guard, shifted_wavenumber, theta
-from .trisolve import TridiagonalSystem, residual_inf_norm, solve_tridiagonal
+from .trisolve import Stencil, TridiagonalSystem, residual_inf_norm, solve_tridiagonal
 
 # Post-solve residual threshold; above it a SolveQualityWarning is issued.
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -128,6 +131,9 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
     theta = 2 asin(kh/2) for fd while kh < 2. From kh = 2 on, the fd kernel
     grows instead of oscillating; theta is None there, and the system goes
     to Thomas elimination instead of the kernel-basis solve.
+
+    The system keeps (w/h^2, kk - 2w/h^2) and the four boundary entries as
+    its stencil; lower, diag and upper are built from them on first read.
     """
     grid = make_grid(p.L, n)
     h = grid.h
@@ -142,27 +148,22 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
         else:
             w, kk = 1.0, shifted_wavenumber(p.k, h, tol) ** 2
         kernel_angle = kh
-    lower = np.full(n, w / h**2, dtype=complex)
-    diag = np.full(n + 1, kk - 2.0 * w / h**2, dtype=complex)
-    upper = np.full(n, w / h**2, dtype=complex)
     rhs = sample(p.f, grid).values.copy()
 
     if kind is SchemeKind.BPF:
         bfac = p.k / math.sin(kh)
         phase = cmath.exp(1j * p.k * h)
-        diag[0] = -bfac * phase
-        upper[0] = bfac
+        first, last = (-bfac * phase, bfac), (-bfac, bfac * phase)
         rhs[0] = p.g0
-        lower[-1] = -bfac
-        diag[-1] = bfac * phase
         rhs[-1] = p.gL
     else:
         two_over_h2 = 2.0 / h**2
-        diag[0] = diag[-1] = p.k * p.k - 2.0j * p.k / h - two_over_h2
-        upper[0] = lower[-1] = two_over_h2
+        corner = p.k * p.k - 2.0j * p.k / h - two_over_h2
+        first, last = (corner, two_over_h2), (two_over_h2, corner)
         rhs[0] += 2.0 / h * p.g0
         rhs[-1] -= 2.0 / h * p.gL
-    return TridiagonalSystem(lower, diag, upper, rhs, kernel_angle)
+    stencil = Stencil(w / h**2, kk - 2.0 * w / h**2, *first, *last)
+    return TridiagonalSystem.from_stencil(stencil, rhs, kernel_angle)
 
 
 def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,
@@ -177,9 +178,8 @@ def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,
     sys = assemble(p, n, kind, tol)
     x = solve_tridiagonal(sys)
     res = residual_inf_norm(sys, x)
-    anorm = float(np.max(np.abs(sys.diag)))
-    if sys.size > 1:
-        anorm += float(np.max(np.abs(sys.lower))) + float(np.max(np.abs(sys.upper)))
+    max_diag, max_lower, max_upper = sys.max_abs_coefficients()
+    anorm = max_diag + (max_lower + max_upper)
     scale = float(np.max(np.abs(sys.rhs))) + anorm * float(np.max(np.abs(x))) + 1.0
     if res > SOLVE_RESIDUAL_TOL * scale:
         warnings.warn(

@@ -1,5 +1,12 @@
 """Direct solution of complex tridiagonal systems.
 
+A system either stores its three diagonals (hand-built systems) or, when
+its interior rows are one constant three-point row (every assembled
+system), just that row's two coefficients and the four boundary entries,
+its Stencil. Such a system builds its diagonals only when something reads
+them (Thomas elimination, dense(), tests); the kernel path, the residual
+and the coefficient maxima work from the six scalars.
+
 Two paths, chosen by what the system records about itself:
 
 * The kernel basis, for systems that carry a kernel angle theta. Their
@@ -31,7 +38,8 @@ returning garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +55,36 @@ CORRECTION_MAX_DRIFT = 1e-8
 
 _EPS = float(np.finfo(float).eps)
 _SIGNS = np.array([[1j], [-1j]])
+# Unknowns the boundary coefficients d0, u0, ln, dn multiply.
+_END_INDEX = np.array([0, 1, -2, -1])
 
 
-@dataclass
+class Stencil(NamedTuple):
+    """The six coefficients of a system with one constant interior row.
+
+    Row 0 reads d0 x[0] + u0 x[1], every row 0 < i < m-1 reads
+    c x[i-1] + d x[i] + c x[i+1], and row m-1 reads ln x[m-2] + dn x[m-1].
+    """
+
+    c: complex
+    d: complex
+    d0: complex
+    u0: complex
+    ln: complex
+    dn: complex
+
+
 class TridiagonalSystem:
     """Three complex diagonals plus right-hand side for m = n+1 unknowns.
 
     lower and upper have length m-1, diag and rhs length m. Row i reads
     lower[i-1]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i].
+
+    The constructor takes the three diagonals; `stencil` is None then.
+    from_stencil takes the six coefficients of a constant interior row
+    (every assembled system) and stores no diagonal: each is built from
+    them, read-only, the first time it is read. The kernel path, the
+    residual and max_abs_coefficients read the scalars.
 
     theta, when set, is the real kernel angle of the interior rows: every
     row 0 < i < m-1 reads c x[i-1] - 2c cos(theta) x[i] + c x[i+1], with
@@ -62,17 +92,13 @@ class TridiagonalSystem:
     for systems without that structure, which go to Thomas elimination.
     """
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-    theta: float | None = None
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=complex)
-        self.diag = np.asarray(self.diag, dtype=complex)
-        self.upper = np.asarray(self.upper, dtype=complex)
-        self.rhs = np.asarray(self.rhs, dtype=complex)
+    def __init__(self, lower, diag, upper, rhs, theta: float | None = None):
+        self.lower = np.asarray(lower, dtype=complex)
+        self.diag = np.asarray(diag, dtype=complex)
+        self.upper = np.asarray(upper, dtype=complex)
+        self.rhs = np.asarray(rhs, dtype=complex)
+        self.theta = theta
+        self.stencil: Stencil | None = None
         m = self.diag.shape[0]
         if self.rhs.shape != (m,) or self.lower.shape != (m - 1,) or self.upper.shape != (m - 1,):
             raise ValueError(
@@ -80,15 +106,65 @@ class TridiagonalSystem:
                 f"lower {self.lower.shape}, diag {self.diag.shape}, "
                 f"upper {self.upper.shape}, rhs {self.rhs.shape}"
             )
-        if self.theta is not None and not (m >= 3 and self.lower[0] != 0.0
+        self._check_kernel_angle(self.lower[0] if m >= 3 else 0.0)
+
+    @classmethod
+    def from_stencil(cls, stencil: Stencil, rhs, theta: float | None = None) -> TridiagonalSystem:
+        """System with rows `stencil` and right-hand side rhs (m >= 3)."""
+        sys = cls.__new__(cls)
+        sys.stencil = Stencil(*(complex(v) for v in stencil))
+        sys.rhs = np.asarray(rhs, dtype=complex)
+        sys.theta = theta
+        if sys.rhs.ndim != 1 or sys.rhs.shape[0] < 3:
+            raise ValueError(f"a stencil system needs m >= 3 unknowns, got rhs {sys.rhs.shape}")
+        sys._check_kernel_angle(sys.stencil.c)
+        return sys
+
+    def _check_kernel_angle(self, c: complex) -> None:
+        if self.theta is not None and not (self.size >= 3 and c != 0.0
                                            and math.isfinite(self.theta)
                                            and math.sin(self.theta) != 0.0):
             raise ValueError(f"kernel angle {self.theta!r} needs interior rows, "
                              "c = lower[0] != 0 and a finite theta with sin(theta) != 0")
 
+    # Hand-built systems set these in __init__, which shadows the builders.
+    @cached_property
+    def lower(self) -> np.ndarray:
+        return self._built(self.size - 1, self.stencil.c, ((-1, self.stencil.ln),))
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        s = self.stencil
+        return self._built(self.size, s.d, ((0, s.d0), (-1, s.dn)))
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        return self._built(self.size - 1, self.stencil.c, ((0, self.stencil.u0),))
+
+    @cached_property
+    def _end_coefficients(self) -> np.ndarray:
+        """d0, u0, ln, dn of a stencil system, to multiply x[_END_INDEX]."""
+        return np.array(self.stencil[2:])
+
+    @staticmethod
+    def _built(length: int, fill: complex, ends) -> np.ndarray:
+        a = np.full(length, fill, dtype=complex)
+        for i, v in ends:
+            a[i] = v
+        a.setflags(write=False)
+        return a
+
     @property
     def size(self) -> int:
-        return self.diag.shape[0]
+        return self.rhs.shape[0]
+
+    def max_abs_coefficients(self) -> tuple[float, float, float]:
+        """max |diag|, max |lower| and max |upper| (0.0 for an empty diagonal)."""
+        if self.stencil is None:
+            return tuple(float(np.max(np.abs(a), initial=0.0))
+                         for a in (self.diag, self.lower, self.upper))
+        c, d, d0, u0, ln, dn = np.abs(np.array(self.stencil)).tolist()
+        return max(d0, d, dn), max(c, ln), max(u0, c)
 
     def dense(self) -> np.ndarray:
         """Dense matrix form (test/diagnostic use only)."""
@@ -115,11 +191,7 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
 
 
 def _breakdown_threshold(sys: TridiagonalSystem) -> float:
-    scale = max(
-        np.max(np.abs(sys.diag), initial=0.0),
-        np.max(np.abs(sys.lower), initial=0.0),
-        np.max(np.abs(sys.upper), initial=0.0),
-    )
+    scale = max(sys.max_abs_coefficients())
     if scale == 0.0:
         raise SingularSystem("all matrix coefficients are zero")
     return PIVOT_REL_TOL * scale
@@ -179,10 +251,9 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     m = sys.size
     phases = _phases(sys.theta, m)
     ahead, back = phases
-    kappa = 1.0 / (2j * math.sin(sys.theta) * complex(sys.lower[0]))
+    c, _, d0, u0, ln, dn = _stencil(sys)
+    kappa = 1.0 / (2j * math.sin(sys.theta) * c)
     # Boundary rows applied to e^{+i theta j} (column 0) and e^{-i theta j}.
-    d0, u0 = complex(sys.diag[0]), complex(sys.upper[0])
-    ln, dn = complex(sys.lower[-1]), complex(sys.diag[-1])
     e1, en1, en = ahead[[1, -2, -1]].tolist()
     m00, m01 = d0 + u0 * e1, d0 + u0 * e1.conjugate()
     m10, m11 = ln * en1 + dn * en, ln * en1.conjugate() + dn * en.conjugate()
@@ -214,11 +285,36 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     return x
 
 
+def _stencil(sys: TridiagonalSystem) -> Stencil:
+    """The system's stencil. A hand-built system that carries theta has no
+    stored one, so its coefficients are read from the diagonals."""
+    if sys.stencil is not None:
+        return sys.stencil
+    lower, diag, upper = sys.lower, sys.diag, sys.upper
+    return Stencil(*map(complex, (lower[0], diag[1], diag[0], upper[0], lower[-1], diag[-1])))
+
+
 def _residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
-    """A x - b."""
-    r = sys.diag * x - sys.rhs
-    r[1:] += sys.lower * x[:-1]
-    r[:-1] += sys.upper * x[1:]
+    """A x - b, row i as ((diag[i] x[i] - rhs[i]) + lower[i-1] x[i-1]) + upper[i] x[i+1]."""
+    s = sys.stencil
+    if s is None:
+        r = sys.diag * x - sys.rhs
+        r[1:] += sys.lower * x[:-1]
+        r[:-1] += sys.upper * x[1:]
+        return r
+    # The same operations from the scalars. Products stay in numpy, each
+    # coefficient the left operand as in diag * x: its complex SIMD multiply
+    # can round x * d and d * x differently, and the rows must round as over
+    # the built diagonals. Sums are exact-rounded either way.
+    r = np.multiply(s.d, x)
+    r -= sys.rhs
+    inner = r[1:-1]
+    t = np.multiply(s.c, x[:-2])
+    inner += t
+    inner += np.multiply(s.c, x[2:], out=t)
+    d0x0, u0x1, lnxm, dnxn = (sys._end_coefficients * x.take(_END_INDEX)).tolist()
+    r[0] = (d0x0 - complex(sys.rhs[0])) + u0x1
+    r[-1] = (dnxn - complex(sys.rhs[-1])) + lnxm
     return r
 
 

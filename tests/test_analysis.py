@@ -26,7 +26,7 @@ from bpfhelm.analysis import (
     verify_identities,
 )
 from bpfhelm.errors import NearNyquist, NearResonantFrequency
-from bpfhelm.grid import GridFunction, make_grid, norm_l2h, sample
+from bpfhelm.grid import GridFunction, make_grid, norm_l2h, norm_v, sample
 from bpfhelm.numerics import stability_constant_a0, theta
 from bpfhelm.reference import (
     ExactSolution,
@@ -366,6 +366,17 @@ class TestErrorReport:
         assert rep.rel("linf") == rep.rel_linf
         assert rep.rel("v") == rep.rel_v
         assert rep.rel_linf == pytest.approx(0.1, rel=1e-12)
+
+    def test_v_norms_match_norm_v(self):
+        rng = np.random.default_rng(31)
+        for n, k in ((2, 1.0), (17, 8.0), (256, 300.0)):
+            g = make_grid(1.0, n)
+            u, ref = (GridFunction(g, rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+                      for _ in range(2))
+            rep = error_report(u, ref, k)
+            abs_v = norm_v(GridFunction(g, u.values - ref.values), k)
+            assert rep.abs_v == abs_v
+            assert rep.rel_v == abs_v / norm_v(ref, k)
 
 
 class TestCheckResult:

@@ -1,5 +1,6 @@
 """Property checks of the table-driven assembler over random (n, kh) draws."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from bpfhelm.errors import NearNyquist
 from bpfhelm.grid import make_grid, sample
-from bpfhelm.reference import plane_wave_problem
+from bpfhelm.numerics import shifted_wavenumber, theta
+from bpfhelm.reference import make_benchmark, plane_wave_problem
 from bpfhelm.schemes import SchemeKind, assemble, solve_scheme
 
 EPS = np.finfo(float).eps
@@ -62,3 +64,42 @@ def test_nyquist_guard_boundary(n, m, tol, sign):
         sys = assemble(outside, n, kind, tol)
         for coefficients in (sys.lower, sys.diag, sys.upper, sys.rhs):
             assert np.all(np.isfinite(coefficients))
+
+
+def _full_diagonals(p, n, kind):
+    """The diagonals as np.full and the boundary entries built them before
+    assembled systems stored their stencil."""
+    h = make_grid(p.L, n).h
+    kh = p.k * h
+    if kind is SchemeKind.BPF:
+        w, kk = theta(kh), p.k**2
+    elif kind is SchemeKind.CLASSICAL_FD:
+        w, kk = 1.0, p.k**2
+    else:
+        w, kk = 1.0, shifted_wavenumber(p.k, h) ** 2
+    lower = np.full(n, w / h**2, dtype=complex)
+    diag = np.full(n + 1, kk - 2.0 * w / h**2, dtype=complex)
+    upper = np.full(n, w / h**2, dtype=complex)
+    if kind is SchemeKind.BPF:
+        bfac = p.k / math.sin(kh)
+        phase = cmath.exp(1j * p.k * h)
+        diag[0] = -bfac * phase
+        upper[0] = bfac
+        lower[-1] = -bfac
+        diag[-1] = bfac * phase
+    else:
+        two_over_h2 = 2.0 / h**2
+        diag[0] = diag[-1] = p.k * p.k - 2.0j * p.k / h - two_over_h2
+        upper[0] = lower[-1] = two_over_h2
+    return lower, diag, upper
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(list(SchemeKind)),
+       name=st.sampled_from(["planewave", "smooth", "sine2", "box"]),
+       n=grid_sizes, kh=kh_values)
+def test_built_diagonals_match_full_construction(kind, name, n, kh):
+    p, _ = make_benchmark(name, kh * n)
+    sys = assemble(p, n, kind)
+    for built, full in zip((sys.lower, sys.diag, sys.upper), _full_diagonals(p, n, kind)):
+        assert built.tobytes() == full.tobytes()

@@ -215,3 +215,12 @@ class TestGridFunction:
     def test_length_check(self):
         with pytest.raises(ValueError):
             GridFunction(make_grid(1.0, 4), np.zeros(3, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                     complex(math.inf, 0.0), complex(0.0, -math.inf),
+                                     complex(math.nan, math.inf)])
+    def test_non_finite_part_rejected(self, bad):
+        values = np.ones(5, dtype=complex)
+        values[2] = bad
+        with pytest.raises(NonFiniteSample):
+            GridFunction(make_grid(1.0, 4), values)

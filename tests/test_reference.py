@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bpfhelm import reference
 from bpfhelm.errors import ResonantSource
 from bpfhelm.grid import make_grid, sample
 from bpfhelm.reference import (
@@ -212,9 +213,19 @@ class TestFineGridReference:
             ref = sample(exact.u, make_grid(1.0, n_ref))
             assert np.max(np.abs(fine.values - ref.values)) <= 1e-11
 
+    def test_rebuilt_problems_leave_one_entry(self):
+        # every factory call builds a new source callable, so only the
+        # last key can ever be hit again
+        clear_reference_cache()
+        for _ in range(6):
+            p, _ = make_benchmark("box", 8.0)
+            fine = fine_grid_reference(p, 3**7, SchemeKind.BPF)
+        assert list(reference._reference_cache.values()) == [fine]
+        assert fine_grid_reference(p, 3**7, SchemeKind.BPF) is fine
+
     def test_concurrent_requests_agree(self):
-        # insert-if-absent: concurrent callers may duplicate the solve but
-        # must converge on one stored result
+        # concurrent callers may duplicate the solve but must agree with
+        # the stored result
         from concurrent.futures import ThreadPoolExecutor
         clear_reference_cache()
         p, _ = sine_squared_problem(2.0**5)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -304,6 +305,21 @@ class TestSolveScheme:
                  + np.max(np.abs(sys.upper)))
         scale = np.max(np.abs(sys.rhs)) + anorm * np.max(np.abs(x)) + 1.0
         assert residual_inf_norm(sys, x) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("k, arrays", [(2.0**5, 7.0), (2000.0, 9.0)])
+    def test_peak_memory(self, k, arrays):
+        # peak traced memory in complex arrays of length n + 1: sine2 at
+        # k = 32 takes the bare kernel path, at k = 2000 the corrected one
+        n = 2**16
+        p, _ = sine_squared_problem(k)
+        solve_scheme(p, n, SchemeKind.BPF)
+        tracemalloc.start()
+        try:
+            solve_scheme(p, n, SchemeKind.BPF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 16 * (n + 1)
 
     def test_moderate_systems_meet_rhs_relative_residual(self):
         # on moderate grids the roundoff floor sits below 1e-10 (||b|| + 1)

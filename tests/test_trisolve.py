@@ -1,6 +1,6 @@
 """Tridiagonal solvers against hand cases, a dense-elimination oracle and a
-40-digit mpmath oracle, and the rule that routes between the kernel-basis
-solve and Thomas elimination."""
+40-digit mpmath oracle, the rule that routes between the kernel-basis
+solve and Thomas elimination, and systems stored as a constant stencil."""
 
 import math
 import subprocess
@@ -16,7 +16,7 @@ from bpfhelm import trisolve
 from bpfhelm.errors import SingularSystem
 from bpfhelm.reference import make_benchmark, sine_squared_problem, smooth_manufactured_problem
 from bpfhelm.schemes import SchemeKind, assemble
-from bpfhelm.trisolve import TridiagonalSystem, residual_inf_norm, solve_tridiagonal
+from bpfhelm.trisolve import Stencil, TridiagonalSystem, residual_inf_norm, solve_tridiagonal
 
 EPS = np.finfo(float).eps
 
@@ -294,3 +294,62 @@ class TestResidual:
         sys = TridiagonalSystem([0.0], [1.0, 1.0], [0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             residual_inf_norm(sys, np.ones(3, dtype=complex))
+
+
+def _random_stencil(rng):
+    return Stencil(*(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+
+
+def _hand_built(sys):
+    """The same system with its diagonals stored."""
+    return TridiagonalSystem(sys.lower, sys.diag, sys.upper, sys.rhs, sys.theta)
+
+
+class TestStencilSystem:
+    @pytest.mark.parametrize("m", [3, 4, 50])
+    def test_diagonals_follow_the_stencil(self, m):
+        s = _random_stencil(np.random.default_rng(m))
+        sys = TridiagonalSystem.from_stencil(s, np.ones(m))
+        dense = np.zeros((m, m), dtype=complex)
+        for i in range(1, m - 1):
+            dense[i, i - 1:i + 2] = s.c, s.d, s.c
+        dense[0, :2] = s.d0, s.u0
+        dense[-1, -2:] = s.ln, s.dn
+        assert np.array_equal(sys.dense(), dense)
+        for a in (sys.lower, sys.diag, sys.upper):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("m", [3, 50])
+    def test_coefficient_maxima_match_diagonals(self, m):
+        sys = TridiagonalSystem.from_stencil(_random_stencil(np.random.default_rng(m)),
+                                             np.ones(m))
+        assert sys.max_abs_coefficients() == _hand_built(sys).max_abs_coefficients()
+
+    def test_needs_interior_rows(self):
+        with pytest.raises(ValueError):
+            TridiagonalSystem.from_stencil(Stencil(1, 1, 1, 1, 1, 1), np.ones(2))
+
+    def test_kernel_angle_validation(self):
+        with pytest.raises(ValueError):
+            TridiagonalSystem.from_stencil(Stencil(0, 1, 1, 1, 1, 1), np.ones(5), 0.5)
+
+    def test_kernel_path_matches_hand_built_system(self):
+        p, _ = sine_squared_problem(2.0**5)
+        for n in (100, 2**18):  # the corrected and the bare kernel path
+            sys = assemble(p, n, SchemeKind.BPF)
+            assert np.array_equal(solve_tridiagonal(sys), solve_tridiagonal(_hand_built(sys)))
+
+
+coefficient_parts = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(coefficients=st.lists(st.builds(complex, coefficient_parts, coefficient_parts),
+                             min_size=6, max_size=6),
+       m=st.integers(min_value=3, max_value=2000), seed=st.integers(0, 2**32 - 1))
+def test_stencil_residual_matches_diagonals_bitwise(coefficients, m, seed):
+    rng = np.random.default_rng(seed)
+    rhs, x = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
+    sys = TridiagonalSystem.from_stencil(Stencil(*coefficients), rhs)
+    r = trisolve._residual(sys, x)
+    assert r.tobytes() == trisolve._residual(_hand_built(sys), x).tobytes()
