@@ -26,6 +26,13 @@ GUARD_TOL = 1e-8
 BERNOULLI_SERIES_THRESHOLD = 1e-3
 
 
+def _check_tol(tol: float) -> None:
+    # A NaN tolerance would compare false with every distance and switch the
+    # guard off; an infinite one would reject every parameter.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _distance_to_multiples(s: float, period: float) -> tuple[float, int]:
     """Distance from s to the nearest multiple of `period`, and that multiple."""
     m = round(s / period)
@@ -74,8 +81,10 @@ def theta(s: float, tol: float = GUARD_TOL) -> float:
 
     Theta(0) = 1 by continuity; on [0, pi] the value lies in [1, pi^2/4].
     Raises SingularParameter when s is within guard tolerance of a nonzero
-    multiple of 2*pi, where Theta blows up.
+    multiple of 2*pi, where Theta blows up, and ValueError when tol is not
+    finite and positive.
     """
+    _check_tol(tol)
     dist, m = _distance_to_multiples(s, 2.0 * math.pi)
     if m != 0 and dist / math.pi <= tol:
         raise SingularParameter(
@@ -126,10 +135,10 @@ def nyquist_guard(k: float, h: float, tol: float = GUARD_TOL) -> None:
     """Reject kh within (relative) tolerance of the Nyquist set pi*Z.
 
     Raises NearNyquist carrying the offending multiple; returns None when
-    the distance to every multiple of pi exceeds tol*pi.
+    the distance to every multiple of pi exceeds tol*pi. Raises ValueError
+    when tol is not finite and positive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     s = k * h
     dist, m = _distance_to_multiples(s, math.pi)
     if dist / math.pi <= tol:

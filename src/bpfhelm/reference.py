@@ -60,8 +60,20 @@ def plane_wave_problem(k: float, alpha: complex, beta: complex,
     return problem, ExactSolution(u, u_prime, u_doubleprime)
 
 
-# Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis.
+# Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis, and its first two
+# derivatives, which do not depend on k.
 _R_POLY = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
+_R1_POLY = _R_POLY.deriv(1)
+_R2_POLY = _R_POLY.deriv(2)
+
+
+def _smooth_source(k: float) -> Polynomial:
+    """The manufactured source f = r'' + k^2 r. Its coefficients are
+    k*k*r_i + r''_i, the float operations of `_R2_POLY + k * k * _R_POLY`
+    without the cost of Polynomial arithmetic."""
+    coef = _R_POLY.coef * (k * k)
+    coef[:_R2_POLY.coef.size] += _R2_POLY.coef
+    return Polynomial(coef)
 
 
 def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
@@ -70,10 +82,8 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
     The source f = r'' + k^2 r vanishes to first order at both endpoints,
     so the boundary data reduce to g0 = 0 and gL = 2ik e^{ik}.
     """
-    r = _R_POLY
-    r1 = r.deriv(1)
-    r2 = r.deriv(2)
-    f_poly = r2 + k * k * r
+    r, r1, r2 = _R_POLY, _R1_POLY, _R2_POLY
+    f_poly = _smooth_source(k)
 
     def u(x):
         return np.exp(1j * k * np.asarray(x)) + r(np.asarray(x))
@@ -94,8 +104,7 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
 
 def smooth_source_derivatives(k: float) -> tuple[Callable, Callable, Callable]:
     """First three derivatives of the manufactured polynomial source."""
-    r = _R_POLY
-    f_poly = r.deriv(2) + k * k * r
+    f_poly = _smooth_source(k)
     d1, d2, d3 = f_poly.deriv(1), f_poly.deriv(2), f_poly.deriv(3)
     return (lambda x: d1(np.asarray(x)),
             lambda x: d2(np.asarray(x)),

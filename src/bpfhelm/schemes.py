@@ -30,7 +30,7 @@ import numpy as np
 from .errors import SolveQualityWarning
 from .grid import GridFunction, make_grid, sample
 from .numerics import GUARD_TOL, bernoulli, nyquist_guard, shifted_wavenumber, theta
-from .trisolve import Stencil, TridiagonalSystem, residual_inf_norm, solve_tridiagonal
+from .trisolve import Stencil, TridiagonalSystem, max_abs, residual_inf_norm, solve_tridiagonal
 
 # Post-solve residual threshold; above it a SolveQualityWarning is issued.
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -180,7 +180,7 @@ def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,
     res = residual_inf_norm(sys, x)
     max_diag, max_lower, max_upper = sys.max_abs_coefficients()
     anorm = max_diag + (max_lower + max_upper)
-    scale = float(np.max(np.abs(sys.rhs))) + anorm * float(np.max(np.abs(x))) + 1.0
+    scale = max_abs(sys.rhs) + anorm * max_abs(x) + 1.0
     if res > SOLVE_RESIDUAL_TOL * scale:
         warnings.warn(
             f"solve residual {res:.3e} exceeds {SOLVE_RESIDUAL_TOL:g} * {scale:.3e}",

