@@ -237,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help=None):
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if seed_help:
+            p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--nyquist-tol", type=positive, default=1e-8,
                        help="relative guard distance from kh in pi*Z")
 
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fine-reference resolution override (box benchmark)")
     p.add_argument("--scheme", choices=sorted(_SCHEMES), default="bpf")
     p.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="smooth")
-    common(p)
+    common(p, seed_help="accepted and unused")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("table", help="relative V-error matrix (sine2 benchmark)")
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="fine-reference resolution override (default 2^18)")
     p.add_argument("--norm", choices=_NORMS, default="v")
-    common(p)
+    common(p, seed_help="accepted and unused")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("compare", help="scheme comparison at paired (k, n) lists")
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    common(p)
+    common(p, seed_help="seed for randomized checks")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -83,6 +83,11 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
     so the boundary data reduce to g0 = 0 and gL = 2ik e^{ik}.
     """
     r, r1, r2 = _R_POLY, _R1_POLY, _R2_POLY
+    # Built first so that its finite/positive check on k runs before the
+    # source's arithmetic; the source closure reads f_poly when called.
+    problem = HelmholtzProblem(k, 1.0, lambda x: f_poly(np.asarray(x)),
+                               0.0 + 0.0j, 2j * k * cmath.exp(1j * k),
+                               name="smooth")
     f_poly = _smooth_source(k)
 
     def u(x):
@@ -96,9 +101,6 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
         x = np.asarray(x)
         return -k * k * np.exp(1j * k * x) + r2(x)
 
-    problem = HelmholtzProblem(k, 1.0, lambda x: f_poly(np.asarray(x)),
-                               0.0 + 0.0j, 2j * k * cmath.exp(1j * k),
-                               name="smooth")
     return problem, ExactSolution(u, u_prime, u_doubleprime)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SolveQualityWarning
 from .grid import GridFunction, make_grid, sample
-from .numerics import GUARD_TOL, bernoulli, nyquist_guard, shifted_wavenumber, theta
+from .numerics import GUARD_TOL, _check_tol, bernoulli, nyquist_guard, shifted_wavenumber, theta
 from .trisolve import Stencil, TridiagonalSystem, max_abs, residual_inf_norm, solve_tridiagonal
 
 # Post-solve residual threshold; above it a SolveQualityWarning is issued.
@@ -123,7 +123,8 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
         (2/h^2)(u_1 - u_0) + (k^2 - 2ik/h) u_0 = f(x_0) + (2/h) g0,
     mirrored at x = L with -(2/h) gL; it carries the physical k, since the
     corrected scheme modifies interior rows only. The Nyquist guard
-    applies to bpf and fd-dc.
+    applies to bpf and fd-dc; a tol that is not finite and positive raises
+    ValueError for every scheme.
 
     The interior rows are one constant recurrence
     u_{j+1} - 2 cos(theta) u_j + u_{j-1} = h^2 f_j / w, and the system
@@ -133,8 +134,9 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
     to Thomas elimination instead of the kernel-basis solve.
 
     The system keeps (w/h^2, kk - 2w/h^2) and the four boundary entries as
-    its stencil; lower, diag and upper are built from them on first read.
+    its stencil; lower, diag and upper are built from them when read.
     """
+    _check_tol(tol)
     grid = make_grid(p.L, n)
     h = grid.h
     kh = p.k * h
@@ -163,7 +165,7 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
         rhs[0] += 2.0 / h * p.g0
         rhs[-1] -= 2.0 / h * p.gL
     stencil = Stencil(w / h**2, kk - 2.0 * w / h**2, *first, *last)
-    return TridiagonalSystem.from_stencil(stencil, rhs, kernel_angle)
+    return TridiagonalSystem(stencil, rhs, kernel_angle)
 
 
 def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,

@@ -1,11 +1,10 @@
 """Direct solution of complex tridiagonal systems.
 
-A system either stores its three diagonals (hand-built systems) or, when
-its interior rows are one constant three-point row (every assembled
-system), just that row's two coefficients and the four boundary entries,
-its Stencil. Such a system builds its diagonals only when something reads
-them (Thomas elimination, dense(), tests); the kernel path, the residual
-and the coefficient maxima work from the six scalars.
+A system is its Stencil, the two coefficients of one constant three-point
+interior row and the four boundary entries, plus a right-hand side. It
+builds its diagonals only when something reads them (Thomas elimination,
+dense(), tests); the kernel path, the residual and the coefficient maxima
+work from the six scalars.
 
 Two paths, chosen by what the system records about itself:
 
@@ -35,8 +34,8 @@ Two paths, chosen by what the system records about itself:
   one residual, whose buffer receives the correction. A system that fits
   one block builds its phases once.
 * Thomas elimination without pivoting, over Python lists of native complex
-  numbers, for every other system: hand-built ones, and the classical
-  scheme at kh >= 2, whose kernel grows instead of oscillating.
+  numbers, for systems without a kernel angle: the classical scheme at
+  kh >= 2, whose kernel grows instead of oscillating.
 
 Both paths apply the same relative breakdown test: a Thomas pivot, or the
 determinant of the kernel path's 2x2 boundary system, whose magnitude drops
@@ -50,7 +49,6 @@ NaN if any block holds one.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,94 +90,49 @@ class Stencil(NamedTuple):
 
 
 class TridiagonalSystem:
-    """Three complex diagonals plus right-hand side for m = n+1 unknowns.
+    """A Stencil plus right-hand side for m = n+1 >= 3 unknowns.
 
-    lower and upper have length m-1, diag and rhs length m. Row i reads
-    lower[i-1]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i].
-
-    The constructor takes the three diagonals; `stencil` is None then.
-    from_stencil takes the six coefficients of a constant interior row
-    (every assembled system) and stores no diagonal: each is built from
-    them, read-only, the first time it is read. The kernel path, the
-    residual and max_abs_coefficients read the scalars.
+    Row i reads lower[i-1]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i],
+    where lower and upper (length m-1) and diag (length m) are built from the
+    stencil, read-only, on each read. The kernel path, the residual and
+    max_abs_coefficients read the six scalars instead.
 
     theta, when set, is the real kernel angle of the interior rows: every
-    row 0 < i < m-1 reads c x[i-1] - 2c cos(theta) x[i] + c x[i+1], with
-    c = lower[0], and solve_tridiagonal takes the kernel path. It is None
-    for systems without that structure, which go to Thomas elimination.
+    row 0 < i < m-1 reads c x[i-1] - 2c cos(theta) x[i] + c x[i+1], and
+    solve_tridiagonal takes the kernel path. It is None for systems without
+    that structure, which go to Thomas elimination.
     """
 
-    def __init__(self, lower, diag, upper, rhs, theta: float | None = None):
-        self.lower = np.asarray(lower, dtype=complex)
-        self.diag = np.asarray(diag, dtype=complex)
-        self.upper = np.asarray(upper, dtype=complex)
+    def __init__(self, stencil: Stencil, rhs, theta: float | None = None):
+        self.stencil = Stencil(*(complex(v) for v in stencil))
         self.rhs = np.asarray(rhs, dtype=complex)
         self.theta = theta
-        self.stencil: Stencil | None = None
-        m = self.diag.shape[0]
-        if self.rhs.shape != (m,) or self.lower.shape != (m - 1,) or self.upper.shape != (m - 1,):
-            raise ValueError(
-                "inconsistent diagonal lengths: "
-                f"lower {self.lower.shape}, diag {self.diag.shape}, "
-                f"upper {self.upper.shape}, rhs {self.rhs.shape}"
-            )
-        self._check_kernel_angle(self.lower[0] if m >= 3 else 0.0)
+        if self.rhs.ndim != 1 or self.rhs.shape[0] < 3:
+            raise ValueError(f"a system needs m >= 3 unknowns, got rhs {self.rhs.shape}")
+        if theta is not None and not (self.stencil.c != 0.0 and math.isfinite(theta)
+                                      and math.sin(theta) != 0.0):
+            raise ValueError(f"kernel angle {theta!r} needs c != 0 "
+                             "and a finite theta with sin(theta) != 0")
 
-    @classmethod
-    def from_stencil(cls, stencil: Stencil, rhs, theta: float | None = None) -> TridiagonalSystem:
-        """System with rows `stencil` and right-hand side rhs (m >= 3)."""
-        sys = cls.__new__(cls)
-        sys.stencil = Stencil(*(complex(v) for v in stencil))
-        sys.rhs = np.asarray(rhs, dtype=complex)
-        sys.theta = theta
-        if sys.rhs.ndim != 1 or sys.rhs.shape[0] < 3:
-            raise ValueError(f"a stencil system needs m >= 3 unknowns, got rhs {sys.rhs.shape}")
-        sys._check_kernel_angle(sys.stencil.c)
-        return sys
-
-    def _check_kernel_angle(self, c: complex) -> None:
-        if self.theta is not None and not (self.size >= 3 and c != 0.0
-                                           and math.isfinite(self.theta)
-                                           and math.sin(self.theta) != 0.0):
-            raise ValueError(f"kernel angle {self.theta!r} needs interior rows, "
-                             "c = lower[0] != 0 and a finite theta with sin(theta) != 0")
-
-    # Hand-built systems set these in __init__, which shadows the builders.
-    @cached_property
+    @property
     def lower(self) -> np.ndarray:
-        return self._built(self.size - 1, self.stencil.c, ((-1, self.stencil.ln),))
+        return _built(self.size - 1, self.stencil.c, ((-1, self.stencil.ln),))
 
-    @cached_property
+    @property
     def diag(self) -> np.ndarray:
         s = self.stencil
-        return self._built(self.size, s.d, ((0, s.d0), (-1, s.dn)))
+        return _built(self.size, s.d, ((0, s.d0), (-1, s.dn)))
 
-    @cached_property
+    @property
     def upper(self) -> np.ndarray:
-        return self._built(self.size - 1, self.stencil.c, ((0, self.stencil.u0),))
-
-    @cached_property
-    def _end_coefficients(self) -> np.ndarray:
-        """d0, u0, ln, dn of a stencil system, to multiply x[_END_INDEX]."""
-        return np.array(self.stencil[2:])
-
-    @staticmethod
-    def _built(length: int, fill: complex, ends) -> np.ndarray:
-        a = np.full(length, fill, dtype=complex)
-        for i, v in ends:
-            a[i] = v
-        a.setflags(write=False)
-        return a
+        return _built(self.size - 1, self.stencil.c, ((0, self.stencil.u0),))
 
     @property
     def size(self) -> int:
         return self.rhs.shape[0]
 
     def max_abs_coefficients(self) -> tuple[float, float, float]:
-        """max |diag|, max |lower| and max |upper| (0.0 for an empty diagonal)."""
-        if self.stencil is None:
-            return tuple(float(np.max(np.abs(a), initial=0.0))
-                         for a in (self.diag, self.lower, self.upper))
+        """max |diag|, max |lower| and max |upper|."""
         c, d, d0, u0, ln, dn = np.abs(np.array(self.stencil)).tolist()
         return max(d0, d, dn), max(c, ln), max(u0, c)
 
@@ -191,6 +144,15 @@ class TridiagonalSystem:
         a[np.arange(1, m), np.arange(m - 1)] = self.lower
         a[np.arange(m - 1), np.arange(1, m)] = self.upper
         return a
+
+
+def _built(length: int, fill: complex, ends) -> np.ndarray:
+    """Read-only diagonal of `length` entries `fill`, with (index, value) ends."""
+    a = np.full(length, fill, dtype=complex)
+    for i, v in ends:
+        a[i] = v
+    a.setflags(write=False)
+    return a
 
 
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
@@ -229,8 +191,7 @@ def _solve_thomas(sys: TridiagonalSystem, breakdown: float) -> np.ndarray:
     pivot = diag[0]
     if abs(pivot) < breakdown:
         raise SingularSystem(f"pivot {abs(pivot):.3e} below threshold at row 0")
-    if m > 1:
-        cprime[0] = upper[0] / pivot
+    cprime[0] = upper[0] / pivot
     dprime[0] = rhs[0] / pivot
     for i in range(1, m):
         pivot = diag[i] - lower[i - 1] * cprime[i - 1]
@@ -289,7 +250,7 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
         """(first unknown, phases) of each block."""
         return single or ((q0 * width, phases(q0)) for q0 in starts)
 
-    c, _, d0, u0, ln, dn = _stencil(sys)
+    c, _, d0, u0, ln, dn = sys.stencil
     kappa = 1.0 / (2j * math.sin(sys.theta) * c)
     # Boundary rows applied to e^{+i theta j} (column 0) and e^{-i theta j},
     # whose phases at j = 1, m-2, m-1 come from the same table products;
@@ -338,15 +299,6 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     return x
 
 
-def _stencil(sys: TridiagonalSystem) -> Stencil:
-    """The system's stencil. A hand-built system that carries theta has no
-    stored one, so its coefficients are read from the diagonals."""
-    if sys.stencil is not None:
-        return sys.stencil
-    lower, diag, upper = sys.lower, sys.diag, sys.upper
-    return Stencil(*map(complex, (lower[0], diag[1], diag[0], upper[0], lower[-1], diag[-1])))
-
-
 def _residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
     """A x - b, computed one block of rows at a time."""
     m = sys.size
@@ -365,18 +317,10 @@ def _residual_rows(sys: TridiagonalSystem, x: np.ndarray, i0: int, out: np.ndarr
     m, i1 = sys.size, i0 + out.shape[0]
     first, last = max(i0, 1), min(i1, m - 1)  # rows with a left, a right neighbour
     s = sys.stencil
-    if s is None:
-        np.multiply(sys.diag[i0:i1], x[i0:i1], out=out)
-        out -= sys.rhs[i0:i1]
-        out[first - i0:] += np.multiply(sys.lower[first - 1:i1 - 1], x[first - 1:i1 - 1],
-                                        out=scratch[:i1 - first])
-        out[:last - i0] += np.multiply(sys.upper[i0:last], x[i0 + 1:last + 1],
-                                       out=scratch[:last - i0])
-        return out
-    # The same operations from the scalars. Products stay in numpy, each
-    # coefficient the left operand as in diag * x: its complex SIMD multiply
-    # can round x * d and d * x differently, and the rows must round as over
-    # the built diagonals. Sums are exact-rounded either way.
+    # Products stay in numpy, each coefficient the left operand as in
+    # diag * x: its complex SIMD multiply can round x * d and d * x
+    # differently, and the rows must round as over the built diagonals.
+    # Sums are exact-rounded either way.
     np.multiply(s.d, x[i0:i1], out=out)
     out -= sys.rhs[i0:i1]
     inner = out[first - i0:last - i0]
@@ -384,7 +328,7 @@ def _residual_rows(sys: TridiagonalSystem, x: np.ndarray, i0: int, out: np.ndarr
     inner += np.multiply(s.c, x[first - 1:last - 1], out=t)
     inner += np.multiply(s.c, x[first + 1:last + 1], out=t)
     if i0 == 0 or i1 == m:
-        d0x0, u0x1, lnxm, dnxn = (sys._end_coefficients * x.take(_END_INDEX)).tolist()
+        d0x0, u0x1, lnxm, dnxn = (np.array(s[2:]) * x.take(_END_INDEX)).tolist()
         if i0 == 0:
             out[0] = (d0x0 - complex(sys.rhs[0])) + u0x1
         if i1 == m:

@@ -28,7 +28,7 @@ from bpfhelm.reference import (
     smooth_source_derivatives,
 )
 from bpfhelm.schemes import SchemeKind, solve_scheme
-from bpfhelm.trisolve import TridiagonalSystem, solve_tridiagonal
+from bpfhelm.trisolve import Stencil, TridiagonalSystem, solve_tridiagonal
 
 # Wavenumber for the nonsmooth-source trend study. The experiment's
 # wavenumber is not pinned by its description; mid-range of the tested
@@ -189,20 +189,27 @@ def test_criterion_09_stability_inequalities():
 
 
 def test_criterion_10_oracle_equivalence():
+    # Random stencils with a mild boost of the three diagonal entries. Every
+    # other draw carries a kernel angle (its interior diagonal then follows
+    # from c), which sends it to the kernel-basis solve instead of Thomas.
     rng = np.random.default_rng(1234)
-    worst_solver = 0.0
-    for _ in range(100):
-        m = int(rng.integers(2, 65))
-        lower = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
-        upper = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
-        diag = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                + 3.0 * np.exp(2j * np.pi * rng.uniform(size=m)))
+    worst = {"thomas": 0.0, "kernel": 0.0}
+    for i in range(100):
+        m = int(rng.integers(3, 65))
+        c, d, d0, u0, ln, dn = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        d, d0, dn = np.array([d, d0, dn]) + 3.0 * np.exp(2j * np.pi * rng.uniform(size=3))
+        angle = None
+        if i % 2:
+            angle = rng.uniform(0.05, 3.0)
+            d = -2.0 * c * math.cos(angle)
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sys = TridiagonalSystem(lower, diag, upper, rhs)
+        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs, angle)
         x = solve_tridiagonal(sys)
         x_dense = np.linalg.solve(sys.dense(), sys.rhs)
-        worst_solver = max(worst_solver,
-                           float(np.max(np.abs(x - x_dense)) / np.max(np.abs(x_dense))))
+        path = "thomas" if angle is None else "kernel"
+        worst[path] = max(worst[path],
+                          float(np.max(np.abs(x - x_dense)) / np.max(np.abs(x_dense))))
+    worst_solver = max(worst.values())
 
     k = 2.0**5
     p, exact = sine_squared_problem(k)
@@ -212,5 +219,6 @@ def test_criterion_10_oracle_equivalence():
 
     ok = worst_solver <= 1e-11 and rel_v <= 1e-8
     _report(10, "oracle equivalence", ok,
-            f"solver vs dense oracle worst {worst_solver:.2e} (tol 1e-11); "
+            f"solver vs dense oracle worst {worst['thomas']:.2e} (Thomas), "
+            f"{worst['kernel']:.2e} (kernel basis) (tol 1e-11); "
             f"semi-analytic vs fine(2^18) rel V {rel_v:.2e} (tol 1e-8)")

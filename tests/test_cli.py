@@ -372,6 +372,20 @@ class TestParser:
         assert code == 0
         assert "err_linf_abs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [["exactness", "--k", "128", "--n", "8"],
+                                      ["compare", "--k-list", "32", "--n-list", "64"]],
+                             ids=lambda args: args[0])
+    def test_seed_rejected_where_unread(self, args, capsys):
+        assert main(args + ["--seed", "3"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["convergence", "--k", "32", "--n-list", "8,16"],
+                                      ["table", "--k-list", "32", "--n-list", "64"],
+                                      ["verify", "identities"]],
+                             ids=lambda args: args[0])
+    def test_seed_accepted(self, args):
+        assert build_parser().parse_args(args + ["--seed", "3"]).seed == 3
+
     def test_module_entry_point(self, child_env):
         import subprocess
         import sys

@@ -325,14 +325,16 @@ class TestSolveScheme:
             tracemalloc.stop()
         assert peak <= arrays * 16 * (n + 1)
 
-    @pytest.mark.parametrize("kind", [SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD])
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("kind", list(SchemeKind))
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_guard_tolerance(self, kind, tol):
         # kh = pi: with a NaN tolerance the guard used to pass and the solve
-        # returned max|u| = 4e5 without a word
+        # returned max|u| = 4e5 without a word. fd has no Nyquist guard, but
+        # its tol is checked all the same.
         p, _ = make_benchmark("smooth", 64 * math.pi)
-        with pytest.raises(NearNyquist):
-            solve_scheme(p, 64, kind)
+        if kind is not SchemeKind.CLASSICAL_FD:
+            with pytest.raises(NearNyquist):
+                solve_scheme(p, 64, kind)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             solve_scheme(p, 64, kind, tol=tol)
 

@@ -1,6 +1,6 @@
 """Tridiagonal solvers against hand cases, a dense-elimination oracle and a
 40-digit mpmath oracle, the rule that routes between the kernel-basis
-solve and Thomas elimination, and systems stored as a constant stencil."""
+solve and Thomas elimination, and the diagonals a stencil system builds."""
 
 import math
 import subprocess
@@ -22,24 +22,13 @@ EPS = np.finfo(float).eps
 
 
 def _random_system(rng, m):
-    # mild diagonal boost keeps the draw comfortably nonsingular
-    lower = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
-    upper = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
-    diag = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            + 3.0 * np.exp(2j * np.pi * rng.uniform(size=m)))
+    # mild boost of the three diagonal entries keeps the draw comfortably
+    # nonsingular
+    c, d, d0, u0, ln, dn = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    d, d0, dn = np.array([d, d0, dn]) + 3.0 * np.exp(2j * np.pi * rng.uniform(size=3))
     rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return TridiagonalSystem(lower, diag, upper, rhs)
+    return TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs)
 
-
-def _with_threshold(helper):
-    # the public entry point checks the input once, ahead of the helper
-    def solve(sys):
-        return helper(sys, trisolve._breakdown_threshold(sys))
-    return solve
-
-
-SOLVERS = pytest.mark.parametrize("solve", [_with_threshold(trisolve._solve_thomas)],
-                                  ids=["thomas"])
 
 # Every path through the solver on a system that carries a kernel angle.
 PATHS = {
@@ -52,62 +41,56 @@ PATHS = {
 class TestSolve:
     def test_identity(self):
         rhs = np.array([1.0 + 2j, -3.0, 0.5j])
-        sys = TridiagonalSystem(np.zeros(2), np.ones(3), np.zeros(2), rhs)
+        sys = TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), rhs)
         assert np.array_equal(solve_tridiagonal(sys), rhs)
 
     def test_three_by_three(self):
         # oracle: hand elimination of diag(2) with -1 off-diagonals, rhs (1,0,1)
-        sys = TridiagonalSystem([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], [1.0, 0.0, 1.0])
+        sys = TridiagonalSystem(Stencil(-1.0, 2.0, 2.0, -1.0, -1.0, 2.0), [1.0, 0.0, 1.0])
         assert np.allclose(solve_tridiagonal(sys), [1.0, 1.0, 1.0], atol=1e-14)
 
-    @SOLVERS
-    def test_zero_diagonal_breaks(self, solve):
+    def test_zero_diagonal_breaks(self):
         # an exactly zero pivot, and one below PIVOT_REL_TOL times the scale
         for pivot in (0.0, 1e-20):
-            sys = TridiagonalSystem([0.0], [pivot, 1.0], [0.0], [1.0, 1.0])
+            sys = TridiagonalSystem(Stencil(0.0, 1.0, pivot, 0.0, 0.0, 1.0), np.ones(3))
             with pytest.raises(SingularSystem):
-                solve(sys)
+                solve_tridiagonal(sys)
 
-    @SOLVERS
-    def test_all_zero_matrix(self, solve):
-        sys = TridiagonalSystem([0.0], [0.0, 0.0], [0.0], [1.0, 1.0])
+    def test_all_zero_matrix(self):
+        sys = TridiagonalSystem(Stencil(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.ones(3))
         with pytest.raises(SingularSystem):
-            solve(sys)
+            solve_tridiagonal(sys)
 
-    @SOLVERS
-    def test_matches_dense_oracle(self, solve):
+    def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            m = int(rng.integers(2, 65))
+            m = int(rng.integers(3, 65))
             sys = _random_system(rng, m)
-            x = solve(sys)
+            x = solve_tridiagonal(sys)
             x_dense = np.linalg.solve(sys.dense(), sys.rhs)
             scale = np.max(np.abs(x_dense))
             assert np.max(np.abs(x - x_dense)) <= 1e-11 * scale
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
+            TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), np.ones((3, 3)))
 
     @pytest.mark.parametrize("m, theta, c", [(2, 0.5, 1.0), (3, 0.0, 1.0), (3, 0.5, 0.0),
                                              (3, math.nan, 1.0), (3, math.inf, 1.0)])
     def test_kernel_angle_validation(self, m, theta, c):
         with pytest.raises(ValueError):
-            TridiagonalSystem(np.full(m - 1, c), np.ones(m), np.full(m - 1, c), np.ones(m),
-                              theta)
+            TridiagonalSystem(Stencil(c, 1.0, 1.0, c, c, 1.0), np.ones(m), theta)
 
     def test_singular_boundary_system(self):
         # boundary rows that read x_0 = 0 and x_n = 0 with theta = pi/2 on
         # n = 2 subintervals: sin(theta n) = 0 is a Dirichlet eigenvalue
-        sys = TridiagonalSystem([1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0], [1.0, 1.0, 1.0],
-                                math.pi / 2)
+        sys = TridiagonalSystem(Stencil(1.0, 0.0, 1.0, 0.0, 0.0, 1.0), np.ones(3), math.pi / 2)
         with pytest.raises(SingularSystem):
             solve_tridiagonal(sys)
 
     def test_degenerate_kernel_basis(self):
         # at theta = pi the two kernel vectors coincide, (-1)^j
-        sys = TridiagonalSystem([1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0],
-                                math.pi)
+        sys = TridiagonalSystem(Stencil(1.0, 2.0, 1.0, 1.0, 1.0, 1.0), np.ones(3), math.pi)
         with pytest.raises(SingularSystem):
             solve_tridiagonal(sys)
 
@@ -274,8 +257,7 @@ class TestResidual:
     def test_perturbation_scaling(self):
         # perturbing x by eps*e_j moves the residual by |eps| times the
         # column-j coefficient magnitudes
-        sys = TridiagonalSystem([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0],
-                                [1.0, 0.0, 1.0])
+        sys = TridiagonalSystem(Stencil(-1.0, 2.0, 2.0, -1.0, -1.0, 2.0), [1.0, 0.0, 1.0])
         x = solve_tridiagonal(sys)
         eps = 1e-3
         x_pert = x.copy()
@@ -291,25 +273,20 @@ class TestResidual:
         assert residual_inf_norm(sys, x) == pytest.approx(dense_res, rel=1e-12)
 
     def test_shape_check(self):
-        sys = TridiagonalSystem([0.0], [1.0, 1.0], [0.0], [1.0, 1.0])
+        sys = TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), np.ones(3))
         with pytest.raises(ValueError):
-            residual_inf_norm(sys, np.ones(3, dtype=complex))
+            residual_inf_norm(sys, np.ones(4, dtype=complex))
 
 
 def _random_stencil(rng):
     return Stencil(*(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
 
 
-def _hand_built(sys):
-    """The same system with its diagonals stored."""
-    return TridiagonalSystem(sys.lower, sys.diag, sys.upper, sys.rhs, sys.theta)
-
-
 class TestStencilSystem:
     @pytest.mark.parametrize("m", [3, 4, 50])
     def test_diagonals_follow_the_stencil(self, m):
         s = _random_stencil(np.random.default_rng(m))
-        sys = TridiagonalSystem.from_stencil(s, np.ones(m))
+        sys = TridiagonalSystem(s, np.ones(m))
         dense = np.zeros((m, m), dtype=complex)
         for i in range(1, m - 1):
             dense[i, i - 1:i + 2] = s.c, s.d, s.c
@@ -321,23 +298,17 @@ class TestStencilSystem:
 
     @pytest.mark.parametrize("m", [3, 50])
     def test_coefficient_maxima_match_diagonals(self, m):
-        sys = TridiagonalSystem.from_stencil(_random_stencil(np.random.default_rng(m)),
-                                             np.ones(m))
-        assert sys.max_abs_coefficients() == _hand_built(sys).max_abs_coefficients()
+        sys = TridiagonalSystem(_random_stencil(np.random.default_rng(m)), np.ones(m))
+        assert sys.max_abs_coefficients() == tuple(float(np.max(np.abs(a)))
+                                                   for a in (sys.diag, sys.lower, sys.upper))
 
     def test_needs_interior_rows(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem.from_stencil(Stencil(1, 1, 1, 1, 1, 1), np.ones(2))
+            TridiagonalSystem(Stencil(1, 1, 1, 1, 1, 1), np.ones(2))
 
     def test_kernel_angle_validation(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem.from_stencil(Stencil(0, 1, 1, 1, 1, 1), np.ones(5), 0.5)
-
-    def test_kernel_path_matches_hand_built_system(self):
-        p, _ = sine_squared_problem(2.0**5)
-        for n in (100, 2**18):  # the corrected and the bare kernel path
-            sys = assemble(p, n, SchemeKind.BPF)
-            assert np.array_equal(solve_tridiagonal(sys), solve_tridiagonal(_hand_built(sys)))
+            TridiagonalSystem(Stencil(0, 1, 1, 1, 1, 1), np.ones(5), 0.5)
 
 
 coefficient_parts = st.floats(min_value=-1e3, max_value=1e3)
@@ -350,9 +321,8 @@ coefficient_parts = st.floats(min_value=-1e3, max_value=1e3)
 def test_stencil_residual_matches_diagonals_bitwise(coefficients, m, seed):
     rng = np.random.default_rng(seed)
     rhs, x = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
-    sys = TridiagonalSystem.from_stencil(Stencil(*coefficients), rhs)
-    r = trisolve._residual(sys, x)
-    assert r.tobytes() == trisolve._residual(_hand_built(sys), x).tobytes()
+    sys = TridiagonalSystem(Stencil(*coefficients), rhs)
+    assert trisolve._residual(sys, x).tobytes() == _unblocked_residual(sys, x).tobytes()
 
 
 def _unblocked_residual(sys, x):
@@ -373,7 +343,7 @@ def _unblocked_kernel_solve(sys, correct):
     coarse = np.exp(angles[:, :-(-m // width), None] * width)
     phases = (coarse * np.exp(angles[:, None, :])).reshape(2, -1)[:, :m]
     ahead, back = phases
-    c, _, d0, u0, ln, dn = trisolve._stencil(sys)
+    c, _, d0, u0, ln, dn = sys.stencil
     kappa = 1.0 / (2j * math.sin(sys.theta) * c)
     e1, en1, en = ahead[[1, -2, -1]].tolist()
     m00, m01 = d0 + u0 * e1, d0 + u0 * e1.conjugate()
@@ -430,8 +400,7 @@ class TestStreamedSolve:
         c = complex(*rng.standard_normal(2))
         ends = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sys = TridiagonalSystem.from_stencil(Stencil(c, -2.0 * c * math.cos(theta), *ends),
-                                             rhs, theta)
+        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta)
         x = trisolve._solve_kernel(sys, correct)
         assert x.tobytes() == _unblocked_kernel_solve(sys, correct).tobytes()
         assert np.array_equal(sys.rhs, rhs)
@@ -447,13 +416,10 @@ class TestStreamedSolve:
 
     @pytest.mark.parametrize("m", [3, 1000, trisolve.BLOCK, trisolve.BLOCK + 1,
                                    3 * trisolve.BLOCK + 5])
-    @pytest.mark.parametrize("stored", ["stencil", "diagonals"])
-    def test_residual_norm_is_max_over_full_residual(self, m, stored):
+    def test_residual_norm_is_max_over_full_residual(self, m):
         rng = np.random.default_rng(m)
-        sys = TridiagonalSystem.from_stencil(_random_stencil(rng),
-                                             rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        if stored == "diagonals":
-            sys = _hand_built(sys)
+        sys = TridiagonalSystem(_random_stencil(rng),
+                                rng.standard_normal(m) + 1j * rng.standard_normal(m))
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         full = _unblocked_residual(sys, x)
         assert trisolve._residual(sys, x).tobytes() == full.tobytes()
@@ -465,7 +431,7 @@ class TestStreamedSolve:
         # Python's max keeps or drops a NaN depending on where it stands
         m = 3 * trisolve.BLOCK + 5
         rng = np.random.default_rng(7)
-        sys = TridiagonalSystem.from_stencil(_random_stencil(rng), np.ones(m))
+        sys = TridiagonalSystem(_random_stencil(rng), np.ones(m))
         x = np.ones(m, dtype=complex)
         x[at] = math.nan
         assert math.isnan(residual_inf_norm(sys, x))
