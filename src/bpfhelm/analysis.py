@@ -58,7 +58,7 @@ from .schemes import (
     solve_scheme,
 )
 
-QUAD_PANELS = 2**14  # composite-Simpson resolution for Sobolev norms of sources
+QUAD_PANELS = 2**14  # composite-Simpson panels (an even count) for Sobolev norms of sources
 ERROR_FLOOR = 1e-11  # below this, rate fitting is meaningless and skipped
 
 
@@ -114,11 +114,11 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Per-mesh errors and fitted log-log rates for one refinement study."""
+    """Per-mesh errors and fitted log-log rates; a norm whose errors all sit
+    below ERROR_FLOOR gets no rate."""
 
     rows: list[ConvergenceRow]
     rates: dict[str, float]
-    floored: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -161,45 +161,42 @@ class CheckResult:
 
 def _simpson(vals: np.ndarray, dx: float) -> complex:
     """Composite Simpson rule on an odd number of equispaced samples."""
-    m = vals.shape[0] - 1
-    if m % 2 != 0:
-        raise ValueError("composite Simpson needs an even panel count")
     s = vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-1:2])
     return s * dx / 3.0
 
 
-def l2_norm_quad(fn, L: float, panels: int = QUAD_PANELS) -> float:
-    """||fn||_{L2(0,L)} by composite Simpson on `panels` panels."""
-    x = np.linspace(0.0, L, panels + 1)
+def l2_norm_quad(fn, L: float) -> float:
+    """||fn||_{L2(0,L)} by composite Simpson on QUAD_PANELS panels."""
+    x = np.linspace(0.0, L, QUAD_PANELS + 1)
     vals = np.abs(np.asarray(fn(x))) ** 2
-    return math.sqrt(abs(_simpson(vals, L / panels)))
+    return math.sqrt(abs(_simpson(vals, L / QUAD_PANELS)))
 
 
 # ---------------------------------------------------------------------------
 # consistency residuals
 
 
-def interior_residual(exact: ExactSolution, k: float, grid: UniformGrid,
-                      tol: float = GUARD_TOL) -> tuple[np.ndarray, float]:
+def interior_residual(exact: ExactSolution, k: float,
+                      grid: UniformGrid) -> tuple[np.ndarray, float]:
     """Interior residual tau_i = Theta(kh) (Delta_h u)(x_i) - u''(x_i), i = 1..n-1.
 
     Returns the nodal residual array and its interior discrete L2 norm.
     """
-    nyquist_guard(k, grid.h, tol)
-    th = theta(k * grid.h, tol)
+    nyquist_guard(k, grid.h)
+    th = theta(k * grid.h)
     lap = discrete_laplacian(sample(exact.u, grid))
     tau = th * lap - np.asarray(exact.u_doubleprime(grid.nodes()[1:-1]), dtype=complex)
     return tau, float(math.sqrt(grid.h * np.sum(np.abs(tau) ** 2)))
 
 
-def boundary_residuals(exact: ExactSolution, k: float, h: float, L: float,
-                       tol: float = GUARD_TOL) -> tuple[complex, complex]:
+def boundary_residuals(exact: ExactSolution, k: float, h: float,
+                       L: float) -> tuple[complex, complex]:
     """Impedance-closure residuals of an exact solution at both endpoints.
 
     beta0 = k/sin(kh) (u(h) - e^{ikh} u(0)) - (u'(0) - ik u(0)) and the
     mirrored expression at x = L.
     """
-    nyquist_guard(k, h, tol)
+    nyquist_guard(k, h)
     s = k * h
     bfac = k / math.sin(s)
     phase = complex(math.cos(s), math.sin(s))
@@ -212,8 +209,8 @@ def boundary_residuals(exact: ExactSolution, k: float, h: float, L: float,
     return beta0, betaL
 
 
-def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp, fppp,
-                    panels: int = QUAD_PANELS) -> ResidualReport:
+def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp,
+                    fppp) -> ResidualReport:
     """Residuals of p's exact solution together with the second-order
     bounds driven by ||f''|| and ||f'''||."""
     grid = make_grid(p.L, n)
@@ -221,8 +218,8 @@ def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp, fppp
     beta0, betaL = boundary_residuals(exact, p.k, grid.h, p.L)
     s = p.k * grid.h
     th = theta(s)
-    f2 = l2_norm_quad(fpp, p.L, panels)
-    f3 = l2_norm_quad(fppp, p.L, panels)
+    f2 = l2_norm_quad(fpp, p.L)
+    f3 = l2_norm_quad(fppp, p.L)
     tau_bound = p.L * th * grid.h**2 / 12.0 * f3
     beta_bound = 2.0 * math.sqrt(p.L * th) * abs(1.0 / math.cos(0.5 * s)) * grid.h**2 / 6.0 * f2
     return ResidualReport(tau_norm, beta0, betaL, tau_bound, beta_bound)
@@ -232,14 +229,14 @@ def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp, fppp
 # Fourier multipliers
 
 
-def interior_multiplier(xi: float, h: float, k: float, tol: float = GUARD_TOL) -> float:
+def interior_multiplier(xi: float, h: float, k: float) -> float:
     """Interior symbol mismatch ratio
     (Theta(kh) (4/h^2) sin^2(xi h/2) - xi^2) / (xi^2 - k^2)."""
-    nyquist_guard(k, h, tol)
+    nyquist_guard(k, h)
     denom = xi * xi - k * k
     if abs(denom) <= 1e-12 * k * k:
         raise NearResonantFrequency(f"xi = {xi!r} too close to k = {k!r}")
-    th = theta(k * h, tol)
+    th = theta(k * h)
     num = th * 4.0 / h**2 * math.sin(0.5 * xi * h) ** 2 - xi * xi
     return num / denom
 
@@ -257,15 +254,14 @@ def _sinc_sqrt_derivative(t: float) -> float:
     return (s * math.cos(s) - math.sin(s)) / (2.0 * s**3)
 
 
-def boundary_multiplier(xi: float, h: float, k: float, L: float,
-                        tol: float = GUARD_TOL) -> float:
+def boundary_multiplier(xi: float, h: float, k: float, L: float) -> float:
     """Boundary symbol mismatch
     sqrt(2/L) * ((k/sin kh) sin(xi h) - xi) / (xi^2 - k^2).
 
     The point xi = k is removable; within |xi - k| h < 1e-4 the difference
     quotient is replaced by a midpoint-derivative series branch.
     """
-    nyquist_guard(k, h, tol)
+    nyquist_guard(k, h)
     scale = math.sqrt(2.0 / L)
     a = xi * h
     b = k * h
@@ -442,14 +438,12 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
 
     hs = [row.h for row in rows]
     rates: dict[str, float] = {}
-    floored = []
     for norm in ("linf", "v"):
         errs = [row.errors.rel(norm) for row in rows]
         if max(errs) < ERROR_FLOOR:
-            floored.append(norm)
             continue
         rates[norm] = fit_rate(hs, errs)
-    return ConvergenceTable(rows, rates, tuple(floored))
+    return ConvergenceTable(rows, rates)
 
 
 # ---------------------------------------------------------------------------
@@ -551,30 +545,30 @@ def verify_identities(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for bench_k in (2**5, 2**6):
         p, _ = sine_squared_problem(bench_k)
-        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j, name="")
+        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
         worst = max(worst, energy_identity_mismatch(p, u_h))
     checks.append(CheckResult("discrete_energy_identity", worst, 1e-10))
 
     for which, limit in (("g", 1.0 / 3.0), ("h", 1.0 / 6.0)):
-        sup = envelope_derivative_sup(which, 100_000)
+        sup = envelope_derivative_sup(which)
         bound = limit + 1e-6
         checks.append(CheckResult(f"envelope_sup_{which}", sup, bound))
 
     return checks
 
 
-def verify_multipliers(seed: int = 0, n_pairs: int = 20, n_xi: int = 1000) -> list[CheckResult]:
-    """Multiplier-envelope suite: both uniform bounds over log-spaced
-    frequency grids for randomized (k, h) pairs with kh in (0.1, 3.0)."""
+def verify_multipliers(seed: int = 0) -> list[CheckResult]:
+    """Multiplier-envelope suite: both uniform bounds over 1000 log-spaced
+    frequencies for 20 randomized (k, h) pairs with kh in (0.1, 3.0)."""
     rng = np.random.default_rng(seed)
     L = 1.0
     checks = []
-    for j in range(n_pairs):
+    for j in range(20):
         s = rng.uniform(0.1, 3.0)
         k = 2.0 ** rng.uniform(4.0, 9.0)
         h = s / k
-        xi_grid = np.logspace(math.log10(math.pi / L), math.log10(1e3 * k), n_xi)
+        xi_grid = np.logspace(math.log10(math.pi / L), math.log10(1e3 * k), 1000)
         slack = 1.0 + 1e-10
         for which, label in (("interior", "interior_multiplier"),
                              ("boundary", "boundary_multiplier")):
@@ -587,16 +581,16 @@ def verify_multipliers(seed: int = 0, n_pairs: int = 20, n_xi: int = 1000) -> li
     return checks
 
 
-def verify_residuals(k_exponents=(4, 5, 6, 7, 8), n_exponents=(5, 6, 7, 8)) -> list[CheckResult]:
+def verify_residuals() -> list[CheckResult]:
     """Residual-bound suite on the smooth manufactured benchmark: measured
-    ||tau||_{0,h} and |beta0| + |betaL| against their second-order bounds,
-    restricted to kh < pi."""
+    ||tau||_{0,h} and |beta0| + |betaL| against their second-order bounds
+    for k = 2^4..2^8 and n = 3^5..3^8, restricted to kh < pi."""
     checks = []
-    for ke in k_exponents:
+    for ke in (4, 5, 6, 7, 8):
         k = float(2**ke)
         p, exact = smooth_manufactured_problem(k)
         _, fpp, fppp = smooth_source_derivatives(k)
-        for ne in n_exponents:
+        for ne in (5, 6, 7, 8):
             n = 3**ne
             if k / n >= math.pi:
                 continue
@@ -611,18 +605,18 @@ def verify_residuals(k_exponents=(4, 5, 6, 7, 8), n_exponents=(5, 6, 7, 8)) -> l
     return checks
 
 
-def verify_stability(k_exponents=(5, 6, 7, 8), n_exponents=(7, 8, 9, 10)) -> list[CheckResult]:
-    """Stability suite over all four benchmarks: the two a-priori bounds on
-    the full problems plus the flux and auxiliary energy bounds on their
-    homogeneous-radiation counterparts."""
+def verify_stability() -> list[CheckResult]:
+    """Stability suite over all four benchmarks at k = 2^5..2^8, n = 2^7..2^10:
+    the two a-priori bounds on the full problems plus the flux and auxiliary
+    energy bounds on their homogeneous-radiation counterparts."""
     checks = []
     for bench in BENCHMARKS:
-        for ke in k_exponents:
+        for ke in (5, 6, 7, 8):
             k = float(2**ke)
             p, _ = make_benchmark(bench, k)
-            p_hom = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j, name=f"{bench}-hom")
+            p_hom = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
             worst = {"l2": 0.0, "h1": 0.0, "flux": 0.0, "aux": 0.0}
-            for ne in n_exponents:
+            for ne in (7, 8, 9, 10):
                 n = 2**ne
                 st = stability_bound_check(p, solve_scheme(p, n, SchemeKind.BPF))
                 worst["l2"] = max(worst["l2"], _ratio(st.lhs_l2, st.rhs))

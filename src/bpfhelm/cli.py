@@ -52,37 +52,51 @@ def positive(text: str) -> float:
     return x
 
 
+def non_negative(text: str) -> int:
+    """Parse a seed, which numpy's generators require to be an integer >= 0."""
+    x = int(text)
+    if x < 0:
+        raise ValueError(f"must be non-negative, got {text!r}")
+    return x
+
+
 def _parse_list(text: str, cast):
     try:
-        return [cast(tok) for tok in text.replace(",", " ").split()]
+        values = [cast(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise UsageError(f"bad list {text!r}: {exc}") from None
+    if not values:
+        raise UsageError(f"empty list {text!r}")
+    return values
 
 
-def _n_from_h(h: float, L: float) -> int:
-    """Subinterval count for mesh size h, which must divide L."""
-    n = round(L / h) if math.isfinite(h) and h > 0 else 0
-    if n < 1 or not math.isclose(n * h, L, rel_tol=1e-9):
-        raise UsageError(f"mesh size {h!r} does not divide L = {L:g}")
+def _n_from_h(h: float) -> int:
+    """Subinterval count for mesh size h, which must divide L = 1."""
+    n = round(1.0 / h) if math.isfinite(h) and h > 0 else 0
+    if n < 1 or not math.isclose(n * h, 1.0, rel_tol=1e-9):
+        raise UsageError(f"mesh size {h!r} does not divide L = 1")
     return n
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
     payload = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(payload)
 
 
-def _resolve_n_list(args, L: float) -> list[int]:
+def _resolve_n_list(args) -> list[int]:
     """Subinterval counts from --n-list or --h-list, which the parser keeps
     mutually exclusive."""
     if args.n_list:
         return _parse_list(args.n_list, int)
     if args.h_list:
-        return [_n_from_h(h, L) for h in _parse_list(args.h_list, float)]
+        return [_n_from_h(h) for h in _parse_list(args.h_list, float)]
     raise UsageError("give --n-list or --h-list")
 
 
@@ -104,7 +118,7 @@ def cmd_exactness(args) -> int:
 def cmd_convergence(args) -> int:
     """Refinement study; rates are appended as comment footer lines."""
     k = args.k
-    n_list = sorted(_resolve_n_list(args, 1.0))
+    n_list = sorted(_resolve_n_list(args))
     if len(n_list) < 2 or len(set(n_list)) < len(n_list):
         raise UsageError("convergence needs at least two mesh sizes, each given once")
     kind = _SCHEMES[args.scheme]
@@ -151,7 +165,9 @@ def cmd_table(args) -> int:
     before anything is solved. The diagonal summary reads the closed-form
     matrix."""
     k_list = _parse_list(args.k_list, positive)
-    n_list = _resolve_n_list(args, 1.0)
+    n_list = _resolve_n_list(args)
+    if len(set(k_list)) < len(k_list) or len(set(n_list)) < len(n_list):
+        raise UsageError("table needs each wavenumber and each mesh size given once")
     n_ref = BENCHMARKS["sine2"][1] if args.n is None else args.n
     for n in n_list:
         check_nested(make_grid(1.0, n_ref), make_grid(1.0, n))
@@ -186,7 +202,7 @@ def cmd_compare(args) -> int:
     per pair at the registry's resolution, shared by the three schemes; every
     n must divide that resolution, which is checked before anything is solved."""
     k_list = _parse_list(args.k_list, positive)
-    n_list = _resolve_n_list(args, 1.0)
+    n_list = _resolve_n_list(args)
     if len(k_list) != len(n_list):
         raise UsageError(f"{len(k_list)} wavenumbers but {len(n_list)} mesh sizes")
     kinds = (SchemeKind.BPF, SchemeKind.DISPERSION_CORRECTED_FD, SchemeKind.CLASSICAL_FD)
@@ -240,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed_help=None):
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         if seed_help:
-            p.add_argument("--seed", type=int, default=0, help=seed_help)
+            p.add_argument("--seed", type=non_negative, default=0, help=seed_help)
         p.add_argument("--nyquist-tol", type=positive, default=1e-8,
                        help="relative guard distance from kh in pi*Z")
 

@@ -9,12 +9,13 @@ Four benchmark problems on (0, 1):
 * ``sine2`` -- source sin^2(pi x) with data g0 = 2, gL = i; solved in
   closed form by undetermined coefficients.
 * ``box`` -- piecewise-constant source 50 * 1_{|x-1/2| <= 1/9}; no closed
-  form, compared against a cached fine-grid solve.
+  form, compared against a fine-grid solve cached for its last arguments.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,6 +25,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import ResonantSource
 from .grid import GridFunction
+from .numerics import GUARD_TOL
 from .schemes import HelmholtzProblem, SchemeKind, solve_scheme
 
 TWO_PI_SQ = 4.0 * math.pi**2
@@ -38,13 +40,13 @@ class ExactSolution:
     u_doubleprime: Callable
 
 
-def plane_wave_problem(k: float, alpha: complex, beta: complex,
-                       L: float = 1.0) -> tuple[HelmholtzProblem, ExactSolution]:
-    """Homogeneous problem whose exact solution is alpha e^{ikx} + beta e^{-ikx}."""
+def plane_wave_problem(k: float, alpha: complex,
+                       beta: complex) -> tuple[HelmholtzProblem, ExactSolution]:
+    """Homogeneous problem on (0, 1) with exact solution alpha e^{ikx} + beta e^{-ikx}."""
     alpha = complex(alpha)
     beta = complex(beta)
     g0 = -2j * k * beta
-    gL = 2j * k * cmath.exp(1j * k * L) * alpha
+    gL = 2j * k * cmath.exp(1j * k) * alpha
 
     def u(x):
         return alpha * np.exp(1j * k * x) + beta * np.exp(-1j * k * x)
@@ -55,8 +57,8 @@ def plane_wave_problem(k: float, alpha: complex, beta: complex,
     def u_doubleprime(x):
         return -k * k * u(x)
 
-    problem = HelmholtzProblem(k, L, lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
-                               g0, gL, name="planewave")
+    problem = HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
+                               g0, gL)
     return problem, ExactSolution(u, u_prime, u_doubleprime)
 
 
@@ -86,8 +88,7 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
     # Built first so that its finite/positive check on k runs before the
     # source's arithmetic; the source closure reads f_poly when called.
     problem = HelmholtzProblem(k, 1.0, lambda x: f_poly(np.asarray(x)),
-                               0.0 + 0.0j, 2j * k * cmath.exp(1j * k),
-                               name="smooth")
+                               0.0 + 0.0j, 2j * k * cmath.exp(1j * k))
     f_poly = _smooth_source(k)
 
     def u(x):
@@ -128,7 +129,7 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
     g0, gL = 2.0 + 0.0j, 1j
     # Built first so that its finite/positive check on k runs before any
     # of the arithmetic below.
-    problem = HelmholtzProblem(k, 1.0, f, g0, gL, name="sine2")
+    problem = HelmholtzProblem(k, 1.0, f, g0, gL)
     if k < 1e-8:
         raise ResonantSource(f"k = {k!r} too small for the particular solution")
     denom = k * k - TWO_PI_SQ
@@ -178,7 +179,7 @@ def box_source_problem(k: float) -> HelmholtzProblem:
         x = np.asarray(x)
         return np.where(np.abs(x - 0.5) <= 1.0 / 9.0, 50.0, 0.0) + 0.0j
 
-    return HelmholtzProblem(k, 1.0, f, 2.0 + 0.0j, 1j, name="box")
+    return HelmholtzProblem(k, 1.0, f, 2.0 + 0.0j, 1j)
 
 
 # Benchmark registry, keyed by CLI name: the factory k -> (problem, exact
@@ -199,46 +200,31 @@ def make_benchmark(name: str, k: float) -> tuple[HelmholtzProblem, ExactSolution
     return BENCHMARKS[name][0](k)
 
 
-def pde_residual_check(p: HelmholtzProblem, exact: ExactSolution, n_points: int = 100,
-                       seed: int = 0) -> tuple[float, float, float]:
-    """Max |u'' + k^2 u - f| at pseudo-random points, plus both boundary
+def pde_residual_check(p: HelmholtzProblem, exact: ExactSolution) -> tuple[float, float, float]:
+    """Max |u'' + k^2 u - f| at 100 pseudo-random points, plus both boundary
     condition residuals, for p and its closed-form solution."""
     u, u1, u2 = exact.u, exact.u_prime, exact.u_doubleprime
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, p.L, n_points)
+    x = np.random.default_rng(0).uniform(0.0, p.L, 100)
     pde = np.abs(u2(x) + p.k**2 * np.asarray(u(x)) - np.asarray(p.f(x)))
     bc0 = abs(complex(u1(0.0)) - 1j * p.k * complex(u(0.0)) - complex(p.g0))
     bcL = abs(complex(u1(p.L)) + 1j * p.k * complex(u(p.L)) - complex(p.gL))
     return float(np.max(pde)), bc0, bcL
 
 
-_reference_cache: dict[tuple, GridFunction] = {}
-
-
-def clear_reference_cache() -> None:
-    _reference_cache.clear()
-
-
+@functools.lru_cache(maxsize=1)
 def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
                         kind: SchemeKind = SchemeKind.BPF,
-                        tol: float = 1e-8) -> GridFunction:
+                        tol: float = GUARD_TOL) -> GridFunction:
     """Fine-grid solve used as a surrogate exact solution.
 
-    Cached for named problems by everything that defines the solve: the
-    problem's name, k, L, boundary data and source callable (the object
-    itself, whose identity cannot be reused while the key holds it), plus
-    n_ref, the scheme and the guard tolerance. The cache keeps only the last
-    key: every caller asks for one reference many times in a row (`table`
-    per k, `convergence` per study), and a rebuilt problem carries a new
-    source callable, so an older entry would never be hit again.
+    Cached for its last arguments, the frozen problem among them, with a
+    keyword call keyed apart from a positional one: every caller asks for one
+    reference many times in a row (`table` per k, `convergence` per study), and
+    a rebuilt problem carries a new source callable, so an older entry would
+    never be hit again.
     """
-    if not p.name:
-        return solve_scheme(p, n_ref, kind, tol)
-    key = (p.name, p.k, p.L, p.g0, p.gL, p.f, n_ref, kind, tol)
-    hit = _reference_cache.get(key)
-    if hit is not None:
-        return hit
-    fine = solve_scheme(p, n_ref, kind, tol)
-    _reference_cache.clear()
-    _reference_cache[key] = fine
-    return fine
+    return solve_scheme(p, n_ref, kind, tol)
+
+
+# Bound at import: a tracer may rebind fine_grid_reference to a plain function.
+clear_reference_cache = fine_grid_reference.cache_clear

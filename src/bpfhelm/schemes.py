@@ -44,12 +44,12 @@ class SchemeKind(Enum):
     DISPERSION_CORRECTED_FD = "fd-dc"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HelmholtzProblem:
     """u'' + k^2 u = f on (0, L) with impedance data at both endpoints.
 
     Boundary conditions: u'(0) - i k u(0) = g0 and u'(L) + i k u(L) = gL.
-    `name` identifies benchmark problems for reference caching.
+    Frozen, so that a problem can key the fine-reference cache.
     """
 
     k: float
@@ -57,7 +57,6 @@ class HelmholtzProblem:
     f: Callable
     g0: complex
     gL: complex
-    name: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and math.isfinite(self.L)) or self.k <= 0 or self.L <= 0:
@@ -65,10 +64,10 @@ class HelmholtzProblem:
                              f"got k = {self.k!r}, L = {self.L!r}")
 
 
-def _check_flux_weights(k: float, h: float, tol: float = GUARD_TOL) -> tuple[complex, complex]:
+def _check_flux_weights(k: float, h: float) -> tuple[complex, complex]:
     """Bernoulli weights B(+-ikh); rejects kh near nonzero multiples of 2*pi."""
     s = k * h
-    theta(s, tol)  # raises SingularParameter on the 2*pi*Z pole set
+    theta(s)  # raises SingularParameter on the 2*pi*Z pole set
     return bernoulli(1j * s), bernoulli(-1j * s)
 
 

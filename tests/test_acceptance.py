@@ -166,7 +166,7 @@ def test_criterion_06_residual_bounds():
 
 
 def test_criterion_07_multiplier_bounds():
-    checks = verify_multipliers(seed=0, n_pairs=20, n_xi=1000)
+    checks = verify_multipliers(seed=0)
     failed = [c for c in checks if not c.passed]
     worst = max(c.value for c in checks)
     _report(7, "multiplier bounds", not failed,

@@ -214,7 +214,7 @@ class TestStabilityChecks:
     def test_flux_estimate_homogeneous(self):
         k = 2.0**5
         p, _ = sine_squared_problem(k)
-        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j, name="")
+        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
         fx = flux_estimate_check(p, u_h)
         assert fx.aux_lhs <= fx.aux_rhs * (1.0 + 1e-12)
@@ -229,7 +229,7 @@ class TestStabilityChecks:
     def test_energy_identity_on_solution(self):
         k = 2.0**5
         p, _ = sine_squared_problem(k)
-        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j, name="")
+        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
         assert energy_identity_mismatch(p, u_h) <= 1e-10
 
@@ -273,8 +273,7 @@ class TestConvergenceStudy:
 
     def test_plane_wave_floored(self):
         tab = convergence_study("planewave", SchemeKind.BPF, 2.0**5, [8, 16, 32])
-        assert "linf" in tab.floored and "v" in tab.floored
-        assert tab.rates == {}
+        assert "linf" not in tab.rates and "v" not in tab.rates
         assert all(row.errors.rel_linf <= 1e-11 for row in tab.rows)
 
     def test_fine_reference_mode(self):

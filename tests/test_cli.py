@@ -289,9 +289,14 @@ class TestUsageErrors:
         ["convergence", "--k", "4", "--n-list", "3,9", "--benchmark", "box", "--n", "0"],
         ["compare", "--k-list", "32,64", "--n-list", "64"],
         ["compare", "--k-list", "nan", "--n-list", "64"],
+        ["table", "--k-list", ",", "--h-list", "0.25"],
+        ["table", "--k-list", "4", "--n-list", "4,4"],
+        ["table", "--k-list", "4,4", "--n-list", "4"],
+        ["compare", "--k-list", ",", "--n-list", ","],
     ], ids=["n-1", "n-0", "single-h", "h-not-dividing", "repeated-n", "not-nested",
             "convergence-no-list", "table-no-list", "table-h-not-dividing",
-            "table-fine-n-0", "box-fine-n-0", "compare-unpaired", "compare-nan-k"])
+            "table-fine-n-0", "box-fine-n-0", "compare-unpaired", "compare-nan-k",
+            "table-empty-k", "table-repeated-n", "table-repeated-k", "compare-empty-lists"])
     def test_exit_2_with_one_line_reason(self, tmp_path, capsys, argv):
         code = main(argv + ["--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
@@ -337,6 +342,19 @@ class TestUsageErrors:
         assert solves == []
         assert capsys.readouterr().err == (
             "usage error: 262144 subintervals are not a multiple of 3\n")
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["convergence", "--k", "4", "--n-list", "4,8", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: cannot write --out: ")
+
+    @pytest.mark.parametrize("suite", ["identities", "multipliers"])
+    def test_negative_seed_rejected_by_parser(self, capsys, suite):
+        # numpy's generators reject negative seeds; that is a usage error,
+        # not a failed check
+        assert main(["verify", suite, "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err.strip().splitlines()[-1]
 
     def test_non_finite_wavenumber_rejected_by_parser(self, capsys):
         assert main(["exactness", "--k", "nan", "--n", "8"]) == 2
@@ -412,7 +430,7 @@ class TestBenchmarkRegistry:
         with pytest.raises(ValueError) as info:
             make_benchmark("gaussian", 4.0)
         assert str(names) in str(info.value)
-        checks = verify_stability(k_exponents=(5,), n_exponents=(5,))
+        checks = verify_stability()
         covered = tuple(dict.fromkeys(c.detail.split()[0] for c in checks))
         assert covered == names
 

@@ -1,6 +1,7 @@
 """Benchmark problems: exact solutions, data consistency, fine-grid cache."""
 
 import cmath
+import dataclasses
 import math
 import timeit
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from bpfhelm import reference
 from bpfhelm.errors import ResonantSource
 from bpfhelm.grid import make_grid, sample
+from bpfhelm.numerics import GUARD_TOL
 from bpfhelm.reference import (
     box_source_problem,
     clear_reference_cache,
@@ -222,15 +223,15 @@ class TestFineGridReference:
                                    a.values)
         assert fine_grid_reference(p, 256, SchemeKind.BPF, tol=1e-6) is not a
 
-    def test_unnamed_problem_not_cached(self):
-        from dataclasses import replace
-        clear_reference_cache()
+    def test_problem_is_frozen_and_keys_by_value(self):
+        # a cached reference can never be served for a problem changed in place
         p, _ = sine_squared_problem(2.0**5)
-        p = replace(p, name="")
-        a = fine_grid_reference(p, 128, SchemeKind.BPF)
-        b = fine_grid_reference(p, 128, SchemeKind.BPF)
-        assert a is not b
-        assert np.array_equal(a.values, b.values)
+        for field in dataclasses.fields(p):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field.name, getattr(p, field.name))
+        clear_reference_cache()
+        fine = fine_grid_reference(p, 256, SchemeKind.BPF, GUARD_TOL)
+        assert fine_grid_reference(dataclasses.replace(p), 256, SchemeKind.BPF, GUARD_TOL) is fine
 
     def test_plane_wave_reference_matches_exact(self):
         clear_reference_cache()
@@ -247,7 +248,7 @@ class TestFineGridReference:
         for _ in range(6):
             p, _ = make_benchmark("box", 8.0)
             fine = fine_grid_reference(p, 3**7, SchemeKind.BPF)
-        assert list(reference._reference_cache.values()) == [fine]
+        assert fine_grid_reference.cache_info().currsize == 1
         assert fine_grid_reference(p, 3**7, SchemeKind.BPF) is fine
 
     def test_concurrent_requests_agree(self):
@@ -266,12 +267,16 @@ class TestFineGridReference:
 
 class TestBenchmarkRegistry:
     def test_known_names(self):
-        for name in ("planewave", "smooth", "sine2"):
-            p, exact = make_benchmark(name, 2.0**5)
-            assert p.name == name
+        k = 2.0**5
+        factories = {"planewave": lambda k: plane_wave_problem(k, 2.0, 1.0),
+                     "smooth": smooth_manufactured_problem, "sine2": sine_squared_problem}
+        for name, factory in factories.items():
+            p, exact = make_benchmark(name, k)
+            # the named factory's data; sources are new closures per call
+            assert dataclasses.replace(factory(k)[0], f=p.f) == p
             assert exact is not None
-        p, exact = make_benchmark("box", 2.0**5)
-        assert p.name == "box" and exact is None
+        p, exact = make_benchmark("box", k)
+        assert dataclasses.replace(box_source_problem(k), f=p.f) == p and exact is None
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
