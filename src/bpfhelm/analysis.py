@@ -24,7 +24,6 @@ from .grid import (
     discrete_laplacian,
     make_grid,
     norm_l2h,
-    norm_linf,
     restrict,
     sample,
     seminorm_h1h,
@@ -372,13 +371,32 @@ def _ratio(lhs: float, rhs: float) -> float:
     return 0.0 if lhs <= 0 else math.inf
 
 
+def _norms(u: np.ndarray, h: float) -> tuple[float, float, float]:
+    """norm_linf, norm_l2h and seminorm_h1h of nodal values u, with the
+    same operations, from one |u| pass and one forward-difference pass,
+    squared in place."""
+    mag = np.abs(u)
+    linf = float(np.max(mag))
+    mag = mag[1:-1]
+    mag *= mag
+    l2h = float(np.sqrt(h * np.sum(mag)))
+    # Freed before the difference pass allocates: held, it makes that pass
+    # take fresh pages, about 3 ms more at n = 2^18.
+    del mag
+    slope = np.subtract(u[1:], u[:-1])
+    slope /= h
+    slope = np.abs(slope)
+    slope *= slope
+    return linf, l2h, float(np.sqrt(h * np.sum(slope)))
+
+
 def error_report(u_h: GridFunction, ref: GridFunction, k: float) -> ErrorReport:
     """Errors of u_h against a reference on the same grid, in all four norms."""
     if u_h.grid != ref.grid:
         raise ValueError("solution and reference live on different grids")
-    diff = GridFunction(u_h.grid, u_h.values - ref.values)
-    a_linf, a_l2, a_h1 = norm_linf(diff), norm_l2h(diff), seminorm_h1h(diff)
-    r_linf, r_l2, r_h1 = norm_linf(ref), norm_l2h(ref), seminorm_h1h(ref)
+    h = u_h.grid.h
+    a_linf, a_l2, a_h1 = _norms(u_h.values - ref.values, h)
+    r_linf, r_l2, r_h1 = _norms(ref.values, h)
     # the V norms from the parts above, as norm_v computes them
     a_v, r_v = float(np.hypot(k * a_l2, a_h1)), float(np.hypot(k * r_l2, r_h1))
     return ErrorReport(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -38,6 +39,15 @@ _NORMS = ("linf", "l2h", "h1", "v")
 
 class UsageError(Exception):
     """Command-line input that no subcommand can run; main exits with EXIT_USAGE."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage block and
+    exit, so that main reports every usage error as one line; subcommand
+    parsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _fmt(x: float) -> str:
@@ -76,6 +86,22 @@ def _n_from_h(h: float) -> int:
     if n < 1 or not math.isclose(n * h, 1.0, rel_tol=1e-9):
         raise UsageError(f"mesh size {h!r} does not divide L = 1")
     return n
+
+
+def _check_out(out_path: str | None) -> None:
+    """Fail before any work when --out cannot be opened for writing. Opens
+    in append mode, so an existing file keeps its contents, and removes the
+    file again if this check created it."""
+    if not out_path:
+        return
+    existed = os.path.exists(out_path)
+    try:
+        with open(out_path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
+    if not existed:
+        os.remove(out_path)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -246,7 +272,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bpfhelm",
         description="Phase-fitted finite differences for the 1D Helmholtz "
                     "equation with impedance boundary conditions.",
@@ -307,13 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

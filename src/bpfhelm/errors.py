@@ -48,7 +48,8 @@ class NonNestedGrids(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """Tridiagonal elimination hit a pivot below the breakdown threshold."""
+    """A tridiagonal solve hit its relative breakdown test: a 2x2 boundary
+    determinant or an interior pivot below the threshold."""
 
 
 class SolveQualityWarning(UserWarning):

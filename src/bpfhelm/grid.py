@@ -61,20 +61,27 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-def sample(fn: Callable, grid: UniformGrid) -> GridFunction:
-    """Evaluate fn at the grid nodes.
+def nodal_values(fn: Callable, grid: UniformGrid) -> np.ndarray:
+    """fn at the grid nodes, as a new writable complex array.
 
     Tries a single vectorized call first and falls back to per-node
-    evaluation for scalar-only callables.
+    evaluation for scalar-only callables. The result never shares memory
+    with what fn returned, so the caller may write to it or freeze it.
     """
-    x = grid.nodes()
     try:
-        vals = np.asarray(fn(x), dtype=complex)
-        if vals.shape != x.shape:
+        # The nodes are a temporary, gone before the copy: a fine grid's
+        # sampling peaks at fn's result and the copy.
+        vals = np.array(fn(grid.nodes()), dtype=complex)
+        if vals.shape != (grid.n + 1,):
             raise ValueError
     except (ValueError, TypeError):
-        vals = np.array([complex(fn(xi)) for xi in x])
-    return GridFunction(grid, vals)
+        vals = np.array([complex(fn(xi)) for xi in grid.nodes()])
+    return vals
+
+
+def sample(fn: Callable, grid: UniformGrid) -> GridFunction:
+    """Evaluate fn at the grid nodes (see nodal_values)."""
+    return GridFunction(grid, nodal_values(fn, grid))
 
 
 def forward_diff(v: GridFunction) -> np.ndarray:

@@ -200,17 +200,6 @@ def make_benchmark(name: str, k: float) -> tuple[HelmholtzProblem, ExactSolution
     return BENCHMARKS[name][0](k)
 
 
-def pde_residual_check(p: HelmholtzProblem, exact: ExactSolution) -> tuple[float, float, float]:
-    """Max |u'' + k^2 u - f| at 100 pseudo-random points, plus both boundary
-    condition residuals, for p and its closed-form solution."""
-    u, u1, u2 = exact.u, exact.u_prime, exact.u_doubleprime
-    x = np.random.default_rng(0).uniform(0.0, p.L, 100)
-    pde = np.abs(u2(x) + p.k**2 * np.asarray(u(x)) - np.asarray(p.f(x)))
-    bc0 = abs(complex(u1(0.0)) - 1j * p.k * complex(u(0.0)) - complex(p.g0))
-    bcL = abs(complex(u1(p.L)) + 1j * p.k * complex(u(p.L)) - complex(p.gL))
-    return float(np.max(pde)), bc0, bcL
-
-
 @functools.lru_cache(maxsize=1)
 def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
                         kind: SchemeKind = SchemeKind.BPF,

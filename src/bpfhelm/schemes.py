@@ -9,7 +9,8 @@ with boundary rows (k/sin kh)(u_1 - e^{ikh} u_0) = g0 (mirrored on the
 right) that are exact on sampled plane waves. The classical and
 dispersion-corrected baselines share a second-order ghost-point impedance
 closure so that the comparison isolates interior dispersion. Every assembled
-system records the kernel angle of its interior recurrence, which lets
+system records the kernel of its interior recurrence, an angle where it
+oscillates and a root where it decays, which lets
 `trisolve.solve_tridiagonal` solve it in the kernel basis, and stores its
 coefficients as a `trisolve.Stencil` (one interior row and four boundary
 entries): no length-n coefficient array exists unless a reader asks for
@@ -27,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolveQualityWarning
-from .grid import GridFunction, make_grid, sample
+from .errors import NonFiniteSample, SolveQualityWarning
+from .grid import GridFunction, make_grid, nodal_values
 from .numerics import GUARD_TOL, _check_tol, bernoulli, nyquist_guard, shifted_wavenumber, theta
 from .trisolve import Stencil, TridiagonalSystem, max_abs, residual_inf_norm, solve_tridiagonal
 
@@ -127,13 +128,15 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
 
     The interior rows are one constant recurrence
     u_{j+1} - 2 cos(theta) u_j + u_{j-1} = h^2 f_j / w, and the system
-    records its kernel angle: theta = kh for bpf and fd-dc, and
+    records its kernel: the angle theta = kh for bpf and fd-dc, and
     theta = 2 asin(kh/2) for fd while kh < 2. From kh = 2 on, the fd kernel
-    grows instead of oscillating; theta is None there, and the system goes
-    to Thomas elimination instead of the kernel-basis solve.
+    no longer oscillates: its roots are lambda and 1/lambda with lambda
+    real in [-1, 0), and the system records lambda, taken from its stored
+    row, instead of an angle (trisolve's root path).
 
     The system keeps (w/h^2, kk - 2w/h^2) and the four boundary entries as
-    its stencil; lower, diag and upper are built from them when read.
+    its stencil; lower, diag and upper are built from them when read. The
+    source is sampled straight into the right-hand side.
     """
     _check_tol(tol)
     grid = make_grid(p.L, n)
@@ -149,7 +152,9 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
         else:
             w, kk = 1.0, shifted_wavenumber(p.k, h, tol) ** 2
         kernel_angle = kh
-    rhs = sample(p.f, grid).values.copy()
+    rhs = nodal_values(p.f, grid)
+    if not np.isfinite(rhs).all():
+        raise NonFiniteSample("source f has NaN/Inf values at the grid nodes")
 
     if kind is SchemeKind.BPF:
         bfac = p.k / math.sin(kh)

@@ -2,52 +2,72 @@
 
 A system is its Stencil, the two coefficients of one constant three-point
 interior row and the four boundary entries, plus a right-hand side. It
-builds its diagonals only when something reads them (Thomas elimination,
-dense(), tests); the kernel path, the residual and the coefficient maxima
-work from the six scalars.
+builds its diagonals only when something reads them (tests, benchmark
+checkers); the solver, the residual and the coefficient maxima work from
+the six scalars.
 
-Two paths, chosen by what the system records about itself:
+Every system is solved in the basis of its interior kernel. The interior
+rows c x_{j-1} + d x_j + c x_{j+1} = b_j are one constant recurrence whose
+kernel is spanned by z^j for the two roots of c z^2 + d z + c = 0, lambda
+and 1/lambda. So x is a particular solution from discrete variation of
+parameters plus a multiple of each kernel vector, and a 2x2 solve on the
+two boundary rows fixes the two multiples. Two paths, chosen by what the
+system records about its kernel:
 
-* The kernel basis, for systems that carry a kernel angle theta. Their
-  interior rows are one constant recurrence
-  x_{j+1} - 2 cos(theta) x_j + x_{j-1} = b_j / c, whose kernel is
-  e^{+-i theta j}. So x is a particular solution from discrete variation
-  of parameters (two cumulative sums) plus a e^{i theta j} + b e^{-i theta j},
-  and a 2x2 solve on the two boundary rows fixes a and b. The phases come
-  from theta itself, not from the stored diagonal, whose rounding drifts
-  the phase by about eps * n / theta over n steps at small theta. Where
-  that drift is at most CORRECTION_MAX_DRIFT (every coarse grid), one
-  correction step x -= K^{-1}(A x - b) against the assembled rows brings
-  the residual down to the level of elimination. Above it (the fine-grid
-  references) the step is skipped, because it would pull x toward the
-  stored rows' drifted phase. The drift is measured in theta, not in
-  sin(theta): near theta = pi the two kernel vectors coalesce, so there
-  the bare kernel solve loses accuracy while the stored rows keep theirs,
-  and the step stays on.
-  The solve streams through blocks of about BLOCK unknowns, whole rows of
-  its phase table, so that a block's working set stays in L2: pass 1 writes
-  the particular solution and carries the two cumulative sums from block
-  to block, pass 2 rebuilds the block's phases and adds the homogeneous
-  part. Every element sees the unblocked solve's operations in the same
-  order, so results are bitwise those of a solve over whole arrays. Beyond
-  rhs and x a solve holds block-sized buffers only, and the corrected path
-  one residual, whose buffer receives the correction. A system that fits
-  one block builds its phases once.
-* Thomas elimination without pivoting, over Python lists of native complex
-  numbers, for systems without a kernel angle: the classical scheme at
-  kh >= 2, whose kernel grows instead of oscillating.
+* The kernel angle theta, for assembled systems whose kernel oscillates
+  (bpf and fd-dc, and fd while kh < 2): the recurrence reads
+  x_{j+1} - 2 cos(theta) x_j + x_{j-1} = b_j / c, the kernel is
+  e^{+-i theta j}, and the particular solution comes from two cumulative
+  sums. The phases come from theta itself, not from the stored diagonal,
+  whose rounding drifts the phase by about eps * n / theta over n steps at
+  small theta. Where that drift is at most CORRECTION_MAX_DRIFT (every
+  coarse grid), one correction step x -= K^{-1}(A x - b) against the
+  assembled rows brings the residual down to the level of elimination.
+  Above it (the fine-grid references) the step is skipped, because it
+  would pull x toward the stored rows' drifted phase. The drift is
+  measured in theta, not in sin(theta): near theta = pi the two kernel
+  vectors coalesce, so there the bare kernel solve loses accuracy while
+  the stored rows keep theirs, and the step stays on.
+  A system that fits one block of about BLOCK unknowns (every coarse grid)
+  is solved in one straight line of whole-array operations. A larger one
+  streams through blocks of whole rows of its phase table, so that a
+  block's working set stays in L2: pass 1 writes the particular solution
+  and carries the two cumulative sums from block to block, pass 2 rebuilds
+  the block's phases and adds the homogeneous part. Every element sees the
+  one-block solve's operations in the same order, so results are bitwise
+  those of a solve over whole arrays. Beyond rhs and x a streamed solve
+  holds block-sized buffers only, and the corrected path one residual,
+  whose buffer receives the correction.
+* The root lambda with |lambda| <= 1, which every other system records:
+  fd at kh > 2, where lambda is real in (-1, 0), and every hand-built
+  stencil. With K = 1 / (c (lambda - 1/lambda)),
+      x_j = K sum_l lambda^|j-l| b_l + A lambda^j + B lambda^(m-1-j),
+  the sum over interior rows l. No term grows. The two one-sided sums are
+  the recurrences F_j = lambda F_{j-1} + b_j, run forward and backward,
+  evaluated in rows of at most _ROW unknowns: a row scales its terms by
+  lambda^-r, takes one cumulative sum and scales back by lambda^r, and a
+  carry per row passes the sum on to the next. A row spans at most
+  _ROW_LOG_RANGE in ln|lambda|, so the scaled terms stay far from
+  overflow. At a double root (lambda = +-1, e.g. fd at kh = 2 exactly)
+  K is infinite, and the kernel is lambda^j and j lambda^j instead. The
+  path takes the same correction step where the roots are close, with
+  1 - |lambda| at most CORRECTION_MAX_GAP, and a second one in the band
+  where they all but meet (SECOND_CORRECTION_MAX_GAP).
 
-Both paths apply the same relative breakdown test: a Thomas pivot, or the
-determinant of the kernel path's 2x2 boundary system, whose magnitude drops
-below PIVOT_REL_TOL times its scale raises SingularSystem instead of
-returning garbage.
+Both paths raise SingularSystem instead of returning garbage when the
+determinant of the 2x2 boundary system drops below PIVOT_REL_TOL times its
+scale. The root path measures against the matrix scale as well (a boundary
+row of a near-zero pivot, all coefficients zero), and against the interior
+pivot, which vanishes only when both c and d are negligible.
 
-residual_inf_norm and max_abs reduce one block at a time as well, and give
-NaN if any block holds one.
+residual_inf_norm and max_abs reduce a system that fits one block
+directly, and a larger one block by block; either gives NaN if the array
+holds one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -63,10 +83,26 @@ PIVOT_REL_TOL = 1e-14
 # above about 6e-8, so the bound separates the two by a wide margin.
 CORRECTION_MAX_DRIFT = 1e-8
 
+# Largest root gap 1 - |lambda| at which the root path still takes its
+# correction step, and the largest at which it takes a second one. As the
+# roots meet, the bare solve loses accuracy to the cancellation between K's
+# sums and the homogeneous part (fd has gap about 2 sqrt(kh - 2) just above
+# kh = 2). Above 0.1 it meets the residual of elimination on its own, above
+# 1e-5 (kh - 2 above about 2.5e-11) after one step; below, where it can be
+# off by 1e-5 relative on a few unknowns, it needs two.
+CORRECTION_MAX_GAP = 0.1
+SECOND_CORRECTION_MAX_GAP = 1e-5
+
 # Unknowns per block of the streamed kernel solve and residual: a block's
 # working set, about seven complex arrays of this length (under 1 MiB),
 # stays in a 2 MiB L2 cache.
 BLOCK = 2**13
+
+# Unknowns per row of the root path's one-sided sums, and the largest
+# ln|lambda^-r| a row may span: e^200 leaves right-hand sides up to about
+# 1e220 clear of overflow.
+_ROW = 64
+_ROW_LOG_RANGE = 200.0
 
 _EPS = float(np.finfo(float).eps)
 _SIGNS = np.array([[1j], [-1j]])
@@ -94,13 +130,14 @@ class TridiagonalSystem:
 
     Row i reads lower[i-1]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i],
     where lower and upper (length m-1) and diag (length m) are built from the
-    stencil, read-only, on each read. The kernel path, the residual and
+    stencil, read-only, on each read. The solver, the residual and
     max_abs_coefficients read the six scalars instead.
 
     theta, when set, is the real kernel angle of the interior rows: every
     row 0 < i < m-1 reads c x[i-1] - 2c cos(theta) x[i] + c x[i+1], and
-    solve_tridiagonal takes the kernel path. It is None for systems without
-    that structure, which go to Thomas elimination.
+    solve_tridiagonal takes the kernel-angle path. Without it the system
+    records root, the root of c z^2 + d z + c = 0 with |root| <= 1 (0 for
+    a diagonal interior, c = 0), and takes the root path.
     """
 
     def __init__(self, stencil: Stencil, rhs, theta: float | None = None):
@@ -113,6 +150,7 @@ class TridiagonalSystem:
                                       and math.sin(theta) != 0.0):
             raise ValueError(f"kernel angle {theta!r} needs c != 0 "
                              "and a finite theta with sin(theta) != 0")
+        self.root = None if theta is not None else _root(self.stencil.c, self.stencil.d)[0]
 
     @property
     def lower(self) -> np.ndarray:
@@ -136,15 +174,6 @@ class TridiagonalSystem:
         c, d, d0, u0, ln, dn = np.abs(np.array(self.stencil)).tolist()
         return max(d0, d, dn), max(c, ln), max(u0, c)
 
-    def dense(self) -> np.ndarray:
-        """Dense matrix form (test/diagnostic use only)."""
-        m = self.size
-        a = np.zeros((m, m), dtype=complex)
-        a[np.arange(m), np.arange(m)] = self.diag
-        a[np.arange(1, m), np.arange(m - 1)] = self.lower
-        a[np.arange(m - 1), np.arange(1, m)] = self.upper
-        return a
-
 
 def _built(length: int, fill: complex, ends) -> np.ndarray:
     """Read-only diagonal of `length` entries `fill`, with (index, value) ends."""
@@ -155,57 +184,48 @@ def _built(length: int, fill: complex, ends) -> np.ndarray:
     return a
 
 
-def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve sys in the kernel basis when it carries theta, by Thomas
-    elimination otherwise.
+def _root(c: complex, d: complex) -> tuple[complex, complex]:
+    """(lambda, r) for the interior row c z^2 + d z + c: lambda the root with
+    |lambda| <= 1, and r = sqrt(d^2 - 4c^2) = c (lambda - 1/lambda), signed
+    so that |d + r| is the larger and lambda = -2c / (d + r) loses nothing
+    to cancellation. r = 0 marks the double root lambda = -1 (d = 2c) or
+    +1 (d = -2c)."""
+    r = cmath.sqrt(d - 2.0 * c) * cmath.sqrt(d + 2.0 * c)
+    if abs(d - r) > abs(d + r):
+        r = -r
+    if r == 0.0:
+        return complex(-1.0 if d == 2.0 * c else 1.0), r
+    return -2.0 * c / (d + r), r
 
-    The kernel path takes its correction step while the phase drift
-    eps * n / |theta| is at most CORRECTION_MAX_DRIFT. Raises
+
+def _power(z: complex, n: int) -> complex:
+    """z^n for n >= 0 by repeated squaring, to a few ulp (Python's complex
+    power takes exp and log above n = 100, which leaves a spurious
+    imaginary part on (-1)^n)."""
+    result = 1.0 + 0.0j
+    while n:
+        if n & 1:
+            result *= z
+        z *= z
+        n >>= 1
+    return result
+
+
+def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
+    """Solve sys in the basis of its interior kernel: by its kernel angle
+    when it carries one, by its root otherwise.
+
+    The kernel-angle path takes its correction step while the phase drift
+    eps * n / |theta| is at most CORRECTION_MAX_DRIFT. The root path takes
+    one while the root gap 1 - |lambda| is at most CORRECTION_MAX_GAP and a
+    second while it is at most SECOND_CORRECTION_MAX_GAP. Raises
     SingularSystem on a relative breakdown of either path.
     """
-    if sys.theta is None:
-        return _solve_thomas(sys, _breakdown_threshold(sys))
-    drift = _EPS * (sys.size - 1) / abs(sys.theta)
-    return _solve_kernel(sys, correct=drift <= CORRECTION_MAX_DRIFT)
-
-
-def _breakdown_threshold(sys: TridiagonalSystem) -> float:
-    scale = max(sys.max_abs_coefficients())
-    if scale == 0.0:
-        raise SingularSystem("all matrix coefficients are zero")
-    return PIVOT_REL_TOL * scale
-
-
-def _solve_thomas(sys: TridiagonalSystem, breakdown: float) -> np.ndarray:
-    """Thomas forward elimination / back substitution without pivoting."""
-    m = sys.size
-    lower = sys.lower.tolist()
-    diag = sys.diag.tolist()
-    upper = sys.upper.tolist()
-    rhs = sys.rhs.tolist()
-
-    # cprime[i] = upper[i]/pivot_i, dprime[i] = modified rhs / pivot_i
-    cprime = [0j] * (m - 1)
-    dprime = [0j] * m
-
-    pivot = diag[0]
-    if abs(pivot) < breakdown:
-        raise SingularSystem(f"pivot {abs(pivot):.3e} below threshold at row 0")
-    cprime[0] = upper[0] / pivot
-    dprime[0] = rhs[0] / pivot
-    for i in range(1, m):
-        pivot = diag[i] - lower[i - 1] * cprime[i - 1]
-        if abs(pivot) < breakdown:
-            raise SingularSystem(f"pivot {abs(pivot):.3e} below threshold at row {i}")
-        if i < m - 1:
-            cprime[i] = upper[i] / pivot
-        dprime[i] = (rhs[i] - lower[i - 1] * dprime[i - 1]) / pivot
-
-    x = [0j] * m
-    x[m - 1] = dprime[m - 1]
-    for i in range(m - 2, -1, -1):
-        x[i] = dprime[i] - cprime[i] * x[i + 1]
-    return np.asarray(x, dtype=complex)
+    if sys.theta is not None:
+        drift = _EPS * (sys.size - 1) / abs(sys.theta)
+        return _solve_kernel(sys, correct=drift <= CORRECTION_MAX_DRIFT)
+    gap = 1.0 - abs(sys.root)
+    return _solve_root(sys, steps=(gap <= CORRECTION_MAX_GAP) + (gap <= SECOND_CORRECTION_MAX_GAP))
 
 
 def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
@@ -216,10 +236,12 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
         p_j = (e^{i theta j} S-_j - e^{-i theta j} S+_j) / (2i c sin theta),
         S+-_j = sum_l e^{+-i theta l} b_l.
     The phases e^{+-i theta j}, j = q * width + r, are products of two tables
-    of about sqrt(m) entries, built for one block of whole rows q at a time.
-    Pass 1 writes p block by block, carrying both sums from block to block
-    in accumulate's sequential order; pass 2 rebuilds each block's phases
-    and adds the homogeneous part a e^{i theta j} + b e^{-i theta j}.
+    of about sqrt(m) entries. A system that fits one block builds them once
+    and solves in whole-array steps (_solve_kernel_block). A larger one
+    builds them for one block of whole rows q at a time: pass 1 writes p
+    block by block, carrying both sums from block to block in accumulate's
+    sequential order; pass 2 rebuilds each block's phases and adds the
+    homogeneous part a e^{i theta j} + b e^{-i theta j}.
     """
     m = sys.size
     width = math.isqrt(m - 1) + 1
@@ -228,27 +250,6 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     fine = np.exp(angles[:, None, :])
     n_rows = coarse.shape[1]
     rows = min(max(1, BLOCK // width), n_rows)
-    # Buffers reused by every block: a fresh block-sized array per block
-    # would cost more in page faults than the block's arithmetic.
-    table = np.empty((2, rows, width), dtype=complex)
-    # Column 0 carries S-+ over from the previous block; column 1 + l holds
-    # the block's l-th term, then its running sum. One block needs m columns.
-    sums = np.empty((2, min(rows * width + 1, m)), dtype=complex)
-
-    def phases(q0: int) -> np.ndarray:
-        """Rows e^{i theta j} and e^{-i theta j} for the unknowns j of the
-        block that starts at table row q0, in table."""
-        q1 = min(q0 + rows, n_rows)
-        block = np.multiply(coarse[:, q0:q1], fine, out=table[:, :q1 - q0])
-        return block.reshape(2, -1)[:, :m - q0 * width]
-
-    starts = range(0, n_rows, rows)
-    # A single block's phases are built once, for both passes of every solve.
-    single = [(0, phases(0))] if len(starts) == 1 else None
-
-    def blocks():
-        """(first unknown, phases) of each block."""
-        return single or ((q0 * width, phases(q0)) for q0 in starts)
 
     c, _, d0, u0, ln, dn = sys.stencil
     kappa = 1.0 / (2j * math.sin(sys.theta) * c)
@@ -262,6 +263,31 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     det = m00 * m11 - m01 * m10
     if not abs(det) >= PIVOT_REL_TOL * (abs(m00 * m11) + abs(m01 * m10)):
         raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
+    ends = (kappa, ln, dn, m00, m01, m10, m11, det)
+
+    if rows == n_rows:
+        ph = np.multiply(coarse, fine).reshape(2, -1)[:, :m]
+        sums = np.empty((2, m), dtype=complex)
+        x = _solve_kernel_block(sys.rhs, np.empty(m, dtype=complex), ph, sums, ends)
+        if correct:
+            residual = _residual(sys, x)
+            x -= _solve_kernel_block(residual, residual, ph, sums, ends)
+        return x
+
+    # Buffers reused by every block: a fresh block-sized array per block
+    # would cost more in page faults than the block's arithmetic.
+    table = np.empty((2, rows, width), dtype=complex)
+    # Column 0 carries S-+ over from the previous block; column 1 + l holds
+    # the block's l-th term, then its running sum.
+    sums = np.empty((2, rows * width + 1), dtype=complex)
+
+    def blocks():
+        """(first unknown, phases e^{i theta j} and e^{-i theta j}) of each
+        block, the phases built in table."""
+        for q0 in range(0, n_rows, rows):
+            q1 = min(q0 + rows, n_rows)
+            block = np.multiply(coarse[:, q0:q1], fine, out=table[:, :q1 - q0])
+            yield q0 * width, block.reshape(2, -1)[:, :m - q0 * width]
 
     def solve(rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solution for rhs, written into out, which may be rhs itself."""
@@ -299,11 +325,171 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     return x
 
 
-def _residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
-    """A x - b, computed one block of rows at a time."""
+def _solve_kernel_block(rhs: np.ndarray, out: np.ndarray, ph: np.ndarray, sums: np.ndarray,
+                        ends: tuple) -> np.ndarray:
+    """One-block kernel solve for rhs, written into out (which may be rhs),
+    given the phases ph (2, m), a (2, m) buffer sums and the boundary data
+    (kappa, ln, dn, m00, m01, m10, m11, det); the streamed solve's
+    operations on a single block."""
+    kappa, ln, dn, m00, m01, m10, m11, det = ends
+    m = out.shape[0]
+    r0, r_last = complex(rhs[0]), complex(rhs[-1])
+    sums[:, :2] = 0.0
+    np.multiply(ph[::-1, 1:m - 1], rhs[1:m - 1], out=sums[:, 2:])
+    np.add.accumulate(sums, axis=1, out=sums)
+    sums *= ph
+    np.multiply(np.subtract(sums[0], sums[1], out=sums[0]), kappa, out=out)
+    p_before_last, p_last = out[-2:].tolist()
+    rn = r_last - ln * p_before_last - dn * p_last
+    a, b = (r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det
+    homogeneous = np.multiply(ph[0], a, out=sums[0])
+    homogeneous += np.multiply(ph[1], b, out=sums[1])
+    out += homogeneous
+    return out
+
+
+def _solve_root(sys: TridiagonalSystem, steps: int) -> np.ndarray:
+    """Solve sys from the root lambda of its interior row, followed by
+    `steps` correction steps against the assembled rows.
+
+    For a simple root, x_j = K (F_j + G_j - b_j) + A lambda^j
+    + B lambda^(m-1-j), where F and G are the forward and backward sums
+    F_j = lambda F_{j-1} + b_j and G_j = lambda G_{j+1} + b_j over the
+    interior rows and K = 1/r (see _root). For the double root lambda = +-1,
+    x_j = p_j + (A + B j) lambda^j with the particular solution
+    p_j = lambda^(j-1)/c sum_{l<j} (j - l) lambda^-l b_l, zero at j = 0, 1.
+    """
     m = sys.size
+    c, d, d0, u0, ln, dn = sys.stencil
+    lam, r = _root(c, d)
+    scale = max(map(abs, sys.stencil))
+    if scale == 0.0:
+        raise SingularSystem("all matrix coefficients are zero")
+    if not abs(d + r) >= 2.0 * PIVOT_REL_TOL * scale:
+        raise SingularSystem(f"interior pivot {0.5 * abs(d + r):.3e} below threshold")
+    lam_n = _power(lam, m - 2)
+    # Boundary rows applied to the two kernel vectors (columns 0 and 1).
+    m00, m10 = d0 + u0 * lam, lam_n * (ln + dn * lam)
+    if r:
+        m01, m11 = lam_n * (d0 * lam + u0), ln * lam + dn
+    else:
+        m01, m11 = u0 * lam, lam_n * (ln * (m - 2) + dn * (m - 1) * lam)
+    det = m00 * m11 - m01 * m10
+    if not abs(det) >= PIVOT_REL_TOL * max(abs(m00 * m11) + abs(m01 * m10), scale * scale):
+        raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
+
+    def weights(rhs, p0: complex, p1: complex, pn1: complex, pn: complex):
+        """Multiples A and B of the two kernel vectors, given the particular
+        solution's values at j = 0, 1, m-2 and m-1."""
+        r0 = complex(rhs[0]) - d0 * p0 - u0 * p1
+        rn = complex(rhs[-1]) - ln * pn1 - dn * pn
+        return (r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det
+
+    if r:
+        solve = _simple_root_solver(lam, r, m, weights)
+    else:
+        solve = _double_root_solver(lam, c, m, weights)
+    x = solve(sys.rhs)
+    for _ in range(steps):
+        x -= solve(_residual(sys, x))
+    return x
+
+
+def _simple_root_solver(lam: complex, r: complex, m: int, weights):
+    """rhs -> x for the root path at a simple root lambda (r != 0)."""
+    decay = -math.log(abs(lam)) if lam else math.inf
+    width = _ROW if decay <= 0.0 else max(1, min(_ROW, int(_ROW_LOG_RANGE / decay)))
+    n_rows = -(-m // width)
+    # lambda^r and lambda^-r within a row, as a running product so that the
+    # ratio of any two is lambda^(r-t) to a few ulp
+    up = np.full(width, lam)
+    up[0] = 1.0
+    np.multiply.accumulate(up, out=up)
+    down = 1.0 / up
+    powers = up.tolist()
+    step = powers[-1]  # lambda^(width-1): row start to row end
+    first = np.full(n_rows, step * lam)  # lambda^(q width) at the start of row q
+    first[0] = 1.0
+    np.multiply.accumulate(first, out=first)
+    k = 1.0 / r
+    # Where the boundary rows read the sums: both directions at j = 0, 1,
+    # m-2 and m-1 (the backward sum at its unknown m-1-j), as (direction,
+    # its unknown) with the flat index, row and scale lambda^r of each.
+    ends = [(0, j) for j in (0, 1, m - 2, m - 1)] + [(1, m - 1 - j) for j in (0, 1, m - 2, m - 1)]
+    flat = np.array([d * n_rows * width + i for d, i in ends])
+    rows_at = [(d, i // width) for d, i in ends]
+    scales = [powers[i % width] for _, i in ends]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        sums = np.zeros((2, n_rows * width), dtype=complex)
+        sums[0, 1:m - 1] = rhs[1:m - 1]
+        sums[1, 1:m - 1] = rhs[m - 2:0:-1]
+        blocks = sums.reshape(2, n_rows, width)
+        blocks *= down
+        np.add.accumulate(blocks, axis=2, out=blocks)
+        carries = []
+        for row_ends in blocks[:, :, -1].tolist():
+            carry, total = [], 0j
+            for v in row_ends:
+                carry.append(total)
+                total = step * (v + lam * total)
+            carries.append(carry)
+        f0, f1, fn1, fn, g0, g1, gn1, gn = (
+            scale * (v + lam * carries[d][q])
+            for scale, v, (d, q) in zip(scales, sums.take(flat).tolist(), rows_at))
+        b1, bn = complex(rhs[1]), complex(rhs[m - 2])
+        a, b = weights(rhs, k * (f0 + g0), k * (f1 + g1 - b1), k * (fn1 + gn1 - bn),
+                       k * (fn + gn))
+        # Each row's carry, plus the homogeneous part A lambda^j (forward)
+        # and B lambda^(m-1-j) (backward) in units of K, then lambda^r.
+        offsets = lam * np.array(carries)
+        offsets += np.multiply.outer((a * r, b * r), first)
+        blocks += offsets[:, :, None]
+        blocks *= up
+        x = sums[0, :m] + sums[1, m - 1::-1]
+        x[1:-1] -= rhs[1:-1]
+        x *= k
+        return x
+
+    return solve
+
+
+def _double_root_solver(lam: complex, c: complex, m: int, weights):
+    """rhs -> x for the root path at the double root lambda = +-1."""
+    j = np.arange(m, dtype=float)
+    sign = 1.0 - 2.0 * (np.arange(m) & 1) if lam == -1.0 else np.ones(m)
+    over_c = lam / c  # lambda^(j-1) / c = lambda^j * lam / c
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        # S0_j = sum_{l<j} lambda^l b_l and S1_j = sum_{l<j} l lambda^l b_l
+        # over the interior rows l
+        sums = np.zeros((2, m), dtype=complex)
+        np.multiply(sign[1:m - 1], rhs[1:m - 1], out=sums[0, 2:])
+        np.multiply(j[1:m - 1], sums[0, 2:], out=sums[1, 2:])
+        np.add.accumulate(sums, axis=1, out=sums)
+        sums *= over_c
+        (s0n1, s0n), (s1n1, s1n) = sums[:, -2:].tolist()
+        pn1 = sign[-2] * ((m - 2) * s0n1 - s1n1)
+        pn = sign[-1] * ((m - 1) * s0n - s1n)
+        a, b = weights(rhs, 0j, 0j, pn1, pn)
+        sums[0] += b
+        sums[1] -= a
+        x = np.multiply(j, sums[0])
+        x -= sums[1]
+        x *= sign
+        return x
+
+    return solve
+
+
+def _residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
+    """A x - b, computed in one pass for a system that fits one block and
+    one block of rows at a time for a larger one."""
+    m = sys.size
+    if m <= BLOCK:
+        return _residual_rows(sys, x, 0, np.empty(m, dtype=complex), np.empty(m, dtype=complex))
     r = np.empty(m, dtype=complex)
-    scratch = np.empty(min(m, BLOCK), dtype=complex)
+    scratch = np.empty(BLOCK, dtype=complex)
     for i0 in range(0, m, BLOCK):
         _residual_rows(sys, x, i0, r[i0:i0 + BLOCK], scratch)
     return r
@@ -347,17 +533,23 @@ def _max_abs(blocks) -> float:
 
 
 def max_abs(a: np.ndarray) -> float:
-    """max |a| of a nonempty array, reduced one block at a time."""
+    """max |a| of a nonempty array, reduced directly when it fits one block
+    and one block at a time otherwise."""
+    if a.shape[0] <= BLOCK:
+        return float(np.max(np.abs(a)))
     return _max_abs(a[i:i + BLOCK] for i in range(0, a.shape[0], BLOCK))
 
 
 def residual_inf_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
-    """Max-norm of A x - b for a candidate solution x, reduced one block of
-    rows at a time."""
+    """Max-norm of A x - b for a candidate solution x, reduced directly when
+    the system fits one block and one block of rows at a time otherwise."""
     x = np.asarray(x, dtype=complex)
     m = sys.size
     if x.shape != (m,):
         raise ValueError(f"solution length {x.shape} does not match system size {m}")
-    rows, scratch = np.empty((2, min(m, BLOCK)), dtype=complex)
+    if m <= BLOCK:
+        rows, scratch = np.empty((2, m), dtype=complex)
+        return float(np.max(np.abs(_residual_rows(sys, x, 0, rows, scratch))))
+    rows, scratch = np.empty((2, BLOCK), dtype=complex)
     return _max_abs(_residual_rows(sys, x, i0, rows[:m - i0], scratch)
                     for i0 in range(0, m, BLOCK))

@@ -349,6 +349,44 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: cannot write --out: ")
 
+    def test_unwritable_out_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # table would otherwise solve its 2^18 fine references first
+        solves = []
+        monkeypatch.setattr(cli, "solve_scheme", lambda *args: solves.append(args[1]))
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["table", "--k-list", "4", "--n-list", "8", "--out", str(out)])
+        assert code == 2
+        assert solves == []
+        assert capsys.readouterr().err.startswith("usage error: cannot write --out: ")
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_out_untouched_by_a_later_failure(self, tmp_path, existing):
+        # the up-front check neither truncates an existing file nor leaves
+        # an empty one behind when the command then fails (here exit 3)
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_text("earlier run\n")
+        code = main(["exactness", "--k", str(math.pi * 8), "--n", "8", "--out", str(out)])
+        assert code == 3
+        assert (out.read_text() == "earlier run\n") if existing else not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "identities", "--seed", "-1"],
+        ["exactness", "--k", "nan", "--n", "8"],
+        ["exactness", "--k", "8"],
+        ["nosuchcommand"],
+    ], ids=["negative-seed", "nan-k", "missing-n", "unknown-command"])
+    def test_parser_errors_are_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["exactness", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: bpfhelm exactness")
+
     @pytest.mark.parametrize("suite", ["identities", "multipliers"])
     def test_negative_seed_rejected_by_parser(self, capsys, suite):
         # numpy's generators reject negative seeds; that is a usage error,

@@ -1,6 +1,6 @@
 """Tridiagonal solvers against hand cases, a dense-elimination oracle and a
-40-digit mpmath oracle, the rule that routes between the kernel-basis
-solve and Thomas elimination, and the diagonals a stencil system builds."""
+40-digit mpmath oracle, the rule that routes between the kernel-angle and
+the root path, and the diagonals a stencil system builds."""
 
 import math
 import subprocess
@@ -30,9 +30,15 @@ def _random_system(rng, m):
     return TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs)
 
 
-# Every path through the solver on a system that carries a kernel angle.
+def _dense(sys):
+    """Dense matrix form of a system, from its built diagonals."""
+    return np.diag(sys.diag) + np.diag(sys.lower, -1) + np.diag(sys.upper, 1)
+
+
+# Every path through the solver on a system that carries a kernel angle; the
+# root path solves it from the root of its stored interior row.
 PATHS = {
-    "thomas": lambda sys: trisolve._solve_thomas(sys, trisolve._breakdown_threshold(sys)),
+    "root": lambda sys: trisolve._solve_root(sys, steps=1),
     "bare-kernel": lambda sys: trisolve._solve_kernel(sys, correct=False),
     "corrected-kernel": lambda sys: trisolve._solve_kernel(sys, correct=True),
 }
@@ -67,7 +73,7 @@ class TestSolve:
             m = int(rng.integers(3, 65))
             sys = _random_system(rng, m)
             x = solve_tridiagonal(sys)
-            x_dense = np.linalg.solve(sys.dense(), sys.rhs)
+            x_dense = np.linalg.solve(_dense(sys), sys.rhs)
             scale = np.max(np.abs(x_dense))
             assert np.max(np.abs(x - x_dense)) <= 1e-11 * scale
 
@@ -98,17 +104,17 @@ class TestSolve:
 def _spy_paths(monkeypatch):
     """Record which helper each solve_tridiagonal call reaches."""
     routed = []
-    thomas, kernel = trisolve._solve_thomas, trisolve._solve_kernel
+    root, kernel = trisolve._solve_root, trisolve._solve_kernel
 
-    def thomas_spy(sys, breakdown):
-        routed.append("thomas")
-        return thomas(sys, breakdown)
+    def root_spy(sys, steps):
+        routed.append(f"root-{steps}")
+        return root(sys, steps)
 
     def kernel_spy(sys, correct):
         routed.append("corrected-kernel" if correct else "bare-kernel")
         return kernel(sys, correct)
 
-    monkeypatch.setattr(trisolve, "_solve_thomas", thomas_spy)
+    monkeypatch.setattr(trisolve, "_solve_root", root_spy)
     monkeypatch.setattr(trisolve, "_solve_kernel", kernel_spy)
     return routed
 
@@ -135,24 +141,63 @@ class TestRouting:
         routed = _spy_paths(monkeypatch)
         x = solve_tridiagonal(sys)
         assert routed == ["corrected-kernel"]
-        x_thomas = trisolve._solve_thomas(sys, trisolve._breakdown_threshold(sys))
-        assert np.max(np.abs(x - x_thomas)) <= 1e-12 * np.max(np.abs(x_thomas))
+        x_dense = np.linalg.solve(_dense(sys), sys.rhs)
+        assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
-    @pytest.mark.parametrize("kh", [2.0, 2.5, 10.0])
-    def test_growing_fd_kernel_takes_thomas(self, monkeypatch, kh):
+    @pytest.mark.parametrize("kh, root, steps", [
+        (2.0, -1.0, 2),                      # the double root
+        (2.0 + 2**-40, -0.9999981, 2),       # gap 1.9e-6
+        (2.001, -0.9387154, 1),              # gap 0.061
+        (2.5, -0.25, 0),
+        (10.0, -0.01020514, 0),
+    ], ids=["kh-2", "kh-2+2^-40", "kh-2.001", "kh-2.5", "kh-10"])
+    def test_decaying_fd_kernel_takes_root_path(self, monkeypatch, kh, root, steps):
+        # fd at kh >= 2: lambda = -2 / (s + sqrt(s^2 - 4)), s = (kh)^2 - 2
         p, _ = smooth_manufactured_problem(kh * 64)
         sys = assemble(p, 64, SchemeKind.CLASSICAL_FD)
-        assert sys.theta is None
+        assert sys.theta is None and sys.root.imag == 0.0
+        assert sys.root.real == pytest.approx(root, rel=1e-6)
         routed = _spy_paths(monkeypatch)
-        solve_tridiagonal(sys)
-        assert routed == ["thomas"]
+        x = solve_tridiagonal(sys)
+        assert routed == [f"root-{steps}"]
+        x_dense = np.linalg.solve(_dense(sys), sys.rhs)
+        assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
-    def test_hand_built_system_takes_thomas(self, monkeypatch):
+    def test_hand_built_system_takes_root_path(self, monkeypatch):
         sys = _random_system(np.random.default_rng(5), 40)
-        assert sys.theta is None
+        assert sys.theta is None and abs(sys.root) < 1.0 - trisolve.CORRECTION_MAX_GAP
         routed = _spy_paths(monkeypatch)
         solve_tridiagonal(sys)
-        assert routed == ["thomas"]
+        assert routed == ["root-0"]
+
+    @pytest.mark.parametrize("c, d, m", [
+        (1.0 + 0.5j, 0.3 - 2.0j, 300),        # complex root, |lambda| 0.55
+        (1.0, 4.25, 501),                     # fd at kh = 2.5: lambda = -1/4
+        (1.0, 1e6 - 2.0, 300),                # kh = 1e3: rows of 14, by decay
+        (0.0, 2.0 - 1.0j, 100),               # diagonal interior: rows of one
+        (1.0, 1.0, 200),                      # |lambda| = 1, angle 2 pi / 3
+        (1.0, 2.0, 200),                      # double root lambda = -1
+        (1.0, 2.0 + 1e-9, 1025),              # roots 6e-5 apart
+    ])
+    def test_root_path_matches_dense_solve(self, c, d, m):
+        rng = np.random.default_rng(m)
+        d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs)
+        a = _dense(sys)
+        x_dense = np.linalg.solve(a, rhs)
+        x = solve_tridiagonal(sys)
+        assert np.max(np.abs(x - x_dense)) <= 8.0 * EPS * np.linalg.cond(a) * np.max(np.abs(x_dense))
+        scale = np.max(np.abs(rhs)) + 4.0 * max(map(abs, sys.stencil)) * np.max(np.abs(x))
+        assert residual_inf_norm(sys, x) <= 4.0 * EPS * scale
+
+    @pytest.mark.parametrize("c, d, root", [(0.0, 1.0, 0.0), (-1.0, 2.0, 1.0),
+                                            (1.0, 2.0, -1.0), (1j, 0.5, -0.7807764j)])
+    def test_root_of_the_interior_row(self, c, d, root):
+        # c = 0 is a diagonal interior; d = -+2c a double root
+        sys = TridiagonalSystem(Stencil(c, d, 1.0, 0.0, 0.0, 1.0), np.ones(3))
+        assert sys.root == pytest.approx(root, rel=1e-6, abs=0.0)
+        assert c * sys.root**2 + d * sys.root + c == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("k, n, path", [
         (2.0**5, 3**6, "corrected-kernel"),     # drift 3.7e-12
@@ -208,9 +253,14 @@ def _mp_solve(sys):
 
 class TestMpmathOracle:
     # (benchmark, n, kh): the smallest system, a kh near each end of the
-    # kernel path's range (fd keeps it up to kh < 2) and n = 2^10
+    # kernel-angle path's range (fd keeps it up to kh < 2) and n = 2^10; then
+    # fd's root path from its double root at kh = 2 (n a power of two, so
+    # that the assembled kh is exactly 2) through roots that all but meet
+    # to well separated ones
     CASES = [("sine2", 2, 0.5), ("box", 9, 0.05), ("sine2", 100, 1.0),
-             ("box", 100, 1.99), ("sine2", 2**10, 0.25), ("box", 2**10, 1.5)]
+             ("box", 100, 1.99), ("sine2", 2**10, 0.25), ("box", 2**10, 1.5),
+             ("sine2", 64, 2.0), ("box", 2**10, 2.0), ("sine2", 2**10, 2.0 + 1e-12),
+             ("box", 100, 2.01), ("box", 2**10, 2.5), ("sine2", 9, 3.0), ("box", 64, 10.0)]
 
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda kind: kind.value)
     @pytest.mark.parametrize("name, n, kh", CASES)
@@ -218,11 +268,19 @@ class TestMpmathOracle:
         p, _ = make_benchmark(name, kh * n)
         sys = assemble(p, n, kind)
         x_exact = _mp_solve(sys)
-        # The stored rows' rounding moves theta by about eps / |sin theta|,
-        # which over n steps bounds how far every path may drift.
-        bound = 4.0 * EPS * n / abs(math.sin(sys.theta))
+        if sys.theta is None:
+            # The root path's sums weigh about min(n, 1/gap) terms of the
+            # rhs, gap = 1 - |lambda|; on these cases elimination stays
+            # within the same bound.
+            bound = 4.0 * EPS * n / max(1.0, (1.0 - abs(sys.root)) * n)
+            paths = {"root": solve_tridiagonal}
+        else:
+            # The stored rows' rounding moves theta by about eps / |sin theta|,
+            # which over n steps bounds how far every path may drift.
+            bound = 4.0 * EPS * n / abs(math.sin(sys.theta))
+            paths = PATHS
         scale = np.max(np.abs(x_exact))
-        for path, solve in PATHS.items():
+        for path, solve in paths.items():
             err = np.max(np.abs(solve(sys) - x_exact)) / scale
             assert err <= bound, f"{path}: {err:.3e} > {bound:.3e}"
 
@@ -235,12 +293,12 @@ class TestMpmathOracle:
 def test_paths_match_dense_solve(kind, name, n, kh):
     p, _ = make_benchmark(name, kh * n)
     sys = assemble(p, n, kind)
-    a = sys.dense()
+    a = _dense(sys)
     x_dense = np.linalg.solve(a, sys.rhs)
     # forward error of a backward-stable solve: a small multiple of eps * cond(A)
     bound = 8.0 * EPS * np.linalg.cond(a)
     scale = np.max(np.abs(x_dense))
-    paths = PATHS if sys.theta is not None else {"thomas": PATHS["thomas"]}
+    paths = PATHS if sys.theta is not None else {"root": solve_tridiagonal}
     for path, solve in paths.items():
         err = np.max(np.abs(solve(sys) - x_dense)) / scale
         assert err <= bound, f"{path}: {err:.3e} > {bound:.3e}"
@@ -269,7 +327,7 @@ class TestResidual:
         rng = np.random.default_rng(13)
         sys = _random_system(rng, 50)
         x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        dense_res = np.max(np.abs(sys.dense() @ x - sys.rhs))
+        dense_res = np.max(np.abs(_dense(sys) @ x - sys.rhs))
         assert residual_inf_norm(sys, x) == pytest.approx(dense_res, rel=1e-12)
 
     def test_shape_check(self):
@@ -292,7 +350,7 @@ class TestStencilSystem:
             dense[i, i - 1:i + 2] = s.c, s.d, s.c
         dense[0, :2] = s.d0, s.u0
         dense[-1, -2:] = s.ln, s.dn
-        assert np.array_equal(sys.dense(), dense)
+        assert np.array_equal(_dense(sys), dense)
         for a in (sys.lower, sys.diag, sys.upper):
             assert not a.flags.writeable
 
@@ -424,6 +482,28 @@ class TestStreamedSolve:
         full = _unblocked_residual(sys, x)
         assert trisolve._residual(sys, x).tobytes() == full.tobytes()
         assert residual_inf_norm(sys, x) == float(np.max(np.abs(full)))
+
+    @pytest.mark.parametrize("m", [9, 181, 1000, 4097])
+    @pytest.mark.parametrize("correct", [False, True], ids=["bare", "corrected"])
+    def test_one_block_path_matches_streamed_solve_bitwise(self, monkeypatch, m, correct):
+        # The straight-line path of a system that fits one block against the
+        # streamed path, which takes that system once BLOCK is smaller than
+        # it; the residual and the max-abs reductions as well.
+        rng = np.random.default_rng(m)
+        theta = float(rng.uniform(1e-3, 3.1))
+        c = complex(*rng.standard_normal(2))
+        ends = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta)
+        outputs, n_blocks = [], []
+        for block in (trisolve.BLOCK, 8):
+            monkeypatch.setattr(trisolve, "BLOCK", block)
+            n_blocks.append(-(-m // _block_length(m)))
+            x = trisolve._solve_kernel(sys, correct)
+            outputs.append([x.tobytes(), trisolve._residual(sys, x).tobytes(),
+                            residual_inf_norm(sys, x), trisolve.max_abs(x)])
+        assert n_blocks[0] == 1 and n_blocks[1] > 1
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("at", [0, 1, trisolve.BLOCK - 1, trisolve.BLOCK,
                                     2 * trisolve.BLOCK + 7, 3 * trisolve.BLOCK + 4])
