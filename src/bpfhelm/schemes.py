@@ -63,6 +63,9 @@ class HelmholtzProblem:
         if not (math.isfinite(self.k) and math.isfinite(self.L)) or self.k <= 0 or self.L <= 0:
             raise ValueError("wavenumber and domain length must be finite and positive, "
                              f"got k = {self.k!r}, L = {self.L!r}")
+        if not (cmath.isfinite(self.g0) and cmath.isfinite(self.gL)):
+            raise ValueError("impedance data must be finite, "
+                             f"got g0 = {self.g0!r}, gL = {self.gL!r}")
 
 
 def _check_flux_weights(k: float, h: float) -> tuple[complex, complex]:
@@ -136,8 +139,11 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
 
     The system keeps (w/h^2, kk - 2w/h^2) and the four boundary entries as
     its stencil; lower, diag and upper are built from them when read. The
-    source is sampled straight into the right-hand side.
+    source is sampled straight into the right-hand side. A kind that is not
+    a SchemeKind (such as the string "bpf") raises TypeError.
     """
+    if not isinstance(kind, SchemeKind):
+        raise TypeError(f"kind must be a SchemeKind, got {kind!r}")
     _check_tol(tol)
     grid = make_grid(p.L, n)
     h = grid.h

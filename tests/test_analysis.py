@@ -1,11 +1,13 @@
 """Verification layer: residuals, multipliers, bounds, convergence studies."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bpfhelm import analysis
 from bpfhelm.analysis import (
     CheckResult,
     boundary_multiplier,
@@ -21,9 +23,9 @@ from bpfhelm.analysis import (
     interior_residual,
     l2_norm_quad,
     residual_report,
-    sample_multipliers,
     stability_bound_check,
     verify_identities,
+    verify_multipliers,
 )
 from bpfhelm.errors import NearNyquist, NearResonantFrequency
 from bpfhelm.grid import GridFunction, make_grid, norm_l2h, norm_v, sample
@@ -141,12 +143,25 @@ class TestInteriorMultiplier:
     def test_bound_on_log_grid(self):
         k, h, L = 2.0**5, 2.0**-7, 1.0
         xi_grid = np.logspace(math.log10(math.pi / L), math.log10(1e3 * k), 1000)
-        for s in sample_multipliers(k, h, L, xi_grid, "interior"):
-            assert abs(s.value) <= s.bound * (1.0 + 1e-10)
+        xi_grid = xi_grid[np.abs(xi_grid * xi_grid - k * k) > 1e-12 * k * k]
+        values = interior_multiplier(xi_grid, h, k)
+        assert np.all(np.abs(values) <= interior_multiplier_bound(xi_grid, h, k) * (1.0 + 1e-10))
 
     def test_resonance_guard(self):
         with pytest.raises(NearResonantFrequency):
             interior_multiplier(5.0, 0.1, 5.0)
+
+    def test_resonance_guard_on_any_element(self):
+        with pytest.raises(NearResonantFrequency, match="k = 5.0"):
+            interior_multiplier(np.array([1.0, 2.0, 5.0, 9.0]), 0.1, 5.0)
+
+    def test_array_matches_scalar_calls_bitwise(self):
+        k, h = 37.3, 0.05
+        xi = np.logspace(0.0, 4.0, 2000)
+        for fn in (interior_multiplier, interior_multiplier_bound):
+            values = fn(xi, h, k)
+            assert values.shape == xi.shape
+            assert np.array_equal(values, [fn(float(x), h, k) for x in xi])
 
     def test_bound_formula(self):
         k, h = 4.0, 0.1
@@ -177,8 +192,38 @@ class TestBoundaryMultiplier:
     def test_bound_on_log_grid(self):
         k, h, L = 2.0**6, 2.0**-8, 1.0
         xi_grid = np.logspace(math.log10(math.pi / L), math.log10(1e3 * k), 1000)
-        for s in sample_multipliers(k, h, L, xi_grid, "boundary"):
-            assert abs(s.value) <= s.bound * (1.0 + 1e-10)
+        values = boundary_multiplier(xi_grid, h, k, L)
+        assert np.all(np.abs(values)
+                      <= boundary_multiplier_bound(xi_grid, h, k, L) * (1.0 + 1e-10))
+
+    @pytest.mark.parametrize("k", [37.3, 4.1])  # kh 1.9, 0.2: both _sinc_sqrt_derivative branches
+    def test_array_matches_scalar_calls_bitwise(self, k):
+        h, L = 0.05, 2.0
+        xi = np.concatenate([np.logspace(0.0, 4.0, 2000), k + np.linspace(-3e-3, 3e-3, 601)])
+        for fn in (boundary_multiplier, boundary_multiplier_bound):
+            values = fn(xi, h, k, L)
+            assert values.shape == xi.shape
+            assert np.array_equal(values, [fn(float(x), h, k, L) for x in xi])
+
+    def test_array_across_removable_point_takes_series_branch(self):
+        # elements with |xi - k| h < 1e-4, xi = k exactly among them, take the
+        # series branch; the quotient they skip would be 0/0 at xi = k, and a
+        # RuntimeWarning is an error in this suite
+        k, h, L = 12.0, 0.01, 1.0
+        xi = np.append(k + np.linspace(-2e-2, 2e-2, 41), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = boundary_multiplier(xi, h, k, L)
+        assert np.all(np.isfinite(values))
+        near = np.abs(xi - k) * h < 1e-4
+        assert 3 <= np.count_nonzero(near) < xi.size
+        assert values[-1] == boundary_multiplier(k, h, k, L)
+        # oracle: the difference quotient itself, away from xi = k, where its
+        # cancellation costs about 1e-10 relative
+        off = xi != k
+        quotient = (math.sqrt(2.0 / L) * ((k / math.sin(k * h)) * np.sin(xi[off] * h) - xi[off])
+                    / (xi[off] ** 2 - k * k))
+        assert np.max(np.abs(values[off] - quotient)) <= 1e-8 * np.max(np.abs(quotient))
 
     def test_bound_formula(self):
         k, h, L = 4.0, 0.1, 1.0
@@ -299,8 +344,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="closed form"):
             convergence_study(name, SchemeKind.BPF, 4.0, [8, 16], n_ref=64)
 
+    @pytest.mark.parametrize("name", ["smooth", "box"])
+    def test_rejects_kind_that_is_not_a_scheme_kind(self, name):
+        # "bpf" used to run as fd-dc and report fd-dc rates; box takes the
+        # fine-reference path, smooth its closed form
+        with pytest.raises(TypeError, match="SchemeKind"):
+            convergence_study(name, "bpf", 8.0, [27, 81] if name == "box" else [16, 32])
+
     def test_fine_reference_defaults_to_registry(self, monkeypatch):
-        from bpfhelm import analysis
         from bpfhelm.reference import BENCHMARKS, clear_reference_cache
         clear_reference_cache()
         factory, _ = BENCHMARKS["box"]
@@ -395,3 +446,24 @@ class TestVerifySuites:
         assert "bernoulli_reflection" in names
         assert "discrete_energy_identity" in names
         assert "envelope_sup_g" in names
+
+    def test_multipliers_guard_each_pair_once(self, monkeypatch):
+        # 20 (k, h) pairs: one nyquist_guard call per multiplier family and
+        # one theta call per multiplier or bound that needs Theta(kh); the
+        # per-frequency loop this replaced made 40,000 and 60,000 calls
+        calls = {"nyquist_guard": 0, "theta": 0}
+
+        def spy(name):
+            original = getattr(analysis, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(analysis, name, spy(name))
+        checks = verify_multipliers(seed=0)
+        assert len(checks) == 40 and all(c.passed for c in checks)
+        assert calls["nyquist_guard"] <= 40
+        assert calls["theta"] <= 60

@@ -233,6 +233,18 @@ class TestHelmholtzProblem:
         with pytest.raises(ValueError):
             HelmholtzProblem(1.0, L, lambda x: np.zeros_like(np.asarray(x)), 0j, 0j)
 
+    @pytest.mark.parametrize("g0, gL", [(math.nan, 1j), (0j, complex(0.0, math.inf))],
+                             ids=["nan-g0", "inf-gL"])
+    def test_rejects_non_finite_impedance_data(self, g0, gL):
+        # used to construct, and the solve then ran to its end before
+        # NonFiniteSample named a NaN grid function
+        with pytest.raises(ValueError, match="impedance data must be finite"):
+            HelmholtzProblem(8.0, 1.0, lambda x: np.zeros_like(np.asarray(x)), g0, gL)
+
+    def test_plane_wave_with_non_finite_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="impedance data must be finite"):
+            plane_wave_problem(8.0, math.nan, 1.0)
+
     @pytest.mark.parametrize("kind", list(SchemeKind))
     def test_non_finite_source_rejected(self, kind):
         p = HelmholtzProblem(4.0, 1.0, lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.0),
@@ -324,6 +336,15 @@ class TestSolveScheme:
         finally:
             tracemalloc.stop()
         assert peak <= arrays * 16 * (n + 1)
+
+    @pytest.mark.parametrize("kind", ["bpf", "fd", None, 3])
+    def test_rejects_kind_that_is_not_a_scheme_kind(self, kind):
+        # every such kind used to be solved as fd-dc, bitwise
+        p, _ = sine_squared_problem(8.0)
+        with pytest.raises(TypeError, match="SchemeKind"):
+            solve_scheme(p, 64, kind)
+        with pytest.raises(TypeError, match="SchemeKind"):
+            assemble(p, 64, kind)
 
     @pytest.mark.parametrize("kind", list(SchemeKind))
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
