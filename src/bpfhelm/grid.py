@@ -34,10 +34,14 @@ class UniformGrid:
 
 
 def make_grid(L: float, n: int) -> UniformGrid:
-    """Validated grid constructor; requires L > 0 and n >= 2."""
+    """Validated grid constructor; requires L > 0 and a whole n >= 2."""
     if not (L > 0) or not np.isfinite(L):
         raise InvalidGrid(f"domain length must be positive and finite, got {L!r}")
-    if int(n) != n or n < 2:
+    try:
+        whole = int(n) == n
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+        whole = False
+    if not whole or n < 2:
         raise InvalidGrid(f"need an integer subinterval count >= 2, got {n!r}")
     return UniformGrid(float(L), int(n))
 

@@ -1,17 +1,17 @@
-"""Scalar special functions and wavenumber-dependent constants.
+"""Special functions and wavenumber-dependent constants.
 
-Everything here is a pure function of real/complex scalars: the Bernoulli
-function B(z) = z/(e^z - 1) that generates the one-way flux weights, the
+Everything here is a pure function: the Bernoulli function
+B(z) = z/(e^z - 1) that generates the one-way flux weights, the
 phase-fitted stencil weight Theta(s) = s^2 / (4 sin^2(s/2)), the boundary
 correction factor m(s) = e^{-is/2} cos(s/2), the shifted wavenumber
-(2/h) sin(kh/2), and the stability envelope constant A0. Guards convert
+(2/h) sin(kh/2), and the stability envelope constant A0. B and m work
+elementwise on arrays; the rest, on the solve path, take scalars. Guards convert
 near-singular parameter choices (kh near pi*Z, s near 2*pi*Z) into typed
 exceptions instead of silently returning huge numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -35,45 +35,48 @@ def _check_tol(tol: float) -> None:
 
 def _distance_to_multiples(s: float, period: float) -> tuple[float, int]:
     """Distance from s to the nearest multiple of `period`, and that multiple."""
+    if not math.isfinite(s):
+        raise ValueError(f"argument must be finite, got {s!r}")
     m = round(s / period)
     return abs(s - m * period), m
 
 
-def _cexpm1(z: complex) -> complex:
-    """e^z - 1 with full relative accuracy for small |z|.
+def _cexpm1(z):
+    """e^z - 1 with full relative accuracy for small |z|, elementwise.
 
     Splits into real/imaginary parts so that the cancellation in
     e^x cos y - 1 is performed analytically:
         e^z - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y.
     """
-    x, y = z.real, z.imag
-    re = math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
-    im = math.exp(x) * math.sin(y)
-    return complex(re, im)
+    x, y = np.real(z), np.imag(z)
+    half_sin = np.sin(0.5 * y)
+    return np.expm1(x) * np.cos(y) - 2.0 * half_sin * half_sin + 1j * (np.exp(x) * np.sin(y))
 
 
-def _bernoulli_series(z: complex) -> complex:
+def _bernoulli_series(z):
     # Taylor series of z/(e^z-1); next omitted term is z^6/30240.
     z2 = z * z
     return 1.0 - 0.5 * z + z2 / 12.0 - z2 * z2 / 720.0
 
 
-def _bernoulli_closed(z: complex) -> complex:
+def _bernoulli_closed(z):
     return z / _cexpm1(z)
 
 
-def bernoulli(z: complex) -> complex:
-    """Bernoulli function B(z) = z/(e^z - 1), with B(0) = 1.
+def bernoulli(z):
+    """Bernoulli function B(z) = z/(e^z - 1), with B(0) = 1, elementwise.
 
     Uses a 4-term Taylor series below |z| = 1e-3 and the closed form above;
     both branches carry >= 13 correct digits so the crossover is seamless.
-    Total on finite inputs: the poles at 2*pi*i*Z (excluding 0) are the
-    caller's responsibility (see theta / apply_one_way_*).
+    Finite where Re z < 709 (e^z overflows above), except at the poles
+    2*pi*i*Z minus 0, which are the caller's responsibility (see theta).
     """
-    z = complex(z)
-    if abs(z) < BERNOULLI_SERIES_THRESHOLD:
-        return _bernoulli_series(z)
-    return _bernoulli_closed(z)
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < BERNOULLI_SERIES_THRESHOLD
+    # each branch runs at a stand-in where it is not taken (closed form: 0/0 at 0)
+    series = _bernoulli_series(np.where(small, z, 0.0))
+    closed = _bernoulli_closed(np.where(small, 1.0, z))
+    return np.where(small, series, closed)[()]  # [()]: a scalar for scalar z
 
 
 def theta(s: float, tol: float = GUARD_TOL) -> float:
@@ -96,9 +99,9 @@ def theta(s: float, tol: float = GUARD_TOL) -> float:
     return s * s / (4.0 * half_sin * half_sin)
 
 
-def phase_factor_m(s: float) -> complex:
-    """Boundary correction factor m(s) = e^{-is/2} cos(s/2); nonzero on (0, pi)."""
-    return cmath.exp(-0.5j * s) * math.cos(0.5 * s)
+def phase_factor_m(s):
+    """Boundary correction factor m(s) = e^{-is/2} cos(s/2), elementwise; nonzero on (0, pi)."""
+    return np.exp(-0.5j * s) * np.cos(0.5 * s)
 
 
 def shifted_wavenumber(k: float, h: float, tol: float = GUARD_TOL) -> float:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bpfhelm import analysis
+from bpfhelm import analysis, numerics, schemes
 from bpfhelm.analysis import (
     CheckResult,
     boundary_multiplier,
@@ -26,6 +26,7 @@ from bpfhelm.analysis import (
     stability_bound_check,
     verify_identities,
     verify_multipliers,
+    verify_stability,
 )
 from bpfhelm.errors import NearNyquist, NearResonantFrequency
 from bpfhelm.grid import GridFunction, make_grid, norm_l2h, norm_v, sample
@@ -467,3 +468,63 @@ class TestVerifySuites:
         assert len(checks) == 40 and all(c.passed for c in checks)
         assert calls["nyquist_guard"] <= 40
         assert calls["theta"] <= 60
+
+    def test_identities_evaluate_bernoulli_on_arrays(self, monkeypatch):
+        # the per-point loops this replaced made 20,730 bernoulli and 203
+        # phase_factor_m calls per run; now each check makes a few array
+        # calls, and the one-way operators two scalar calls each
+        calls = {"bernoulli": 0, "phase_factor_m": 0}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        spy(analysis, "bernoulli")
+        spy(schemes, "bernoulli")
+        spy(analysis, "phase_factor_m")
+        assert all(c.passed for c in verify_identities(seed=0))
+        assert calls["bernoulli"] <= 40
+        assert calls["phase_factor_m"] <= 4
+
+    def test_nan_bernoulli_sample_fails_its_checks(self, monkeypatch):
+        # one NaN among the 10,000 reflection samples: Python's max used to
+        # drop it and report the worst finite mismatch
+        spoiled = []
+
+        def bernoulli_with_one_nan(z):
+            b = np.array(numerics.bernoulli(z))
+            if not spoiled:  # the first sample of the first call
+                b.flat[0] = complex(math.nan, 0.0)
+                spoiled.append(True)
+            return b[()]
+
+        monkeypatch.setattr(analysis, "bernoulli", bernoulli_with_one_nan)
+        checks = {c.name: c for c in verify_identities(seed=0)}
+        for name in ("bernoulli_reflection", "bernoulli_difference"):
+            assert math.isnan(checks[name].value) and not checks[name].passed
+        assert checks["theta_matches_bernoulli"].passed
+
+    def test_nan_energy_identity_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(analysis, "energy_identity_mismatch", lambda p, u_h: math.nan)
+        checks = {c.name: c for c in verify_identities(seed=0)}
+        assert math.isnan(checks["discrete_energy_identity"].value)
+        assert not checks["discrete_energy_identity"].passed
+
+    def test_nan_stability_ratio_fails_its_check(self, monkeypatch):
+        # the second solve of the first (benchmark, k) cell reports a NaN lhs
+        original = analysis.stability_bound_check
+        calls = []
+
+        def nan_on_second_call(p, u_h):
+            calls.append(None)
+            report = original(p, u_h)
+            return replace(report, lhs_l2=math.nan) if len(calls) == 2 else report
+
+        monkeypatch.setattr(analysis, "stability_bound_check", nan_on_second_call)
+        failed = [c for c in verify_stability() if not c.passed]
+        assert [c.name for c in failed] == ["stability_l2_planewave_k5"]
+        assert math.isnan(failed[0].value)

@@ -43,6 +43,16 @@ class TestMakeGrid:
         with pytest.raises(InvalidGrid):
             make_grid(-2.0, 8)
 
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 8.5, "8", None],
+                             ids=["inf", "-inf", "nan", "fraction", "string", "none"])
+    def test_invalid_count(self, n):
+        # int(n) overflows on inf and raises a plain ValueError on NaN
+        with pytest.raises(InvalidGrid, match="integer subinterval count"):
+            make_grid(1.0, n)
+
+    def test_whole_float_count(self):
+        assert make_grid(1.0, 8.0) == make_grid(1.0, 8)
+
     def test_endpoint_exact(self):
         g = make_grid(1.0, 729)
         assert g.nodes()[-1] == 1.0

@@ -1,13 +1,16 @@
-"""Scalar special functions: values, identities, guards."""
+"""Special functions: values, identities, elementwise evaluation, guards."""
 
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from bpfhelm.errors import NearNyquist, SingularParameter
 from bpfhelm.numerics import (
+    BERNOULLI_SERIES_THRESHOLD,
     _bernoulli_closed,
     _bernoulli_series,
     bernoulli,
@@ -18,6 +21,8 @@ from bpfhelm.numerics import (
     stability_constant_a0,
     theta,
 )
+
+EPS = np.finfo(float).eps
 
 
 class TestBernoulli:
@@ -65,6 +70,47 @@ class TestBernoulli:
         expected = 1.0 - z / 2.0 + z * z / 12.0 - z**4 / 720.0
         assert bernoulli(z) == expected
 
+    @staticmethod
+    def _disk_and_series_points(seed):
+        # random points of |z| <= 10 and of the series disk |z| < 1e-3
+        rng = np.random.default_rng(seed)
+        radius = np.concatenate([10.0 * np.ones(400), 1e-3 * np.ones(100)])
+        return radius * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * math.pi * rng.uniform(0, 1, 500))
+
+    def test_array_matches_scalar_calls(self):
+        z = self._disk_and_series_points(21)
+        got = bernoulli(z)
+        expected = np.array([bernoulli(complex(v)) for v in z])
+        assert got.shape == z.shape
+        assert np.all(np.abs(got - expected) <= 4 * EPS * np.abs(expected))
+
+    def test_matches_mpmath(self):
+        # 40-digit z/(e^z - 1) at the same float inputs; the bound scales with
+        # the condition number |z|/dist(z, poles) near the poles +-2*pi*i
+        z = self._disk_and_series_points(22)
+        with mpmath.workdps(40):
+            exact = np.array([complex(mpmath.mpc(v) / mpmath.expm1(mpmath.mpc(v))) for v in z])
+        dist = np.minimum(np.abs(z - 2j * math.pi), np.abs(z + 2j * math.pi))
+        cond = np.maximum(1.0, np.abs(z) / dist)
+        assert np.all(np.abs(bernoulli(z) - exact) <= 8 * EPS * cond * np.abs(exact))
+
+    def test_array_with_zero_across_threshold_raises_no_warning(self):
+        t = BERNOULLI_SERIES_THRESHOLD
+        mags = np.array([0.0, t * (1 - 1e-12), t, t * (1 + 1e-12), 0.5 * t, 2 * t])
+        z = np.concatenate([mags, 1j * mags, -mags, mags * cmath.exp(0.7j)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bernoulli(z)
+        assert got[0] == 1.0
+        expected = np.array([bernoulli(complex(v)) for v in z])
+        assert np.all(np.abs(got - expected) <= 4 * EPS * np.abs(expected))
+
+    def test_scalar_input_gives_complex_scalar(self):
+        for z in (0, 0.0, 1e-4, 2.5, 1j, np.complex128(3 - 1j)):
+            b = bernoulli(z)
+            assert np.ndim(b) == 0 and isinstance(b, complex)
+        assert bernoulli(0) == 1.0
+
 
 class TestTheta:
     def test_limit_at_zero(self):
@@ -100,6 +146,13 @@ class TestTheta:
 
 
 class TestPhaseFactor:
+    def test_array_matches_scalar_calls(self):
+        s = np.linspace(-7.0, 7.0, 301)
+        got = phase_factor_m(s)
+        assert np.ndim(phase_factor_m(0.3)) == 0 and isinstance(phase_factor_m(0.3), complex)
+        expected = np.array([phase_factor_m(float(v)) for v in s])
+        assert np.all(np.abs(got - expected) <= 4 * EPS * np.abs(expected))
+
     def test_values(self):
         assert phase_factor_m(0.0) == 1.0
         assert abs(phase_factor_m(math.pi)) <= 1e-16
@@ -204,6 +257,21 @@ class TestNyquistGuard:
                 nyquist_guard(1.0, 1.0, tol=tol)
             with pytest.raises(ValueError):
                 theta(1.0, tol)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("call", [
+        lambda v: theta(v),
+        lambda v: nyquist_guard(v, 1.0),
+        lambda v: shifted_wavenumber(v, 1.0),
+        lambda v: stability_constant_a0(v, 1.0, 1.0),
+    ], ids=["theta", "nyquist_guard", "shifted_wavenumber", "stability_constant_a0"])
+    def test_rejected_with_value_named(self, call, value):
+        # checked before the guard's rounding, which overflows on inf and
+        # rejects NaN with a message that names no argument
+        with pytest.raises(ValueError, match=f"must be finite, got {value!r}"):
+            call(value)
 
 
 class TestEnvelopeDerivatives:

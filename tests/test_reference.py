@@ -10,7 +10,8 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from bpfhelm.errors import ResonantSource
-from bpfhelm.grid import make_grid, sample
+from bpfhelm.analysis import _simpson
+from bpfhelm.grid import make_grid, restrict, sample
 from bpfhelm.numerics import GUARD_TOL
 from bpfhelm.reference import (
     box_source_problem,
@@ -22,7 +23,7 @@ from bpfhelm.reference import (
     smooth_manufactured_problem,
     smooth_source_derivatives,
 )
-from bpfhelm.schemes import SchemeKind
+from bpfhelm.schemes import SchemeKind, solve_scheme
 
 
 def pde_residual_check(p, exact):
@@ -194,6 +195,50 @@ class TestBoxSource:
         x = np.linspace(0, 1, 11)
         vals = np.asarray(p.f(x))
         assert vals.shape == x.shape
+
+
+class TestGreensFunction:
+    """u(x) = int G(x, y) f(y) dy + gL e^{-ikL}/(2ik) e^{ikx} - g0/(2ik) e^{-ikx}
+    on (0, 1), with G(x, y) = (i/2k) e^{-ik|x-y|}: G meets both homogeneous
+    impedance conditions and its derivative jumps by 1 at x = y."""
+
+    @staticmethod
+    def _boundary_part(p, x):
+        k = p.k
+        return (p.gL * cmath.exp(-1j * k) / (2j * k) * np.exp(1j * k * x)
+                - p.g0 / (2j * k) * np.exp(-1j * k * x))
+
+    @pytest.mark.parametrize("k", [8.0, 32.0])
+    def test_sine2_closed_form(self, k):
+        p, exact = sine_squared_problem(k)
+        x = np.linspace(0.0, 1.0, 17)[1:-1]
+        panels = 2**14  # composite Simpson, split at y = x where G has its kink
+        u = []
+        for xi in x:
+            integral = 0.0
+            for a, b in ((0.0, xi), (xi, 1.0)):
+                y = np.linspace(a, b, panels + 1)
+                g = 1j / (2.0 * k) * np.exp(-1j * k * np.abs(xi - y)) * p.f(y)
+                integral += _simpson(g, (b - a) / panels)
+            u.append(integral)
+        u = np.array(u) + self._boundary_part(p, x)
+        ref = exact.u(x)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [8.0, 32.0])
+    def test_box_closed_form_matches_fine_solve(self, k):
+        # The source is 50 on [lo, hi]; the integral splits at the clipped x
+        # into a part with y < x and a part with y > x, each an exponential.
+        p = box_source_problem(k)
+        lo, hi = 0.5 - 1.0 / 9.0, 0.5 + 1.0 / 9.0
+        grid = make_grid(1.0, 27)
+        x = grid.nodes()
+        c = np.clip(x, lo, hi)
+        below = np.exp(-1j * k * (x - c)) - np.exp(-1j * k * (x - lo))
+        above = np.exp(-1j * k * (c - x)) - np.exp(-1j * k * (hi - x))
+        u = 50.0 * 1j / (2.0 * k) * (below + above) / (1j * k) + self._boundary_part(p, x)
+        fine = restrict(solve_scheme(p, 3**12, SchemeKind.BPF), grid)
+        assert np.max(np.abs(fine.values - u)) <= 1e-9 * np.max(np.abs(u))
 
 
 class TestFineGridReference:
