@@ -55,11 +55,20 @@ def _fmt(x: float) -> str:
 
 
 def positive(text: str) -> float:
-    """Parse a wavenumber or a tolerance, rejecting NaN, infinities and x <= 0."""
+    """Parse a tolerance, rejecting NaN, infinities and x <= 0."""
     x = float(text)
     if not math.isfinite(x) or x <= 0:
         raise ValueError(f"must be finite and positive, got {text!r}")
     return x
+
+
+def wavenumber(text: str) -> float:
+    """Parse a wavenumber: finite and positive, with a square k^2 that does
+    not overflow (k up to about 1.34e154)."""
+    k = positive(text)
+    if not math.isfinite(k * k):
+        raise ValueError(f"must have a finite square, got {text!r}")
+    return k
 
 
 def non_negative(text: str) -> int:
@@ -190,7 +199,7 @@ def cmd_table(args) -> int:
     the registry's resolution), which every n must divide; that is checked
     before anything is solved. The diagonal summary reads the closed-form
     matrix."""
-    k_list = _parse_list(args.k_list, positive)
+    k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args)
     if len(set(k_list)) < len(k_list) or len(set(n_list)) < len(n_list):
         raise UsageError("table needs each wavenumber and each mesh size given once")
@@ -227,7 +236,7 @@ def cmd_compare(args) -> int:
     without a closed form is measured against one fine-grid BPF reference
     per pair at the registry's resolution, shared by the three schemes; every
     n must divide that resolution, which is checked before anything is solved."""
-    k_list = _parse_list(args.k_list, positive)
+    k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args)
     if len(k_list) != len(n_list):
         raise UsageError(f"{len(k_list)} wavenumbers but {len(n_list)} mesh sizes")
@@ -279,12 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help=None):
+    def common(p, seed_help=None, solves=True):
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         if seed_help:
             p.add_argument("--seed", type=non_negative, default=0, help=seed_help)
-        p.add_argument("--nyquist-tol", type=positive, default=1e-8,
-                       help="relative guard distance from kh in pi*Z")
+        if solves:
+            p.add_argument("--nyquist-tol", type=positive, default=1e-8,
+                           help="relative guard distance from kh in pi*Z")
 
     def mesh_lists(p):
         group = p.add_mutually_exclusive_group()
@@ -292,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--h-list", default=None, help="comma-separated mesh sizes (L=1)")
 
     p = sub.add_parser("exactness", help="plane-wave reproduction test")
-    p.add_argument("--k", type=positive, required=True)
+    p.add_argument("--k", type=wavenumber, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_exactness)
 
     p = sub.add_parser("convergence", help="mesh-refinement study")
-    p.add_argument("--k", type=positive, required=True)
+    p.add_argument("--k", type=wavenumber, required=True)
     mesh_lists(p)
     p.add_argument("--n", type=int, default=None,
                    help="fine-reference resolution override (box benchmark)")
@@ -326,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    common(p, seed_help="seed for randomized checks")
+    common(p, seed_help="seed for randomized checks", solves=False)
     p.set_defaults(func=cmd_verify)
 
     return parser

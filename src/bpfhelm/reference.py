@@ -6,10 +6,14 @@ Four benchmark problems on (0, 1):
   beta e^{-ikx}; data derived from the coefficients.
 * ``smooth`` -- manufactured u = e^{ikx} + x^4 (1-x)^4, polynomial source
   with f = f' = 0 at both endpoints.
-* ``sine2`` -- source sin^2(pi x) with data g0 = 2, gL = i; solved in
-  closed form by undetermined coefficients.
+* ``sine2`` -- source sin^2(pi x) with data g0 = 2, gL = i; particular part
+  by undetermined coefficients, wave amplitudes from the impedance data.
 * ``box`` -- piecewise-constant source 50 * 1_{|x-1/2| <= 1/9}; no closed
   form, compared against a fine-grid solve cached for its last arguments.
+
+Each closed form is a particular solution u_p plus the two plane waves
+e^{+-ikx}, which span the kernel of u'' + k^2 u; `_plane_wave_solution`
+builds u, u' and u'' from u_p and the two amplitudes.
 """
 
 from __future__ import annotations
@@ -40,6 +44,34 @@ class ExactSolution:
     u_doubleprime: Callable
 
 
+def _plane_wave_solution(k: float, alpha: complex, beta: complex,
+                         particular: tuple = (lambda x: 0.0,) * 3) -> ExactSolution:
+    """u = u_p + alpha e^{ikx} + beta e^{-ikx} and its first two derivatives,
+    where `particular` holds u_p, u_p' and u_p''. The two waves span the
+    kernel of u'' + k^2 u; each call evaluates e^{ikx} once and takes
+    e^{-ikx} as its conjugate."""
+    u_p, u_p1, u_p2 = particular
+
+    def waves(x):
+        x = np.asarray(x)
+        e = np.exp(1j * k * x)
+        return x, alpha * e, beta * e.conjugate()
+
+    def u(x):
+        x, a, b = waves(x)
+        return u_p(x) + a + b
+
+    def u_prime(x):
+        x, a, b = waves(x)
+        return u_p1(x) + 1j * k * (a - b)
+
+    def u_doubleprime(x):
+        x, a, b = waves(x)
+        return u_p2(x) - k * k * (a + b)
+
+    return ExactSolution(u, u_prime, u_doubleprime)
+
+
 def plane_wave_problem(k: float, alpha: complex,
                        beta: complex) -> tuple[HelmholtzProblem, ExactSolution]:
     """Homogeneous problem on (0, 1) with exact solution alpha e^{ikx} + beta e^{-ikx}."""
@@ -47,19 +79,9 @@ def plane_wave_problem(k: float, alpha: complex,
     beta = complex(beta)
     g0 = -2j * k * beta
     gL = 2j * k * cmath.exp(1j * k) * alpha
-
-    def u(x):
-        return alpha * np.exp(1j * k * x) + beta * np.exp(-1j * k * x)
-
-    def u_prime(x):
-        return 1j * k * (alpha * np.exp(1j * k * x) - beta * np.exp(-1j * k * x))
-
-    def u_doubleprime(x):
-        return -k * k * u(x)
-
     problem = HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
                                g0, gL)
-    return problem, ExactSolution(u, u_prime, u_doubleprime)
+    return problem, _plane_wave_solution(k, alpha, beta)
 
 
 # Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis, and its first two
@@ -84,25 +106,12 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
     The source f = r'' + k^2 r vanishes to first order at both endpoints,
     so the boundary data reduce to g0 = 0 and gL = 2ik e^{ik}.
     """
-    r, r1, r2 = _R_POLY, _R1_POLY, _R2_POLY
     # Built first so that its finite/positive check on k runs before the
     # source's arithmetic; the source closure reads f_poly when called.
     problem = HelmholtzProblem(k, 1.0, lambda x: f_poly(np.asarray(x)),
                                0.0 + 0.0j, 2j * k * cmath.exp(1j * k))
     f_poly = _smooth_source(k)
-
-    def u(x):
-        return np.exp(1j * k * np.asarray(x)) + r(np.asarray(x))
-
-    def u_prime(x):
-        x = np.asarray(x)
-        return 1j * k * np.exp(1j * k * x) + r1(x)
-
-    def u_doubleprime(x):
-        x = np.asarray(x)
-        return -k * k * np.exp(1j * k * x) + r2(x)
-
-    return problem, ExactSolution(u, u_prime, u_doubleprime)
+    return problem, _plane_wave_solution(k, 1.0, 0.0, (_R_POLY, _R1_POLY, _R2_POLY))
 
 
 def smooth_source_derivatives(k: float) -> tuple[Callable, Callable, Callable]:
@@ -119,9 +128,11 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
 
     Undetermined coefficients give the particular part
         u_p = 1/(2 k^2) - cos(2 pi x) / (2 (k^2 - 4 pi^2)),
-    and a 2x2 solve fixes the homogeneous amplitudes from the impedance
-    data. Rejects wavenumbers resonant with the source (k^2 near 4 pi^2)
-    and the degenerate limit k near 0.
+    whose slope vanishes at x = 0 and x = 1, where it takes one value u_end.
+    The impedance data then fix the plane-wave amplitudes in closed form:
+    alpha = (gL - ik u_end) / (2ik e^{ik}) and beta = -(g0 + ik u_end) / (2ik).
+    Rejects wavenumbers resonant with the source (k^2 near 4 pi^2) and the
+    degenerate limit k near 0.
     """
     def f(x):
         return np.sin(math.pi * np.asarray(x)) ** 2 + 0.0j
@@ -136,39 +147,15 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
     if abs(denom) < 1e-8 * k * k:
         raise ResonantSource(f"k^2 = {k * k!r} resonates with the source frequency 2*pi")
 
+    c_mean = 1.0 / (2.0 * k * k)
     c_pole = 1.0 / (2.0 * denom)
-
-    def u_p(x):
-        return 1.0 / (2.0 * k * k) - np.cos(2.0 * math.pi * np.asarray(x)) * c_pole
-
-    def u_p_prime(x):
-        return math.pi * np.sin(2.0 * math.pi * np.asarray(x)) * 2.0 * c_pole
-
-    def u_p_doubleprime(x):
-        return TWO_PI_SQ * np.cos(2.0 * math.pi * np.asarray(x)) * c_pole
-
-    # Impedance traces of the homogeneous modes e^{+-ikx} at x = 0 and x = 1.
-    eik = cmath.exp(1j * k)
-    emik = cmath.exp(-1j * k)
-    mat = np.array([[0.0, -2j * k],
-                    [2j * k * eik, 0.0]], dtype=complex)
-    rhs = np.array([g0 - (u_p_prime(0.0) - 1j * k * u_p(0.0)),
-                    gL - (u_p_prime(1.0) + 1j * k * u_p(1.0))], dtype=complex)
-    alpha, beta = np.linalg.solve(mat, rhs)
-
-    def u(x):
-        x = np.asarray(x)
-        return u_p(x) + alpha * np.exp(1j * k * x) + beta * np.exp(-1j * k * x)
-
-    def u_prime(x):
-        x = np.asarray(x)
-        return u_p_prime(x) + 1j * k * (alpha * np.exp(1j * k * x) - beta * np.exp(-1j * k * x))
-
-    def u_doubleprime(x):
-        x = np.asarray(x)
-        return u_p_doubleprime(x) - k * k * (alpha * np.exp(1j * k * x) + beta * np.exp(-1j * k * x))
-
-    return problem, ExactSolution(u, u_prime, u_doubleprime)
+    particular = (lambda x: c_mean - np.cos(2.0 * math.pi * x) * c_pole,
+                  lambda x: math.pi * np.sin(2.0 * math.pi * x) * 2.0 * c_pole,
+                  lambda x: TWO_PI_SQ * np.cos(2.0 * math.pi * x) * c_pole)
+    u_end = c_mean - c_pole
+    alpha = (gL - 1j * k * u_end) / (2j * k * cmath.exp(1j * k))
+    beta = -(g0 + 1j * k * u_end) / (2j * k)
+    return problem, _plane_wave_solution(k, alpha, beta, particular)
 
 
 def box_source_problem(k: float) -> HelmholtzProblem:

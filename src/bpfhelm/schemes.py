@@ -50,7 +50,8 @@ class HelmholtzProblem:
     """u'' + k^2 u = f on (0, L) with impedance data at both endpoints.
 
     Boundary conditions: u'(0) - i k u(0) = g0 and u'(L) + i k u(L) = gL.
-    Frozen, so that a problem can key the fine-reference cache.
+    Frozen, so that a problem can key the fine-reference cache. A k whose
+    square overflows (above about 1.34e154) counts as not finite.
     """
 
     k: float
@@ -60,7 +61,8 @@ class HelmholtzProblem:
     gL: complex
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and math.isfinite(self.L)) or self.k <= 0 or self.L <= 0:
+        finite = math.isfinite(self.k * self.k) and math.isfinite(self.L)
+        if not finite or self.k <= 0 or self.L <= 0:
             raise ValueError("wavenumber and domain length must be finite and positive, "
                              f"got k = {self.k!r}, L = {self.L!r}")
         if not (cmath.isfinite(self.g0) and cmath.isfinite(self.gL)):

@@ -398,6 +398,34 @@ class TestUsageErrors:
         assert main(["exactness", "--k", "nan", "--n", "8"]) == 2
         assert "--k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--k", "1e200", "--n-list", "8,16", "--scheme", "fd"],
+        ["exactness", "--k", "1e308", "--n", "8"],
+        ["compare", "--k-list", "2e154", "--n-list", "8", "--benchmark", "smooth"],
+        ["table", "--k-list", "4,1.35e154", "--n-list", "4"],
+    ], ids=["convergence", "exactness", "compare", "table"])
+    def test_wavenumber_whose_square_overflows_rejected_by_parser(self, capsys, argv):
+        # k^2 overflows above about 1.34e154: the solve used to die with an
+        # OverflowError, a ValueError on the impedance data or a RuntimeWarning
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert "wavenumber" in lines[0] or "finite square" in lines[0]
+
+    def test_largest_wavenumbers_with_a_finite_square_parse(self):
+        assert cli.wavenumber("1.3e154") == 1.3e154
+        with pytest.raises(ValueError, match="finite square"):
+            cli.wavenumber("1.35e154")
+
+    @pytest.mark.parametrize("suite", ["identities", "multipliers", "residuals", "stability"])
+    def test_verify_rejects_nyquist_tol(self, capsys, suite):
+        # no verify suite reads a guard tolerance; it used to be accepted
+        # and ignored
+        assert main(["verify", suite, "--nyquist-tol", "0.5"]) == 2
+        assert "--nyquist-tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_nyquist_tol_must_be_finite_and_positive(self, capsys, tol):
         # nan would switch the guard off: k = 8*pi, n = 8 puts kh on pi

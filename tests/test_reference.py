@@ -5,10 +5,12 @@ import dataclasses
 import math
 import timeit
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from bpfhelm import reference
 from bpfhelm.errors import ResonantSource
 from bpfhelm.analysis import _simpson
 from bpfhelm.grid import make_grid, restrict, sample
@@ -53,6 +55,30 @@ class TestPlaneWave:
     def test_pure_outgoing_left_data(self):
         p, _ = plane_wave_problem(5.0, 1.0, 0.0)
         assert p.g0 == 0.0
+
+    @pytest.mark.parametrize("k", [0.5, 3.7, 2.0**5, 100.0, 1234.5])
+    def test_matches_two_wave_formula_bitwise(self, k):
+        # oracle: both waves evaluated with np.exp, as the closed form reads
+        alpha, beta = 2.0 + 0.5j, 1.0 - 0.25j
+        x = make_grid(1.0, 1000).nodes()
+        plus, minus = alpha * np.exp(1j * k * x), beta * np.exp(-1j * k * x)
+        expected = [plus + minus, 1j * k * (plus - minus), -k * k * (plus + minus)]
+        _, exact = plane_wave_problem(k, alpha, beta)
+        got = [exact.u(x), exact.u_prime(x), exact.u_doubleprime(x)]
+        for a, b in zip(got, expected):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_conjugate_wave_is_the_backward_wave_bitwise(self):
+        # the closed forms evaluate e^{ikx} once and take e^{-ikx} as its
+        # conjugate; that relies on numpy's complex exp being odd in the
+        # imaginary part. At x = 0 the two differ in the sign of a zero
+        # imaginary part only, which the amplitude products wash out.
+        x = np.concatenate([make_grid(1.0, 4096).nodes()[1:],
+                            np.random.default_rng(7).uniform(0.0, 1.0, 4096)])
+        for k in np.geomspace(0.1, 1e4, 200):
+            wave = np.exp(1j * k * x)
+            assert wave.conjugate().tobytes() == np.exp(-1j * k * x).tobytes()
+            assert np.exp(1j * k * 0.0).conjugate() == np.exp(-1j * k * 0.0)
 
     def test_pde_and_bc_residuals(self):
         p, exact = plane_wave_problem(2.0**6, 2.0, 1.0)
@@ -168,6 +194,57 @@ class TestSineSquared:
         ref = sample(exact.u, fine.grid)
         err = np.max(np.abs(fine.values - ref.values)) / np.max(np.abs(ref.values))
         assert err <= 1e-7  # h^2 floor of the discrete solve at n = 2^14
+
+    @staticmethod
+    def _amplitudes_mp(k):
+        """alpha and beta from a 40-digit solve of the two impedance
+        conditions, with the particular part u_p of the docstring."""
+        with mpmath.workdps(40):
+            k = mpmath.mpf(k)
+            ik = 1j * k
+            c_pole = 1 / (2 * (k * k - 4 * mpmath.pi**2))
+
+            def u_p(x):
+                return 1 / (2 * k * k) - mpmath.cos(2 * mpmath.pi * x) * c_pole
+
+            def u_p1(x):
+                return 2 * mpmath.pi * mpmath.sin(2 * mpmath.pi * x) * c_pole
+
+            # traces u' -+ ik u of e^{ikx} and e^{-ikx} at x = 0 and x = 1
+            e = mpmath.exp(ik)
+            mat = mpmath.matrix([[0, -2 * ik], [2 * ik * e, 0]])
+            rhs = mpmath.matrix([2 - (u_p1(0) - ik * u_p(0)),
+                                 1j - (u_p1(1) + ik * u_p(1))])
+            return mpmath.lu_solve(mat, rhs)
+
+    def test_amplitudes_match_mpmath(self, monkeypatch):
+        # Away from the resonance k = 2 pi, where k*k - 4 pi^2 cancels in
+        # float (about 1e3 eps within 0.01 of 2 pi), and above k = 3, below
+        # which alpha's numerator gL - ik u_p(1) cancels.
+        eps = np.finfo(float).eps
+        built = []
+        real_builder = reference._plane_wave_solution
+
+        def spy(k, alpha, beta, *rest):
+            built.append((alpha, beta))
+            return real_builder(k, alpha, beta, *rest)
+
+        monkeypatch.setattr(reference, "_plane_wave_solution", spy)
+        ks = np.geomspace(3.1, 3000.0, 120)
+        for k in ks[np.abs(ks - 2.0 * math.pi) > 0.75]:
+            sine_squared_problem(float(k))
+            alpha, beta = built.pop()
+            oracle = self._amplitudes_mp(float(k))
+            for got, want in zip((alpha, beta), oracle):
+                assert float(abs(got - want) / abs(want)) <= 4 * eps, k
+
+    def test_factory_cost(self):
+        # the amplitudes are two quotients: a call costs about 4 to 7 us on
+        # a 2-vCPU host against 23 to 37 us when a LAPACK 2x2 solve gave them
+        calls = 200
+        best = min(timeit.repeat(lambda: make_benchmark("sine2", 37.5),
+                                 number=calls, repeat=15)) / calls
+        assert best <= 20e-6
 
     def test_resonant_wavenumbers_rejected(self):
         with pytest.raises(ResonantSource):
@@ -344,6 +421,13 @@ class TestBenchmarkRegistry:
         # LinAlgError; every benchmark now fails HelmholtzProblem's check
         with pytest.raises(ValueError, match="finite and positive"):
             make_benchmark(name, k)
+
+    @pytest.mark.parametrize("name", ["planewave", "smooth", "box", "sine2"])
+    def test_wavenumber_whose_square_overflows_rejected(self, name):
+        # k^2 is inf above about 1.34e154; planewave and box used to build,
+        # and smooth's source coefficients raised a RuntimeWarning
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_benchmark(name, 2e154)
 
     def test_every_exact_solution_validates(self):
         for name in ("planewave", "smooth", "sine2"):

@@ -228,6 +228,18 @@ class TestHelmholtzProblem:
         with pytest.raises(ValueError):
             HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x)), 0j, 0j)
 
+    @pytest.mark.parametrize("k", [1.35e154, 1e200, 1e308])
+    def test_rejects_wavenumber_whose_square_overflows(self, k):
+        # assemble's k**2 used to raise OverflowError from inside the solve
+        with pytest.raises(ValueError, match="finite and positive"):
+            HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x)), 0j, 0j)
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_scheme(plane_wave_problem(k, 2.0, 1.0)[0], 8, SchemeKind.CLASSICAL_FD)
+
+    def test_accepts_largest_wavenumbers_with_a_finite_square(self):
+        p = HelmholtzProblem(1.3e154, 1.0, lambda x: np.zeros_like(np.asarray(x)), 0j, 0j)
+        assert math.isfinite(p.k * p.k)
+
     @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0])
     def test_rejects_bad_length(self, L):
         with pytest.raises(ValueError):
