@@ -395,7 +395,7 @@ def fit_rate(hs, errs) -> float:
 
 
 def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
-                      n_ref: int | None = None, tol: float = GUARD_TOL) -> ConvergenceTable:
+                      n_ref: int | None = None) -> ConvergenceTable:
     """Solve one benchmark over a strictly increasing list of subinterval
     counts and fit log-log rates of the relative max and V errors.
 
@@ -420,10 +420,10 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
         fine_grid = make_grid(problem.L, n_ref)
         for n in n_list:
             check_nested(fine_grid, make_grid(problem.L, n))
-        fine = fine_grid_reference(problem, n_ref, kind, tol)
+        fine = fine_grid_reference(problem, n_ref, kind)
 
     def run_cell(n: int) -> ConvergenceRow:
-        u_h = solve_scheme(problem, n, kind, tol)
+        u_h = solve_scheme(problem, n, kind)
         if fine is None:
             ref = sample(exact.u, u_h.grid)
         else:

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import VERIFY_SUITES, convergence_study, error_report
 from .errors import InvalidGrid, NonNestedGrids, NumericalGuardError
 from .grid import check_nested, make_grid, restrict, sample
-from .reference import BENCHMARKS, fine_grid_reference, make_benchmark, plane_wave_problem
+from .reference import BENCHMARKS, fine_grid_reference, make_benchmark
 from .schemes import SchemeKind, solve_scheme
 
 EXIT_OK = 0
@@ -54,20 +54,15 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def positive(text: str) -> float:
-    """Parse a tolerance, rejecting NaN, infinities and x <= 0."""
-    x = float(text)
-    if not math.isfinite(x) or x <= 0:
-        raise ValueError(f"must be finite and positive, got {text!r}")
-    return x
-
-
 def wavenumber(text: str) -> float:
     """Parse a wavenumber: finite and positive, with a square k^2 that does
-    not overflow (k up to about 1.34e154)."""
-    k = positive(text)
+    not overflow (k up to about 1.34e154). ArgumentTypeError, unlike
+    ValueError, keeps its reason in argparse's message."""
+    k = float(text)
+    if not math.isfinite(k) or k <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     if not math.isfinite(k * k):
-        raise ValueError(f"must have a finite square, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must have a finite square, got {text!r}")
     return k
 
 
@@ -75,14 +70,14 @@ def non_negative(text: str) -> int:
     """Parse a seed, which numpy's generators require to be an integer >= 0."""
     x = int(text)
     if x < 0:
-        raise ValueError(f"must be non-negative, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return x
 
 
 def _parse_list(text: str, cast):
     try:
         values = [cast(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad list {text!r}: {exc}") from None
     if not values:
         raise UsageError(f"empty list {text!r}")
@@ -140,8 +135,8 @@ def cmd_exactness(args) -> int:
     max-norm error; fails (exit 1) above 1e-12."""
     k = args.k
     n = args.n
-    problem, exact = plane_wave_problem(k, 2.0, 1.0)
-    u_h = solve_scheme(problem, n, SchemeKind.BPF, args.nyquist_tol)
+    problem, exact = make_benchmark("planewave", k)
+    u_h = solve_scheme(problem, n, SchemeKind.BPF)
     ref = sample(exact.u, u_h.grid)
     err = float(np.max(np.abs(u_h.values - ref.values)))
     lines = ["k,n,h,err_linf_abs",
@@ -160,8 +155,7 @@ def cmd_convergence(args) -> int:
     if args.n is not None and make_benchmark(args.benchmark, k)[1] is not None:
         raise UsageError(f"--n sets a fine reference, but {args.benchmark} is compared "
                          "against its closed form")
-    table = convergence_study(args.benchmark, kind, k, n_list, n_ref=args.n,
-                              tol=args.nyquist_tol)
+    table = convergence_study(args.benchmark, kind, k, n_list, n_ref=args.n)
     lines = ["k,h,err_linf_rel,err_v_rel"]
     for row in table.rows:
         lines.append(f"{_fmt(row.k)},{_fmt(row.h)},"
@@ -211,8 +205,8 @@ def cmd_table(args) -> int:
         problem, exact = make_benchmark("sine2", k)
         exact_row, fine_row = [], []
         for n in n_list:
-            u_h = solve_scheme(problem, n, SchemeKind.BPF, args.nyquist_tol)
-            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF, args.nyquist_tol)
+            u_h = solve_scheme(problem, n, SchemeKind.BPF)
+            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF)
             exact_row.append(error_report(u_h, sample(exact.u, u_h.grid), k).rel(args.norm))
             fine_row.append(error_report(u_h, restrict(fine, u_h.grid), k).rel(args.norm))
         matrices["exact"].append(exact_row)
@@ -249,9 +243,9 @@ def cmd_compare(args) -> int:
             check_nested(make_grid(problem.L, n_ref), make_grid(problem.L, n))
     for k, n, problem, exact in pairs:
         if exact is None:
-            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF, args.nyquist_tol)
+            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF)
         for kind in kinds:
-            u_h = solve_scheme(problem, n, kind, args.nyquist_tol)
+            u_h = solve_scheme(problem, n, kind)
             if exact is None:
                 ref = restrict(fine, u_h.grid)
             else:
@@ -288,13 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help=None, solves=True):
+    def common(p, seed_help=None):
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         if seed_help:
             p.add_argument("--seed", type=non_negative, default=0, help=seed_help)
-        if solves:
-            p.add_argument("--nyquist-tol", type=positive, default=1e-8,
-                           help="relative guard distance from kh in pi*Z")
 
     def mesh_lists(p):
         group = p.add_mutually_exclusive_group()
@@ -336,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    common(p, seed_help="seed for randomized checks", solves=False)
+    common(p, seed_help="seed for randomized checks")
     p.set_defaults(func=cmd_verify)
 
     return parser

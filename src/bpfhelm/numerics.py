@@ -18,19 +18,13 @@ import numpy as np
 
 from .errors import NearNyquist, SingularParameter
 
-# Default guard tolerance, relative to pi, for distances from the singular
-# sets pi*Z and 2*pi*Z. Keeps assembled condition numbers below ~1e8.
+# The guard tolerance, relative to pi, for distances from the singular sets
+# pi*Z and 2*pi*Z: the one place it is set, read by every guard. Keeps
+# assembled condition numbers below ~1e8.
 GUARD_TOL = 1e-8
 
 # Below this |z| the closed form of B(z) is replaced by its Taylor series.
 BERNOULLI_SERIES_THRESHOLD = 1e-3
-
-
-def _check_tol(tol: float) -> None:
-    # A NaN tolerance would compare false with every distance and switch the
-    # guard off; an infinite one would reject every parameter.
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _distance_to_multiples(s: float, period: float) -> tuple[float, int]:
@@ -79,19 +73,17 @@ def bernoulli(z):
     return np.where(small, series, closed)[()]  # [()]: a scalar for scalar z
 
 
-def theta(s: float, tol: float = GUARD_TOL) -> float:
+def theta(s: float) -> float:
     """Phase-fitted stencil weight Theta(s) = s^2 / (4 sin^2(s/2)).
 
     Theta(0) = 1 by continuity; on [0, pi] the value lies in [1, pi^2/4].
-    Raises SingularParameter when s is within guard tolerance of a nonzero
-    multiple of 2*pi, where Theta blows up, and ValueError when tol is not
-    finite and positive.
+    Raises SingularParameter when s is within GUARD_TOL*pi of a nonzero
+    multiple of 2*pi, where Theta blows up.
     """
-    _check_tol(tol)
     dist, m = _distance_to_multiples(s, 2.0 * math.pi)
-    if m != 0 and dist / math.pi <= tol:
+    if m != 0 and dist / math.pi <= GUARD_TOL:
         raise SingularParameter(
-            f"theta({s!r}): within tolerance {tol:g} of {m}*2*pi"
+            f"theta({s!r}): within tolerance {GUARD_TOL:g} of {m}*2*pi"
         )
     if abs(s) < 1e-100:
         return 1.0
@@ -104,13 +96,14 @@ def phase_factor_m(s):
     return np.exp(-0.5j * s) * np.cos(0.5 * s)
 
 
-def shifted_wavenumber(k: float, h: float, tol: float = GUARD_TOL) -> float:
+def shifted_wavenumber(k: float, h: float) -> float:
     """Shifted wavenumber (2/h) sin(kh/2) = k / sqrt(Theta(kh)).
 
     The standard three-point stencil with this wavenumber has exact symbol
-    at frequency k. Shares theta's guard against kh near 2*pi*Z.
+    at frequency k. Shares theta's guard against kh within GUARD_TOL*pi of
+    2*pi*Z.
     """
-    theta(k * h, tol)  # reject kh near nonzero multiples of 2*pi
+    theta(k * h)  # reject kh near nonzero multiples of 2*pi
     return 2.0 / h * math.sin(0.5 * k * h)
 
 
@@ -134,18 +127,16 @@ def stability_constant_a0(s: float, t: float, L: float) -> float:
     return L / math.sqrt(2.0 * th) * abs(sec) + L / (2.0 * t) * sec * sec
 
 
-def nyquist_guard(k: float, h: float, tol: float = GUARD_TOL) -> None:
-    """Reject kh within (relative) tolerance of the Nyquist set pi*Z.
+def nyquist_guard(k: float, h: float) -> None:
+    """Reject kh within GUARD_TOL*pi of the Nyquist set pi*Z.
 
     Raises NearNyquist carrying the offending multiple; returns None when
-    the distance to every multiple of pi exceeds tol*pi. Raises ValueError
-    when tol is not finite and positive.
+    the distance to every multiple of pi exceeds GUARD_TOL*pi.
     """
-    _check_tol(tol)
     s = k * h
     dist, m = _distance_to_multiples(s, math.pi)
-    if dist / math.pi <= tol:
-        raise NearNyquist(s, m, tol)
+    if dist / math.pi <= GUARD_TOL:
+        raise NearNyquist(s, m, GUARD_TOL)
 
 
 def _envelope_g(t: np.ndarray) -> np.ndarray:

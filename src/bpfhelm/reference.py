@@ -29,7 +29,6 @@ from numpy.polynomial import Polynomial
 
 from .errors import ResonantSource
 from .grid import GridFunction
-from .numerics import GUARD_TOL
 from .schemes import HelmholtzProblem, SchemeKind, solve_scheme
 
 TWO_PI_SQ = 4.0 * math.pi**2
@@ -189,17 +188,17 @@ def make_benchmark(name: str, k: float) -> tuple[HelmholtzProblem, ExactSolution
 
 @functools.lru_cache(maxsize=1)
 def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
-                        kind: SchemeKind = SchemeKind.BPF,
-                        tol: float = GUARD_TOL) -> GridFunction:
+                        kind: SchemeKind = SchemeKind.BPF) -> GridFunction:
     """Fine-grid solve used as a surrogate exact solution.
 
-    Cached for its last arguments, the frozen problem among them, with a
-    keyword call keyed apart from a positional one: every caller asks for one
+    Cached for its last arguments (the frozen problem, n_ref and the scheme;
+    the guard tolerance is the constant GUARD_TOL), with a keyword call keyed
+    apart from a positional one: every caller asks for one
     reference many times in a row (`table` per k, `convergence` per study), and
     a rebuilt problem carries a new source callable, so an older entry would
     never be hit again.
     """
-    return solve_scheme(p, n_ref, kind, tol)
+    return solve_scheme(p, n_ref, kind)
 
 
 # Bound at import: a tracer may rebind fine_grid_reference to a plain function.

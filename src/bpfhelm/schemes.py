@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteSample, SolveQualityWarning
 from .grid import GridFunction, make_grid, nodal_values
-from .numerics import GUARD_TOL, _check_tol, bernoulli, nyquist_guard, shifted_wavenumber, theta
+from .numerics import bernoulli, nyquist_guard, shifted_wavenumber, theta
 from .trisolve import Stencil, TridiagonalSystem, max_abs, residual_inf_norm, solve_tridiagonal
 
 # Post-solve residual threshold; above it a SolveQualityWarning is issued.
@@ -108,8 +108,7 @@ def apply_one_way_composition(v: GridFunction, k: float) -> np.ndarray:
     return (b_minus * w[1:] - b_plus * w[:-1]) / v.grid.h
 
 
-def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
-             tol: float = GUARD_TOL) -> TridiagonalSystem:
+def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem:
     """Tridiagonal system of the requested scheme on n uniform subintervals.
 
     Interior rows are w Delta_h u + kk u = f, i.e. kk - 2w/h^2 on the
@@ -128,8 +127,7 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
         (2/h^2)(u_1 - u_0) + (k^2 - 2ik/h) u_0 = f(x_0) + (2/h) g0,
     mirrored at x = L with -(2/h) gL; it carries the physical k, since the
     corrected scheme modifies interior rows only. The Nyquist guard
-    applies to bpf and fd-dc; a tol that is not finite and positive raises
-    ValueError for every scheme.
+    (kh within numerics.GUARD_TOL*pi of pi*Z) applies to bpf and fd-dc.
 
     The interior rows are one constant recurrence
     u_{j+1} - 2 cos(theta) u_j + u_{j-1} = h^2 f_j / w, and the system
@@ -146,7 +144,6 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
     """
     if not isinstance(kind, SchemeKind):
         raise TypeError(f"kind must be a SchemeKind, got {kind!r}")
-    _check_tol(tol)
     grid = make_grid(p.L, n)
     h = grid.h
     kh = p.k * h
@@ -154,11 +151,11 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
         w, kk = 1.0, p.k**2
         kernel_angle = 2.0 * math.asin(0.5 * kh) if kh < 2.0 else None
     else:
-        nyquist_guard(p.k, h, tol)
+        nyquist_guard(p.k, h)
         if kind is SchemeKind.BPF:
-            w, kk = theta(kh, tol), p.k**2
+            w, kk = theta(kh), p.k**2
         else:
-            w, kk = 1.0, shifted_wavenumber(p.k, h, tol) ** 2
+            w, kk = 1.0, shifted_wavenumber(p.k, h) ** 2
         kernel_angle = kh
     rhs = nodal_values(p.f, grid)
     if not np.isfinite(rhs).all():
@@ -180,8 +177,8 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind,
     return TridiagonalSystem(stencil, rhs, kernel_angle)
 
 
-def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,
-                 tol: float = GUARD_TOL) -> GridFunction:
+def solve_scheme(p: HelmholtzProblem, n: int,
+                 kind: SchemeKind = SchemeKind.BPF) -> GridFunction:
     """Assemble and solve; warns (SolveQualityWarning) on a poor residual.
 
     The quality scale includes the row magnitude ||A|| * ||x||_inf on top of
@@ -189,7 +186,7 @@ def solve_scheme(p: HelmholtzProblem, n: int, kind: SchemeKind = SchemeKind.BPF,
     sits below the float64 evaluation floor of A x - b on fine grids, so a
     residual check against it would always fire there.
     """
-    sys = assemble(p, n, kind, tol)
+    sys = assemble(p, n, kind)
     x = solve_tridiagonal(sys)
     res = residual_inf_norm(sys, x)
     max_diag, max_lower, max_upper = sys.max_abs_coefficients()

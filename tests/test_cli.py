@@ -230,9 +230,9 @@ class TestCompare:
             built.append(k)
             return real_benchmark(name, k)
 
-        def reference_spy(p, n_ref, kind, tol):
+        def reference_spy(p, n_ref, kind):
             refs.append((p.k, n_ref, kind))
-            return real_reference(p, n_ref, kind, tol)
+            return real_reference(p, n_ref, kind)
 
         monkeypatch.setattr(cli, "make_benchmark", benchmark_spy)
         monkeypatch.setattr(cli, "fine_grid_reference", reference_spy)
@@ -416,23 +416,48 @@ class TestUsageErrors:
 
     def test_largest_wavenumbers_with_a_finite_square_parse(self):
         assert cli.wavenumber("1.3e154") == 1.3e154
-        with pytest.raises(ValueError, match="finite square"):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite square"):
             cli.wavenumber("1.35e154")
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["exactness", "--k", "1e308", "--n", "8"], "argument --k: must have a finite square"),
+        (["convergence", "--k", "inf", "--n-list", "8,16"],
+         "argument --k: must be finite and positive"),
+        (["compare", "--k-list", "2e154", "--n-list", "8"], "must have a finite square"),
+        (["verify", "identities", "--seed", "-1"], "argument --seed: must be non-negative"),
+    ], ids=["k-square", "k-inf", "k-list-square", "seed"])
+    def test_type_error_keeps_its_reason(self, capsys, argv, reason):
+        # argparse replaces a ValueError's text by "invalid <type> value"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert reason in lines[0]
 
     @pytest.mark.parametrize("suite", ["identities", "multipliers", "residuals", "stability"])
     def test_verify_rejects_nyquist_tol(self, capsys, suite):
         # no verify suite reads a guard tolerance; it used to be accepted
         # and ignored
         assert main(["verify", suite, "--nyquist-tol", "0.5"]) == 2
-        assert "--nyquist-tol" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert "--nyquist-tol" in lines[0]
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    def test_nyquist_tol_must_be_finite_and_positive(self, capsys, tol):
-        # nan would switch the guard off: k = 8*pi, n = 8 puts kh on pi
-        code = main(["exactness", "--k", str(8.0 * math.pi), "--n", "8",
-                     "--nyquist-tol", tol])
-        assert code == 2
-        assert "--nyquist-tol" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["exactness", "--k", str(8.0 * math.pi), "--n", "8"],
+        ["convergence", "--k", "32", "--n-list", "16,32"],
+        ["table", "--k-list", "8", "--n-list", "16"],
+        ["compare", "--k-list", "8", "--n-list", "16"],
+    ], ids=["exactness", "convergence", "table", "compare"])
+    def test_solving_commands_reject_nyquist_tol(self, capsys, argv):
+        # the guard distance is the constant numerics.GUARD_TOL
+        assert main(argv + ["--nyquist-tol", "0.5"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert "--nyquist-tol" in lines[0]
 
     @pytest.mark.parametrize("argv", [
         ["convergence", "--k", "4"],

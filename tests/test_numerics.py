@@ -244,19 +244,6 @@ class TestNyquistGuard:
             nyquist_guard(3.0 * math.pi + 1e-12, 1.0)
         assert exc.value.multiple == 3
 
-    def test_custom_tolerance(self):
-        nyquist_guard(math.pi + 0.01, 1.0, tol=1e-3)
-        with pytest.raises(NearNyquist):
-            nyquist_guard(math.pi + 0.01, 1.0, tol=1e-2)
-
-    def test_rejects_bad_tol(self):
-        # a NaN tolerance compares false with every distance, which would
-        # switch both guards off; an infinite one would reject everything
-        for tol in (0.0, -1e-8, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                nyquist_guard(1.0, 1.0, tol=tol)
-            with pytest.raises(ValueError):
-                theta(1.0, tol)
 
 
 class TestNonFiniteArguments:

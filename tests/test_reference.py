@@ -14,7 +14,6 @@ from bpfhelm import reference
 from bpfhelm.errors import ResonantSource
 from bpfhelm.analysis import _simpson
 from bpfhelm.grid import make_grid, restrict, sample
-from bpfhelm.numerics import GUARD_TOL
 from bpfhelm.reference import (
     box_source_problem,
     clear_reference_cache,
@@ -344,7 +343,7 @@ class TestFineGridReference:
         ref = sample(exact5.u, make_grid(1.0, 256))
         assert np.max(np.abs(fine.values - ref.values)) <= 1e-11
 
-    def test_cache_key_includes_data_source_and_tolerance(self):
+    def test_cache_key_includes_data_and_source(self):
         from dataclasses import replace
         clear_reference_cache()
         p, _ = sine_squared_problem(2.0**5)
@@ -353,7 +352,6 @@ class TestFineGridReference:
                       replace(p, f=lambda x: 2.0 * p.f(x))):
             assert not np.allclose(fine_grid_reference(other, 256, SchemeKind.BPF).values,
                                    a.values)
-        assert fine_grid_reference(p, 256, SchemeKind.BPF, tol=1e-6) is not a
 
     def test_problem_is_frozen_and_keys_by_value(self):
         # a cached reference can never be served for a problem changed in place
@@ -362,8 +360,8 @@ class TestFineGridReference:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(p, field.name, getattr(p, field.name))
         clear_reference_cache()
-        fine = fine_grid_reference(p, 256, SchemeKind.BPF, GUARD_TOL)
-        assert fine_grid_reference(dataclasses.replace(p), 256, SchemeKind.BPF, GUARD_TOL) is fine
+        fine = fine_grid_reference(p, 256, SchemeKind.BPF)
+        assert fine_grid_reference(dataclasses.replace(p), 256, SchemeKind.BPF) is fine
 
     def test_plane_wave_reference_matches_exact(self):
         clear_reference_cache()

@@ -362,14 +362,19 @@ class TestSolveScheme:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_guard_tolerance(self, kind, tol):
         # kh = pi: with a NaN tolerance the guard used to pass and the solve
-        # returned max|u| = 4e5 without a word. fd has no Nyquist guard, but
-        # its tol is checked all the same.
+        # returned max|u| = 4e5 without a word. The guard distance is the
+        # constant GUARD_TOL, and no call takes a tolerance. fd has no
+        # Nyquist guard and solves at kh = pi.
         p, _ = make_benchmark("smooth", 64 * math.pi)
-        if kind is not SchemeKind.CLASSICAL_FD:
+        if kind is SchemeKind.CLASSICAL_FD:
+            assert np.all(np.isfinite(solve_scheme(p, 64, kind).values))
+        else:
             with pytest.raises(NearNyquist):
                 solve_scheme(p, 64, kind)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
+        with pytest.raises(TypeError):
             solve_scheme(p, 64, kind, tol=tol)
+        with pytest.raises(TypeError):
+            assemble(p, 64, kind, tol)
 
     def test_moderate_systems_meet_rhs_relative_residual(self):
         # on moderate grids the roundoff floor sits below 1e-10 (||b|| + 1)

@@ -22,9 +22,13 @@ from pathlib import Path
 _SMOOTH = ["convergence", "--k", "32", "--n-list", "16,32,64,128", "--benchmark", "smooth"]
 _CONVERGENCE = ["convergence", "--k", "32", "--n-list", "16,32,64,128"]
 _PAIRS = ["--k-list", "16,32", "--n-list", "64,128"]
+# k = 8*pi: on n = 8 subintervals kh = pi, where the Nyquist guard fires.
+_GUARD = ["convergence", "--k", "25.132741228718345", "--n-list", "8,16",
+          "--benchmark", "smooth"]
 
 # name -> argv. Every subcommand, every benchmark and every scheme, the
-# table exit-2 path and the four verify suites.
+# table exit-2 path, the four verify suites and the Nyquist guard at kh = pi
+# (exit 3 for bpf and fd-dc; fd has no guard and solves).
 RUNS: dict[str, list[str]] = {
     "exactness-k64": ["exactness", "--k", "64", "--n", "400"],
     "exactness-k1000": ["exactness", "--k", "1000", "--n", "400"],
@@ -51,6 +55,9 @@ RUNS: dict[str, list[str]] = {
     "verify-multipliers": ["verify", "multipliers"],
     "verify-residuals": ["verify", "residuals"],
     "verify-stability": ["verify", "stability"],
+    "guard-exactness": ["exactness", "--k", "25.132741228718345", "--n", "8"],
+    "guard-convergence-fd": _GUARD + ["--scheme", "fd"],
+    "guard-convergence-fd-dc": _GUARD + ["--scheme", "fd-dc"],
 }
 
 
