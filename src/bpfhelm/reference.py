@@ -83,20 +83,35 @@ def plane_wave_problem(k: float, alpha: complex,
     return problem, _plane_wave_solution(k, alpha, beta)
 
 
+def _polyval(coef, x):
+    """The polynomial with coefficients coef (lowest degree first) at x, by
+    Horner's rule in place: `numpy.polynomial.polynomial.polyval`'s
+    operations in its order (c[-1] + x*0, then c[i] + c0*x), so its bits,
+    without the cost of Polynomial.__call__. A scalar x gives a scalar."""
+    x = np.asarray(x)
+    c0 = x * 0.0
+    c0 += coef[-1]
+    for c in coef[-2::-1]:
+        c0 *= x
+        c0 += c
+    return c0[()]
+
+
 # Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis, and its first two
 # derivatives, which do not depend on k.
 _R_POLY = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
 _R1_POLY = _R_POLY.deriv(1)
 _R2_POLY = _R_POLY.deriv(2)
+_BUMP = tuple(functools.partial(_polyval, r.coef) for r in (_R_POLY, _R1_POLY, _R2_POLY))
 
 
-def _smooth_source(k: float) -> Polynomial:
-    """The manufactured source f = r'' + k^2 r. Its coefficients are
-    k*k*r_i + r''_i, the float operations of `_R2_POLY + k * k * _R_POLY`
-    without the cost of Polynomial arithmetic."""
+def _smooth_source(k: float) -> np.ndarray:
+    """Coefficients of the manufactured source f = r'' + k^2 r: k*k*r_i +
+    r''_i, the float operations of `_R2_POLY + k * k * _R_POLY` without the
+    cost of Polynomial arithmetic."""
     coef = _R_POLY.coef * (k * k)
     coef[:_R2_POLY.coef.size] += _R2_POLY.coef
-    return Polynomial(coef)
+    return coef
 
 
 def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
@@ -106,20 +121,17 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
     so the boundary data reduce to g0 = 0 and gL = 2ik e^{ik}.
     """
     # Built first so that its finite/positive check on k runs before the
-    # source's arithmetic; the source closure reads f_poly when called.
-    problem = HelmholtzProblem(k, 1.0, lambda x: f_poly(np.asarray(x)),
+    # source's arithmetic; the source reads f_coef when called.
+    problem = HelmholtzProblem(k, 1.0, lambda x: _polyval(f_coef, x),
                                0.0 + 0.0j, 2j * k * cmath.exp(1j * k))
-    f_poly = _smooth_source(k)
-    return problem, _plane_wave_solution(k, 1.0, 0.0, (_R_POLY, _R1_POLY, _R2_POLY))
+    f_coef = _smooth_source(k)
+    return problem, _plane_wave_solution(k, 1.0, 0.0, _BUMP)
 
 
 def smooth_source_derivatives(k: float) -> tuple[Callable, Callable, Callable]:
     """First three derivatives of the manufactured polynomial source."""
-    f_poly = _smooth_source(k)
-    d1, d2, d3 = f_poly.deriv(1), f_poly.deriv(2), f_poly.deriv(3)
-    return (lambda x: d1(np.asarray(x)),
-            lambda x: d2(np.asarray(x)),
-            lambda x: d3(np.asarray(x)))
+    f_poly = Polynomial(_smooth_source(k))
+    return tuple(functools.partial(_polyval, f_poly.deriv(j).coef) for j in (1, 2, 3))
 
 
 def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:

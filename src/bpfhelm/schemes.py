@@ -184,18 +184,21 @@ def solve_scheme(p: HelmholtzProblem, n: int,
     The quality scale includes the row magnitude ||A|| * ||x||_inf on top of
     ||b||_inf: with rows growing like 1/h^2, the bare right-hand-side scale
     sits below the float64 evaluation floor of A x - b on fine grids, so a
-    residual check against it would always fire there.
+    residual check against it would always fire there. The scale is at
+    least 1, so it is built only for a residual above SOLVE_RESIDUAL_TOL;
+    below that the check cannot fire.
     """
     sys = assemble(p, n, kind)
     x = solve_tridiagonal(sys)
     res = residual_inf_norm(sys, x)
-    max_diag, max_lower, max_upper = sys.max_abs_coefficients()
-    anorm = max_diag + (max_lower + max_upper)
-    scale = max_abs(sys.rhs) + anorm * max_abs(x) + 1.0
-    if res > SOLVE_RESIDUAL_TOL * scale:
-        warnings.warn(
-            f"solve residual {res:.3e} exceeds {SOLVE_RESIDUAL_TOL:g} * {scale:.3e}",
-            SolveQualityWarning,
-            stacklevel=2,
-        )
+    if res > SOLVE_RESIDUAL_TOL:
+        max_diag, max_lower, max_upper = sys.max_abs_coefficients()
+        anorm = max_diag + (max_lower + max_upper)
+        scale = max_abs(sys.rhs) + anorm * max_abs(x) + 1.0
+        if res > SOLVE_RESIDUAL_TOL * scale:
+            warnings.warn(
+                f"solve residual {res:.3e} exceeds {SOLVE_RESIDUAL_TOL:g} * {scale:.3e}",
+                SolveQualityWarning,
+                stacklevel=2,
+            )
     return GridFunction(make_grid(p.L, n), x)

@@ -93,9 +93,9 @@ CORRECTION_MAX_DRIFT = 1e-8
 CORRECTION_MAX_GAP = 0.1
 SECOND_CORRECTION_MAX_GAP = 1e-5
 
-# Unknowns per block of the streamed kernel solve and residual: a block's
-# working set, about seven complex arrays of this length (under 1 MiB),
-# stays in a 2 MiB L2 cache.
+# Unknowns per block of the streamed kernel solve and residual (and nodes
+# per block of analysis.error_report): a block's working set, about seven
+# complex arrays of this length (under 1 MiB), stays in a 2 MiB L2 cache.
 BLOCK = 2**13
 
 # Unknowns per row of the root path's one-sided sums, and the largest
@@ -536,7 +536,7 @@ def max_abs(a: np.ndarray) -> float:
     """max |a| of a nonempty array, reduced directly when it fits one block
     and one block at a time otherwise."""
     if a.shape[0] <= BLOCK:
-        return float(np.max(np.abs(a)))
+        return float(np.abs(a).max())
     return _max_abs(a[i:i + BLOCK] for i in range(0, a.shape[0], BLOCK))
 
 
@@ -548,8 +548,7 @@ def residual_inf_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
     if x.shape != (m,):
         raise ValueError(f"solution length {x.shape} does not match system size {m}")
     if m <= BLOCK:
-        rows, scratch = np.empty((2, m), dtype=complex)
-        return float(np.max(np.abs(_residual_rows(sys, x, 0, rows, scratch))))
+        return float(np.abs(_residual(sys, x)).max())
     rows, scratch = np.empty((2, BLOCK), dtype=complex)
     return _max_abs(_residual_rows(sys, x, i0, rows[:m - i0], scratch)
                     for i0 in range(0, m, BLOCK))

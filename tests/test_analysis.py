@@ -29,7 +29,8 @@ from bpfhelm.analysis import (
     verify_stability,
 )
 from bpfhelm.errors import NearNyquist, NearResonantFrequency
-from bpfhelm.grid import GridFunction, make_grid, norm_l2h, norm_v, sample
+from bpfhelm.grid import (GridFunction, make_grid, norm_l2h, norm_linf, norm_v, sample,
+                          seminorm_h1h)
 from bpfhelm.numerics import stability_constant_a0, theta
 from bpfhelm.reference import (
     ExactSolution,
@@ -419,15 +420,21 @@ class TestErrorReport:
         assert rep.rel_linf == pytest.approx(0.1, rel=1e-12)
 
     def test_v_norms_match_norm_v(self):
+        # every field is bitwise the grid norm of the error, or its ratio to
+        # the same norm of the reference, although error_report takes the
+        # error and the reference together, block by block
+        # (2^14 + 3 spans three blocks)
         rng = np.random.default_rng(31)
-        for n, k in ((2, 1.0), (17, 8.0), (256, 300.0)):
+        for n, k in ((2, 1.0), (17, 8.0), (181, 40.0), (256, 300.0), (2**14 + 3, 900.0)):
             g = make_grid(1.0, n)
             u, ref = (GridFunction(g, rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
                       for _ in range(2))
             rep = error_report(u, ref, k)
-            abs_v = norm_v(GridFunction(g, u.values - ref.values), k)
-            assert rep.abs_v == abs_v
-            assert rep.rel_v == abs_v / norm_v(ref, k)
+            err = GridFunction(g, u.values - ref.values)
+            for norm, field in ((norm_linf, "linf"), (norm_l2h, "l2h"), (seminorm_h1h, "h1"),
+                                (lambda v: norm_v(v, k), "v")):
+                assert getattr(rep, "abs_" + field) == norm(err)
+                assert getattr(rep, "rel_" + field) == norm(err) / norm(ref)
 
 
 class TestCheckResult:

@@ -142,19 +142,23 @@ class TestSmoothManufactured:
 
     @pytest.mark.parametrize("k", [0.5, 3.7, 2.0**5, 100.0, 1234.5])
     def test_matches_polynomial_arithmetic_bitwise(self, k):
-        # oracle: the source and derivatives built by Polynomial arithmetic
+        # oracle: the source and derivatives built and evaluated by
+        # Polynomial arithmetic, on the nodes of several grids and at a
+        # scalar x
         r = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
         r1, r2 = r.deriv(1), r.deriv(2)
         f = r2 + k * k * r
-        x = make_grid(1.0, 1000).nodes()
-        wave = np.exp(1j * k * x)
-        expected = [f(x), wave + r(x), 1j * k * wave + r1(x), -k * k * wave + r2(x),
-                    f.deriv(1)(x), f.deriv(2)(x), f.deriv(3)(x)]
         p, exact = smooth_manufactured_problem(k)
-        got = [p.f(x), exact.u(x), exact.u_prime(x), exact.u_doubleprime(x),
-               *(d(x) for d in smooth_source_derivatives(k))]
-        for a, b in zip(got, expected):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        derivatives = smooth_source_derivatives(k)
+        for x in [make_grid(1.0, n).nodes() for n in (8, 181, 1000, 4096)] + [0.3183098861837907]:
+            wave = np.exp(1j * k * np.asarray(x))
+            expected = [f(x), wave + r(x), 1j * k * wave + r1(x), -k * k * wave + r2(x),
+                        f.deriv(1)(x), f.deriv(2)(x), f.deriv(3)(x)]
+            got = [p.f(x), exact.u(x), exact.u_prime(x), exact.u_doubleprime(x),
+                   *(d(x) for d in derivatives)]
+            for a, b in zip(got, expected):
+                assert np.shape(a) == np.shape(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_factory_cost(self):
         # the k-independent derivatives are built once, at import: a call

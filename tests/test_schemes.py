@@ -304,6 +304,27 @@ class TestSolveScheme:
         with pytest.warns(SolveQualityWarning, match="solve residual"):
             solve_scheme(p, 2**12, SchemeKind.BPF)
 
+    @pytest.mark.parametrize("between", [True, False], ids=["between", "above"])
+    def test_quality_warning_compares_against_the_scale(self, monkeypatch, between):
+        # the scale is built only for a residual above SOLVE_RESIDUAL_TOL;
+        # with the tolerance patched so that TOL < res, the verdict is still
+        # res > TOL * scale: silent up to it, a warning above it
+        p, _ = sine_squared_problem(2.0**5)
+        sys = assemble(p, 256, SchemeKind.BPF)
+        x = solve_tridiagonal(sys)
+        res = residual_inf_norm(sys, x)
+        anorm = (np.max(np.abs(sys.diag)) + np.max(np.abs(sys.lower))
+                 + np.max(np.abs(sys.upper)))
+        scale = float(np.max(np.abs(sys.rhs)) + anorm * np.max(np.abs(x)) + 1.0)
+        assert res > 0.0 and scale > 4.0
+        tol = res / math.sqrt(scale) if between else 0.5 * res / scale
+        assert tol < res and (res <= tol * scale) == between
+        monkeypatch.setattr(schemes, "SOLVE_RESIDUAL_TOL", tol)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_scheme(p, 256, SchemeKind.BPF)
+        assert [w.category for w in caught] == ([] if between else [SolveQualityWarning])
+
     def test_flux_energy_relation(self):
         # ||D+ v||^2 + ||D- v||^2 == 2 Theta cos(kh) |v|_1^2 + 2 k^2 ||v||^2
         #                            + k^2 h (|v_0|^2 + |v_n|^2)

@@ -1,0 +1,84 @@
+"""Digest the library path of a fixed list of coarse cells, one line per cell.
+
+Usage:
+    python tools/cell_digests.py SRC_ROOT OUT
+
+SRC_ROOT is a checkout of this repository; the package is imported from
+SRC_ROOT/src. Each cell takes the path of a coarse sweep cell
+(`make_benchmark`, `solve_scheme`, `sample` of the exact solution,
+`error_report`), and OUT receives one line per cell: the cell, a digest of
+the solution u_h and of the sampled exact solution, the eight ErrorReport
+fields to the last bit (`float.hex`) and the warnings the cell raised, or
+the error it raised instead. It is the library-path twin of
+`tools/cli_runs.py`: run it on two trees (say a parent commit unpacked with
+`git archive` and the working tree) and compare them with
+`diff OUT_PARENT OUT_CHANGE`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import warnings
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+SEED = 20260416
+CELLS = 3000
+BENCHMARKS = ("planewave", "smooth", "sine2")
+SCHEMES = ("bpf", "fd", "fd-dc")
+N_RANGE = (8, 4096)
+KH_RANGE = (0.1, 3.0)
+
+
+def cells() -> list[tuple[str, str, int, float]]:
+    """(benchmark, scheme, n, k): benchmark and scheme uniform, n
+    log-uniform on N_RANGE, kh uniform on KH_RANGE and k = kh * n, drawn
+    from SEED."""
+    rng = np.random.default_rng(SEED)
+    bench = rng.integers(0, len(BENCHMARKS), CELLS)
+    scheme = rng.integers(0, len(SCHEMES), CELLS)
+    n = np.rint(np.exp(rng.uniform(*np.log(N_RANGE), CELLS))).astype(int)
+    kh = rng.uniform(*KH_RANGE, CELLS)
+    return [(BENCHMARKS[b], SCHEMES[s], int(nn), float(h * nn))
+            for b, s, nn, h in zip(bench, scheme, n, kh)]
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
+
+
+def digest(cell: tuple[str, str, int, float]) -> str:
+    """One line for one cell (see the module docstring)."""
+    from bpfhelm import analysis, grid, reference, schemes
+
+    benchmark, scheme, n, k = cell
+    head = f"{benchmark},{scheme},{n},{k.hex()}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            problem, exact = reference.make_benchmark(benchmark, k)
+            u_h = schemes.solve_scheme(problem, n, schemes.SchemeKind(scheme))
+            ref = grid.sample(exact.u, u_h.grid)
+            report = analysis.error_report(u_h, ref, k)
+        except Exception as exc:  # the error is part of the cell's record
+            return f"{head},error,{type(exc).__name__}"
+    values = [getattr(report, f.name).hex() for f in fields(report)]
+    raised = "|".join(w.category.__name__ for w in caught) or "none"
+    return ",".join([head, _digest(u_h.values), _digest(ref.values), *values, raised])
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(args[0]).resolve() / "src"))
+    lines = [digest(cell) for cell in cells()]
+    Path(args[1]).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

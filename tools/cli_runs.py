@@ -1,7 +1,9 @@
-"""Run the CLI reference runs against one source tree, one file per run.
+"""The CLI reference runs: recorded against a source tree, or checked
+against the committed record in tests/golden.
 
 Usage:
     python tools/cli_runs.py SRC_ROOT OUT_DIR
+    python tools/cli_runs.py --update
 
 SRC_ROOT is a checkout of this repository; each run is a fresh
 `python -m bpfhelm.cli ...` process that imports the package from
@@ -9,15 +11,28 @@ SRC_ROOT/src. OUT_DIR/<name>.txt receives the argv, the exit code, stdout
 and stderr of run <name>. Run it on two trees (say a parent commit unpacked
 with `git archive` and the working tree) and compare them with
 `diff -r OUT_PARENT OUT_CHANGE`.
+
+`--update` rewrites tests/golden/<name>.txt, in the same format, from runs
+through `bpfhelm.cli.main` in this process with this tree's package. The
+tier-1 suite makes the same runs and compares them with the record byte for
+byte, so a change that moves an output regenerates the record and states
+what moved.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 _SMOOTH = ["convergence", "--k", "32", "--n-list", "16,32,64,128", "--benchmark", "smooth"]
 _CONVERGENCE = ["convergence", "--k", "32", "--n-list", "16,32,64,128"]
@@ -61,16 +76,57 @@ RUNS: dict[str, list[str]] = {
 }
 
 
+def _record(argv: list[str], code: int, stdout: str, stderr: str) -> str:
+    return f"argv: {shlex.join(argv)}\nexit: {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
+
+
 def run(src_root: Path, argv: list[str]) -> str:
     """One CLI run in a fresh process, as the text written for it."""
     env = {**os.environ, "PYTHONPATH": str(src_root / "src")}
     proc = subprocess.run([sys.executable, "-m", "bpfhelm.cli", *argv],
                           capture_output=True, text=True, env=env)
-    return (f"argv: {shlex.join(argv)}\nexit: {proc.returncode}\n"
-            f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+    return _record(argv, proc.returncode, proc.stdout, proc.stderr)
+
+
+def run_in_process(argv: list[str]) -> str:
+    """One CLI run through bpfhelm.cli.main in this process, as the text
+    run() writes for it. Warnings print to the captured stderr, as they
+    would in a fresh process, whatever filters the caller has set."""
+    from bpfhelm import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("default")
+        code = cli.main(list(argv))
+    return _record(argv, code, stdout.getvalue(), stderr.getvalue())
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+def numeric_moves(expected: str, actual: str) -> tuple[int, float] | None:
+    """How many numbers moved from one record to another, and the largest
+    relative change among them; None when the text outside the numbers
+    differs, so that the numbers cannot be paired."""
+    if _NUMBER.sub("#", expected) != _NUMBER.sub("#", actual):
+        return None
+    moved = [(float(a), float(b))
+             for a, b in zip(_NUMBER.findall(expected), _NUMBER.findall(actual)) if a != b]
+    worst = max((abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in moved),
+                default=0.0)
+    return len(moved), worst
 
 
 def main(args: list[str]) -> int:
+    if args == ["--update"]:
+        sys.path.insert(0, str(ROOT / "src"))
+        GOLDEN.mkdir(exist_ok=True)
+        for stale in GOLDEN.glob("*.txt"):
+            stale.unlink()
+        for name, argv in RUNS.items():
+            (GOLDEN / f"{name}.txt").write_text(run_in_process(argv), encoding="utf-8")
+        return 0
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
