@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidGrid, NonFiniteSample, NonNestedGrids
+from .trisolve import BLOCK
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,14 @@ class UniformGrid:
     def nodes(self) -> np.ndarray:
         # (i*L)/n keeps coincident nodes of nested grids bitwise equal
         # whenever i*L is exact (always true for L = 1).
-        return np.arange(self.n + 1) * self.L / self.n
+        return _scaled(np.arange(self.n + 1, dtype=float), self)
+
+
+def _scaled(i: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """The nodes i*L/n of grid for the float node indices i, in place."""
+    i *= grid.L
+    i /= grid.n
+    return i
 
 
 def make_grid(L: float, n: int) -> UniformGrid:
@@ -68,18 +76,33 @@ class GridFunction:
 def nodal_values(fn: Callable, grid: UniformGrid) -> np.ndarray:
     """fn at the grid nodes, as a new writable complex array.
 
-    Tries a single vectorized call first and falls back to per-node
-    evaluation for scalar-only callables. The result never shares memory
-    with what fn returned, so the caller may write to it or freeze it.
+    fn must be pointwise: each value depends on its own node only. It is
+    called once per block of trisolve.BLOCK nodes, on that block's nodes
+    (bitwise those of grid.nodes()), and each block's values go straight
+    into the result, so a fine grid never holds fn's full-length
+    temporaries; a grid of at most BLOCK nodes (every coarse grid) is one
+    call. A callable that fails on a block's nodes (ValueError or
+    TypeError, or a result of the wrong shape), as a scalar-only one does
+    on the first, is evaluated node by node from that block on. The result
+    never shares memory with what fn returned, so the caller may write to
+    it or freeze it.
     """
-    try:
-        # The nodes are a temporary, gone before the copy: a fine grid's
-        # sampling peaks at fn's result and the copy.
-        vals = np.array(fn(grid.nodes()), dtype=complex)
-        if vals.shape != (grid.n + 1,):
-            raise ValueError
-    except (ValueError, TypeError):
-        vals = np.array([complex(fn(xi)) for xi in grid.nodes()])
+    m = grid.n + 1
+    vals = np.empty(m, dtype=complex)
+    per_node = False
+    for i0 in range(0, m, BLOCK):
+        i1 = min(i0 + BLOCK, m)
+        x = _scaled(np.arange(i0, i1, dtype=float), grid)
+        if not per_node:
+            try:
+                fx = fn(x)
+                if np.shape(fx) != x.shape:
+                    raise ValueError
+                vals[i0:i1] = fx
+                continue
+            except (ValueError, TypeError):
+                per_node = True
+        vals[i0:i1] = [complex(fn(xi)) for xi in x]
     return vals
 
 

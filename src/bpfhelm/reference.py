@@ -54,7 +54,11 @@ def _plane_wave_solution(k: float, alpha: complex, beta: complex,
     def waves(x):
         x = np.asarray(x)
         e = np.exp(1j * k * x)
-        return x, alpha * e, beta * e.conjugate()
+        # Both products take named arrays: numpy multiplies a temporary of
+        # 256 KiB or more in place, which rounds a complex product
+        # differently, so the bits would depend on how many nodes a call gets.
+        conj = e.conjugate()
+        return x, alpha * e, beta * conj
 
     def u(x):
         x, a, b = waves(x)
@@ -78,7 +82,7 @@ def plane_wave_problem(k: float, alpha: complex,
     beta = complex(beta)
     g0 = -2j * k * beta
     gL = 2j * k * cmath.exp(1j * k) * alpha
-    problem = HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
+    problem = HelmholtzProblem(k, 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                                g0, gL)
     return problem, _plane_wave_solution(k, alpha, beta)
 
@@ -146,7 +150,9 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
     degenerate limit k near 0.
     """
     def f(x):
-        return np.sin(math.pi * np.asarray(x)) ** 2 + 0.0j
+        s = np.sin(math.pi * np.asarray(x))
+        s *= s
+        return s
 
     g0, gL = 2.0 + 0.0j, 1j
     # Built first so that its finite/positive check on k runs before any
@@ -175,7 +181,7 @@ def box_source_problem(k: float) -> HelmholtzProblem:
 
     def f(x):
         x = np.asarray(x)
-        return np.where(np.abs(x - 0.5) <= 1.0 / 9.0, 50.0, 0.0) + 0.0j
+        return np.where(np.abs(x - 0.5) <= 1.0 / 9.0, 50.0, 0.0)
 
     return HelmholtzProblem(k, 1.0, f, 2.0 + 0.0j, 1j)
 

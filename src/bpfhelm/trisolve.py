@@ -94,8 +94,9 @@ CORRECTION_MAX_GAP = 0.1
 SECOND_CORRECTION_MAX_GAP = 1e-5
 
 # Unknowns per block of the streamed kernel solve and residual (and nodes
-# per block of analysis.error_report): a block's working set, about seven
-# complex arrays of this length (under 1 MiB), stays in a 2 MiB L2 cache.
+# per block of grid.nodal_values' sampling and of analysis.error_report): a
+# block's working set, about seven complex arrays of this length (under
+# 1 MiB), stays in a 2 MiB L2 cache.
 BLOCK = 2**13
 
 # Unknowns per row of the root path's one-sided sums, and the largest

@@ -11,6 +11,7 @@ from bpfhelm.grid import (
     discrete_laplacian,
     forward_diff,
     make_grid,
+    nodal_values,
     norm_l2h,
     norm_linf,
     norm_v,
@@ -18,6 +19,9 @@ from bpfhelm.grid import (
     sample,
     seminorm_h1h,
 )
+from bpfhelm.reference import BENCHMARKS, make_benchmark
+from bpfhelm.schemes import HelmholtzProblem, SchemeKind, assemble
+from bpfhelm.trisolve import BLOCK
 
 
 def _random_gf(rng, grid):
@@ -85,6 +89,72 @@ class TestSample:
         g = make_grid(1.0, 4)
         with pytest.raises(NonFiniteSample), np.errstate(divide="ignore"):
             sample(lambda x: 1.0 / np.asarray(x), g)
+
+
+class TestBlockedSampling:
+    # node counts m = n + 1 on both sides of one and two blocks, and the
+    # two fine references of the CLI
+    NODES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 2**18 + 1, 3**12 + 1]
+
+    @pytest.mark.parametrize("m", NODES)
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
+    def test_equals_one_call_on_all_nodes(self, name, m):
+        # oracle: the one vectorized call on grid.nodes(), bit for bit
+        p, exact = make_benchmark(name, 32.0)
+        g = make_grid(1.0, m - 1)
+        for fn in [p.f] + ([] if exact is None else [exact.u]):
+            expected = np.array(fn(g.nodes()), dtype=complex)
+            assert nodal_values(fn, g).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [BLOCK - 1, 2 * BLOCK + 1])
+    def test_calls_fn_once_per_block(self, m):
+        sizes = []
+
+        def fn(x):
+            sizes.append(x.size)
+            return x
+
+        nodal_values(fn, make_grid(1.0, m - 1))
+        assert sizes == [BLOCK] * (m // BLOCK) + [m % BLOCK]
+
+    @pytest.mark.parametrize("m", [9, 2 * BLOCK + 1])
+    def test_never_shares_memory_with_fn_result(self, m):
+        # fn hands out views of one persistent array; the result is a copy
+        store = np.zeros(BLOCK, dtype=complex)
+        vals = nodal_values(lambda x: store[:x.size], make_grid(1.0, m - 1))
+        assert not np.shares_memory(vals, store)
+        vals[:] = 1.0
+        assert not store.any()
+
+    def test_scalar_only_callable_falls_back_per_node(self):
+        # math.sin rejects an array, so every node is evaluated alone
+        g = make_grid(1.0, BLOCK)
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return complex(math.sin(3.0 * x), x)
+
+        vals = nodal_values(fn, g)
+        expected = np.array([complex(math.sin(3.0 * xi), xi) for xi in g.nodes()])
+        assert vals.tobytes() == expected.tobytes()
+        assert len(calls) == 1 + (BLOCK + 1)
+
+    @pytest.mark.parametrize("m", [BLOCK + 1, 2 * BLOCK + 1])
+    def test_nan_in_last_block_rejected(self, m):
+        # the NaN sits at x = 1, the one node of the last block; assemble
+        # checks the samples before it writes the boundary rows
+        g = make_grid(1.0, m - 1)
+
+        def f(x):
+            return np.where(np.asarray(x) == 1.0, np.nan, 1.0)
+
+        with pytest.raises(NonFiniteSample):
+            sample(f, g)
+        p = HelmholtzProblem(1.0, 1.0, f, 0j, 0j)
+        for kind in SchemeKind:
+            with pytest.raises(NonFiniteSample):
+                assemble(p, g.n, kind)
 
 
 class TestDifferenceOperators:

@@ -370,6 +370,21 @@ class TestSolveScheme:
             tracemalloc.stop()
         assert peak <= arrays * 16 * (n + 1)
 
+    @pytest.mark.parametrize("name, k, n", [("sine2", 2.0**6, 2**18), ("box", 2.0**5, 3**12)],
+                             ids=["sine2-fine", "box-fine"])
+    def test_assemble_peak_memory(self, name, k, n):
+        # sampling streams block by block into the right-hand side: beyond
+        # it, assembly holds one block's temporaries and the finiteness mask
+        p, _ = make_benchmark(name, k)
+        assemble(p, n, SchemeKind.BPF)
+        tracemalloc.start()
+        try:
+            assemble(p, n, SchemeKind.BPF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * (n + 1)
+
     @pytest.mark.parametrize("kind", ["bpf", "fd", None, 3])
     def test_rejects_kind_that_is_not_a_scheme_kind(self, kind):
         # every such kind used to be solved as fd-dc, bitwise

@@ -10,7 +10,8 @@ from bpfhelm.analysis import error_report
 from bpfhelm.cli import build_parser
 from bpfhelm.grid import sample
 from bpfhelm.reference import make_benchmark
-from bpfhelm.schemes import SchemeKind, solve_scheme
+from bpfhelm.schemes import SchemeKind, assemble, solve_scheme
+from bpfhelm.trisolve import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,3 +112,11 @@ def test_cell_digests_smoke(tmp_path):
         report.abs_h1, report.rel_h1, report.abs_v, report.rel_v]
     assert fields[14] == "none"
     assert module.main([str(ROOT)]) == 2
+    # the fine cells reach the blocked sampling path
+    assert all(n + 1 > BLOCK for _, _, n, _ in module.FINE_CELLS)
+    benchmark, scheme, n, k = module.FINE_CELLS[-1]
+    problem, _ = make_benchmark(benchmark, k)
+    kind = SchemeKind(scheme)
+    assert module.fine_digest(module.FINE_CELLS[-1]).split(",") == [
+        benchmark, scheme, str(n), k.hex(), module._digest(assemble(problem, n, kind).rhs),
+        module._digest(solve_scheme(problem, n, kind).values)]

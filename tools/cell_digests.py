@@ -1,4 +1,4 @@
-"""Digest the library path of a fixed list of coarse cells, one line per cell.
+"""Digest the library path of a fixed list of cells, one line per cell.
 
 Usage:
     python tools/cell_digests.py SRC_ROOT OUT
@@ -9,10 +9,12 @@ SRC_ROOT/src. Each cell takes the path of a coarse sweep cell
 `error_report`), and OUT receives one line per cell: the cell, a digest of
 the solution u_h and of the sampled exact solution, the eight ErrorReport
 fields to the last bit (`float.hex`) and the warnings the cell raised, or
-the error it raised instead. It is the library-path twin of
-`tools/cli_runs.py`: run it on two trees (say a parent commit unpacked with
-`git archive` and the working tree) and compare them with
-`diff OUT_PARENT OUT_CHANGE`.
+the error it raised instead. A short fixed list of fine cells follows,
+whose grids span more than one block of `trisolve.BLOCK` nodes: each line
+holds the cell and digests of the assembled right-hand side and of u_h, or
+the error raised. It is the library-path twin of `tools/cli_runs.py`: run it
+on two trees (say a parent commit unpacked with `git archive` and the
+working tree) and compare them with `diff OUT_PARENT OUT_CHANGE`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ BENCHMARKS = ("planewave", "smooth", "sine2")
 SCHEMES = ("bpf", "fd", "fd-dc")
 N_RANGE = (8, 4096)
 KH_RANGE = (0.1, 3.0)
+# (benchmark, scheme, n, k): the two fine references of the CLI, and the
+# smallest grids of two blocks (BLOCK = 2**13 nodes per block).
+FINE_CELLS = (("sine2", "bpf", 2**18, 64.0), ("box", "bpf", 3**12, 32.0),
+              ("smooth", "bpf", 2**13, 32.0), ("smooth", "bpf", 2**13 + 1, 32.0))
 
 
 def cells() -> list[tuple[str, str, int, float]]:
@@ -70,12 +76,28 @@ def digest(cell: tuple[str, str, int, float]) -> str:
     return ",".join([head, _digest(u_h.values), _digest(ref.values), *values, raised])
 
 
+def fine_digest(cell: tuple[str, str, int, float]) -> str:
+    """One line for one fine cell: digests of the assembled rhs and of u_h."""
+    from bpfhelm import reference, schemes
+
+    benchmark, scheme, n, k = cell
+    head = f"{benchmark},{scheme},{n},{k.hex()}"
+    try:
+        problem, _ = reference.make_benchmark(benchmark, k)
+        kind = schemes.SchemeKind(scheme)
+        rhs = schemes.assemble(problem, n, kind).rhs
+        u_h = schemes.solve_scheme(problem, n, kind)
+    except Exception as exc:  # the error is part of the cell's record
+        return f"{head},error,{type(exc).__name__}"
+    return ",".join([head, _digest(rhs), _digest(u_h.values)])
+
+
 def main(args: list[str]) -> int:
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     sys.path.insert(0, str(Path(args[0]).resolve() / "src"))
-    lines = [digest(cell) for cell in cells()]
+    lines = [digest(cell) for cell in cells()] + [fine_digest(cell) for cell in FINE_CELLS]
     Path(args[1]).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return 0
 
