@@ -12,11 +12,10 @@ from .analysis import (
     ConvergenceTable,
     ErrorReport,
     boundary_multiplier,
-    boundary_residuals,
+    consistency_residuals,
     convergence_study,
     error_report,
     interior_multiplier,
-    interior_residual,
     stability_bound_check,
 )
 from .errors import (
@@ -34,7 +33,6 @@ from .errors import (
 from .grid import (
     GridFunction,
     UniformGrid,
-    discrete_laplacian,
     forward_diff,
     make_grid,
     norm_l2h,
@@ -70,6 +68,6 @@ from .schemes import (
     assemble,
     solve_scheme,
 )
-from .trisolve import Stencil, TridiagonalSystem, residual_inf_norm, solve_tridiagonal
+from .trisolve import Stencil, TridiagonalSystem, residual, residual_inf_norm, solve_tridiagonal
 
 __version__ = "0.1.0"

@@ -21,15 +21,14 @@ from .grid import (
     GridFunction,
     UniformGrid,
     check_nested,
-    discrete_laplacian,
     make_grid,
+    nodal_values,
     norm_l2h,
     restrict,
     sample,
     seminorm_h1h,
 )
 from .numerics import (
-    GUARD_TOL,
     _bernoulli_closed,
     _bernoulli_series,
     bernoulli,
@@ -54,9 +53,10 @@ from .schemes import (
     apply_one_way_composition,
     apply_one_way_minus,
     apply_one_way_plus,
+    assemble,
     solve_scheme,
 )
-from .trisolve import BLOCK
+from .trisolve import BLOCK, residual
 
 QUAD_PANELS = 2**14  # composite-Simpson panels (an even count) for Sobolev norms of sources
 ERROR_FLOOR = 1e-11  # below this, rate fitting is meaningless and skipped
@@ -167,37 +167,15 @@ def l2_norm_quad(fn, L: float) -> float:
 # consistency residuals
 
 
-def interior_residual(exact: ExactSolution, k: float,
-                      grid: UniformGrid) -> tuple[np.ndarray, float]:
-    """Interior residual tau_i = Theta(kh) (Delta_h u)(x_i) - u''(x_i), i = 1..n-1.
-
-    Returns the nodal residual array and its interior discrete L2 norm.
-    """
-    nyquist_guard(k, grid.h)
-    th = theta(k * grid.h)
-    lap = discrete_laplacian(sample(exact.u, grid))
-    tau = th * lap - np.asarray(exact.u_doubleprime(grid.nodes()[1:-1]), dtype=complex)
-    return tau, float(math.sqrt(grid.h * np.sum(np.abs(tau) ** 2)))
-
-
-def boundary_residuals(exact: ExactSolution, k: float, h: float,
-                       L: float) -> tuple[complex, complex]:
-    """Impedance-closure residuals of an exact solution at both endpoints.
-
-    beta0 = k/sin(kh) (u(h) - e^{ikh} u(0)) - (u'(0) - ik u(0)) and the
-    mirrored expression at x = L.
-    """
-    nyquist_guard(k, h)
-    s = k * h
-    bfac = k / math.sin(s)
-    phase = complex(math.cos(s), math.sin(s))
-    u0 = complex(exact.u(0.0))
-    uh = complex(exact.u(h))
-    uL = complex(exact.u(L))
-    uLh = complex(exact.u(L - h))
-    beta0 = bfac * (uh - phase * u0) - (complex(exact.u_prime(0.0)) - 1j * k * u0)
-    betaL = bfac * (phase * uL - uLh) - (complex(exact.u_prime(L)) + 1j * k * uL)
-    return beta0, betaL
+def consistency_residuals(p: HelmholtzProblem, exact: ExactSolution,
+                          n: int) -> tuple[np.ndarray, complex, complex]:
+    """The assembled BPF rows' residual A u - b on the exact solution u of p,
+    split as (tau, beta0, betaL): tau_i = Theta(kh) (Delta_h u)(x_i) - u''(x_i)
+    at the interior nodes and the closure residuals
+    beta0 = k/sin(kh) (u(h) - e^{ikh} u(0)) - (u'(0) - ik u(0)) and its
+    mirror at x = L, up to rounding. p's data must match exact."""
+    r = residual(assemble(p, n, SchemeKind.BPF), nodal_values(exact.u, make_grid(p.L, n)))
+    return r[1:-1], complex(r[0]), complex(r[-1])
 
 
 def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp,
@@ -205,8 +183,8 @@ def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp,
     """Residuals of p's exact solution together with the second-order
     bounds driven by ||f''|| and ||f'''||."""
     grid = make_grid(p.L, n)
-    _, tau_norm = interior_residual(exact, p.k, grid)
-    beta0, betaL = boundary_residuals(exact, p.k, grid.h, p.L)
+    tau, beta0, betaL = consistency_residuals(p, exact, n)
+    tau_norm = float(math.sqrt(grid.h * np.sum(np.abs(tau) ** 2)))
     s = p.k * grid.h
     th = theta(s)
     f2 = l2_norm_quad(fpp, p.L)
@@ -472,6 +450,12 @@ def _rel_mismatch(a, b) -> float:
     return float(np.max(np.abs(np.subtract(a, b)) / np.where(scale > 0, scale, 1.0)))
 
 
+def _bpf_rows(v: GridFunction, k: float) -> np.ndarray:
+    """The assembled BPF rows applied to v: A v - b for zero data."""
+    p = HelmholtzProblem(k, v.grid.L, np.zeros_like, 0j, 0j)
+    return residual(assemble(p, v.grid.n, SchemeKind.BPF), v.values)
+
+
 def verify_identities(seed: int = 0) -> list[CheckResult]:
     """Algebraic identity suite: Bernoulli reflection/difference, weight
     consistency, factorization, boundary rewrite, flux-energy relation,
@@ -505,26 +489,27 @@ def verify_identities(seed: int = 0) -> list[CheckResult]:
     worst = _rel_mismatch(bernoulli(1j * s_grid) / phase_factor_m(s_grid), s_grid / np.sin(s_grid))
     checks.append(CheckResult("key_identity_b_over_m", worst, 1e-13))
 
-    # Factorization of the composed one-way operators into the three-point form.
+    # Factorization of the composed one-way operators into the assembled
+    # interior rows Theta(kh) Delta_h v + k^2 v.
     # Each check below reduces its values once: Python's max would drop a NaN.
     ratios = []
     for k, n in ((2.0, 8), (12.5, 24), (32.0, 32)):
         grid = make_grid(1.0, n)
         v = _random_grid_function(rng, grid)
-        composed = apply_one_way_composition(v, k)
-        direct = theta(k * grid.h) * discrete_laplacian(v) + k * k * v.values[1:-1]
-        num = math.sqrt(grid.h * float(np.sum(np.abs(composed - direct) ** 2)))
-        ratios.append(num / norm_l2h(v))
+        defect = apply_one_way_composition(v, k) - _bpf_rows(v, k)[1:-1]
+        ratios.append(math.sqrt(grid.h * float(np.sum(np.abs(defect) ** 2))) / norm_l2h(v))
     checks.append(CheckResult("factorization_three_point", float(np.max(ratios)), 1e-12))
 
-    # Boundary rewrite (1/m) (D+ v)_0 = (k/sin kh)(v_1 - e^{ikh} v_0).
+    # Boundary rewrite: (1/m) (D+ v)_0 and (1/m) (D- v)_n are the assembled
+    # closure rows (k/sin kh)(v_1 - e^{ikh} v_0) and (k/sin kh)(e^{ikh} v_n - v_{n-1}).
     lhs, rhs = [], []
     for k, n in ((2.0, 8), (12.5, 24), (32.0, 32)):
         grid = make_grid(1.0, n)
         v = _random_grid_function(rng, grid)
-        s = k * grid.h
-        lhs.append(apply_one_way_plus(v, k)[0] / phase_factor_m(s))
-        rhs.append(k / math.sin(s) * (v.values[1] - complex(math.cos(s), math.sin(s)) * v.values[0]))
+        m = phase_factor_m(k * grid.h)
+        rows = _bpf_rows(v, k)
+        lhs += [apply_one_way_plus(v, k)[0] / m, apply_one_way_minus(v, k)[-1] / m]
+        rhs += [rows[0], rows[-1]]
     checks.append(CheckResult("boundary_rewrite", _rel_mismatch(lhs, rhs), 1e-12))
 
     # Flux-energy relation for arbitrary grid functions.

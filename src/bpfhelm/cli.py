@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    common(p, seed_help="seed for randomized checks")
+    common(p, seed_help="seed of the identities and multipliers suites "
+                        "(residuals and stability ignore it)")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -117,12 +117,6 @@ def forward_diff(v: GridFunction) -> np.ndarray:
     return (u[1:] - u[:-1]) / v.grid.h
 
 
-def discrete_laplacian(v: GridFunction) -> np.ndarray:
-    """Three-point second differences (v_{i+1} - 2 v_i + v_{i-1})/h^2, i = 1..n-1."""
-    u = v.values
-    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / v.grid.h**2
-
-
 def norm_l2h(v: GridFunction) -> float:
     """Interior discrete L2 norm (nodes 1..n-1 only)."""
     return float(np.sqrt(v.grid.h * np.sum(np.abs(v.values[1:-1]) ** 2)))

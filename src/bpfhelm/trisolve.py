@@ -271,8 +271,8 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
         sums = np.empty((2, m), dtype=complex)
         x = _solve_kernel_block(sys.rhs, np.empty(m, dtype=complex), ph, sums, ends)
         if correct:
-            residual = _residual(sys, x)
-            x -= _solve_kernel_block(residual, residual, ph, sums, ends)
+            r = residual(sys, x)
+            x -= _solve_kernel_block(r, r, ph, sums, ends)
         return x
 
     # Buffers reused by every block: a fresh block-sized array per block
@@ -321,8 +321,8 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
 
     x = solve(sys.rhs, np.empty(m, dtype=complex))
     if correct:
-        residual = _residual(sys, x)
-        x -= solve(residual, residual)
+        r = residual(sys, x)
+        x -= solve(r, r)
     return x
 
 
@@ -392,7 +392,7 @@ def _solve_root(sys: TridiagonalSystem, steps: int) -> np.ndarray:
         solve = _double_root_solver(lam, c, m, weights)
     x = solve(sys.rhs)
     for _ in range(steps):
-        x -= solve(_residual(sys, x))
+        x -= solve(residual(sys, x))
     return x
 
 
@@ -483,14 +483,15 @@ def _double_root_solver(lam: complex, c: complex, m: int, weights):
     return solve
 
 
-def _residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
-    """A x - b, computed in one pass for a system that fits one block and
-    one block of rows at a time for a larger one."""
+def residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
+    """A x - b for a candidate solution x, one block of rows at a time (a
+    system that fits one block is a single block)."""
+    x = np.asarray(x, dtype=complex)
     m = sys.size
-    if m <= BLOCK:
-        return _residual_rows(sys, x, 0, np.empty(m, dtype=complex), np.empty(m, dtype=complex))
+    if x.shape != (m,):
+        raise ValueError(f"solution length {x.shape} does not match system size {m}")
     r = np.empty(m, dtype=complex)
-    scratch = np.empty(BLOCK, dtype=complex)
+    scratch = np.empty(min(m, BLOCK), dtype=complex)
     for i0 in range(0, m, BLOCK):
         _residual_rows(sys, x, i0, r[i0:i0 + BLOCK], scratch)
     return r
@@ -549,7 +550,7 @@ def residual_inf_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
     if x.shape != (m,):
         raise ValueError(f"solution length {x.shape} does not match system size {m}")
     if m <= BLOCK:
-        return float(np.abs(_residual(sys, x)).max())
+        return float(np.abs(residual(sys, x)).max())
     rows, scratch = np.empty((2, BLOCK), dtype=complex)
     return _max_abs(_residual_rows(sys, x, i0, rows[:m - i0], scratch)
                     for i0 in range(0, m, BLOCK))

@@ -1,5 +1,6 @@
 """Verification layer: residuals, multipliers, bounds, convergence studies."""
 
+import cmath
 import math
 import warnings
 from dataclasses import replace
@@ -12,7 +13,7 @@ from bpfhelm.analysis import (
     CheckResult,
     boundary_multiplier,
     boundary_multiplier_bound,
-    boundary_residuals,
+    consistency_residuals,
     convergence_study,
     energy_identity_mismatch,
     error_report,
@@ -20,12 +21,12 @@ from bpfhelm.analysis import (
     flux_estimate_check,
     interior_multiplier,
     interior_multiplier_bound,
-    interior_residual,
     l2_norm_quad,
     residual_report,
     stability_bound_check,
     verify_identities,
     verify_multipliers,
+    verify_residuals,
     verify_stability,
 )
 from bpfhelm.errors import NearNyquist, NearResonantFrequency
@@ -34,21 +35,44 @@ from bpfhelm.grid import (GridFunction, make_grid, norm_l2h, norm_linf, norm_v, 
 from bpfhelm.numerics import stability_constant_a0, theta
 from bpfhelm.reference import (
     ExactSolution,
+    make_benchmark,
     plane_wave_problem,
     sine_squared_problem,
     smooth_manufactured_problem,
     smooth_source_derivatives,
 )
-from bpfhelm.schemes import SchemeKind, assemble, solve_scheme
-from bpfhelm.trisolve import residual_inf_norm
+from bpfhelm.schemes import HelmholtzProblem, SchemeKind, assemble, solve_scheme
+from bpfhelm.trisolve import TridiagonalSystem, residual_inf_norm
+
+EPS = float(np.finfo(float).eps)
+
+
+def _tau_oracle(exact, k, grid):
+    """The paper's interior residual tau_i = Theta(kh) (Delta_h u)(x_i) - u''(x_i)."""
+    u = sample(exact.u, grid).values
+    lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h**2
+    return theta(k * grid.h) * lap - exact.u_doubleprime(grid.nodes()[1:-1])
+
+
+def _beta_oracle(exact, k, h, L):
+    """The paper's closure residuals
+    beta0 = k/sin(kh) (u(h) - e^{ikh} u(0)) - (u'(0) - ik u(0)) and its mirror at L."""
+    bfac, phase = k / math.sin(k * h), cmath.exp(1j * k * h)
+    u0, uh, uLh, uL = (complex(exact.u(x)) for x in (0.0, h, L - h, L))
+    return (bfac * (uh - phase * u0) - (complex(exact.u_prime(0.0)) - 1j * k * u0),
+            bfac * (phase * uL - uLh) - (complex(exact.u_prime(L)) + 1j * k * uL))
+
+
+def _tau_norm(tau, grid):
+    return math.sqrt(grid.h * np.sum(np.abs(tau) ** 2))
 
 
 class TestInteriorResidual:
     def test_plane_wave_residual_vanishes(self):
         k = 2.0**6
-        _, exact = plane_wave_problem(k, 2.0, 1.0)
-        _, tau_norm = interior_residual(exact, k, make_grid(1.0, 128))
-        assert tau_norm <= 1e-12 * k * k
+        p, exact = plane_wave_problem(k, 2.0, 1.0)
+        tau, _, _ = consistency_residuals(p, exact, 128)
+        assert _tau_norm(tau, make_grid(1.0, 128)) <= 1e-12 * k * k
 
     def test_quadratic_low_wavenumber(self):
         # tau_i = Theta(kh)*2 - 2 exactly for u = x^2
@@ -58,44 +82,48 @@ class TestInteriorResidual:
             u_prime=lambda x: 2.0 * np.asarray(x),
             u_doubleprime=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
         )
-        grid = make_grid(1.0, 16)
-        tau, _ = interior_residual(exact, k, grid)
-        expected = 2.0 * (theta(k * grid.h) - 1.0)
+        p = HelmholtzProblem(k, 1.0, lambda x: 2.0 + k * k * np.asarray(x) ** 2,
+                             0j, 2.0 + 1j * k)
+        tau, _, _ = consistency_residuals(p, exact, 16)
+        expected = 2.0 * (theta(k / 16) - 1.0)
         assert np.max(np.abs(tau - expected)) <= 1e-13
 
     def test_smooth_benchmark_within_bound(self):
         k = 2.0**5
         p, exact = smooth_manufactured_problem(k)
         grid = make_grid(1.0, 3**7)
-        _, tau_norm = interior_residual(exact, k, grid)
+        tau, _, _ = consistency_residuals(p, exact, grid.n)
         _, _, fppp = smooth_source_derivatives(k)
         bound = 1.0 * theta(k * grid.h) * grid.h**2 / 12.0 * l2_norm_quad(fppp, 1.0)
-        assert tau_norm <= bound
+        assert _tau_norm(tau, grid) <= bound
 
     def test_nyquist_guard(self):
-        _, exact = plane_wave_problem(8.0, 1.0, 0.0)
+        p, exact = plane_wave_problem(math.pi * 16, 1.0, 0.0)
         with pytest.raises(NearNyquist):
-            interior_residual(exact, math.pi * 16, make_grid(1.0, 16))
+            consistency_residuals(p, exact, 16)
 
 
 class TestBoundaryResiduals:
     def test_plane_wave_residuals_vanish(self):
         k = 2.0**6
-        _, exact = plane_wave_problem(k, 2.0, 1.0)
-        b0, bL = boundary_residuals(exact, k, 1.0 / 128, 1.0)
+        p, exact = plane_wave_problem(k, 2.0, 1.0)
+        _, b0, bL = consistency_residuals(p, exact, 128)
         assert abs(b0) + abs(bL) <= 1e-12 * k
 
     def test_constant_solution_oracle(self):
         # oracle: direct evaluation of the closure formula at u == c
-        k, h, L = 3.0, 0.125, 1.0
+        k, n = 3.0, 8
         c = 1.7 - 0.4j
         exact = ExactSolution(
             u=lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=complex),
             u_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
             u_doubleprime=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
         )
-        b0, bL = boundary_residuals(exact, k, h, L)
-        s = k * h
+        p = HelmholtzProblem(
+            k, 1.0, lambda x: np.full_like(np.asarray(x, dtype=float), k * k * c, dtype=complex),
+            -1j * k * c, 1j * k * c)
+        _, b0, bL = consistency_residuals(p, exact, n)
+        s = k / n
         expected0 = c * (k / math.sin(s)) * (1.0 - np.exp(1j * s)) + 1j * k * c
         expectedL = c * (k / math.sin(s)) * (np.exp(1j * s) - 1.0) - 1j * k * c
         assert abs(b0 - expected0) <= 1e-13 * k * abs(c)
@@ -106,12 +134,52 @@ class TestBoundaryResiduals:
         p, exact = smooth_manufactured_problem(k)
         n = 3**7
         h = 1.0 / n
-        b0, bL = boundary_residuals(exact, k, h, 1.0)
+        _, b0, bL = consistency_residuals(p, exact, n)
         _, fpp, _ = smooth_source_derivatives(k)
         th = theta(k * h)
         bound = (2.0 * math.sqrt(th) * abs(1.0 / math.cos(0.5 * k * h))
                  * h**2 / 6.0 * l2_norm_quad(fpp, 1.0))
         assert abs(b0) + abs(bL) <= bound
+
+
+class TestConsistencyResiduals:
+    @pytest.mark.parametrize("name, k, n", [("planewave", 2.0**6, 24), ("planewave", 2.0**6, 128),
+                                            ("planewave", 2.0**8, 3**5), ("smooth", 2.0**5, 3**7),
+                                            ("smooth", 2.0**8, 3**5), ("smooth", 2.0**4, 3**8)])
+    def test_matches_paper_formulas(self, name, k, n):
+        # The assembled rows and the paper's formulas round differently; each
+        # side is a sum of a few terms no larger than the row's coefficients
+        # times max|u| (or the data), so they agree to 16 eps of that scale.
+        p, exact = make_benchmark(name, k)
+        grid = make_grid(p.L, n)
+        tau, b0, bL = consistency_residuals(p, exact, n)
+        u_max = norm_linf(sample(exact.u, grid))
+        f_max = norm_linf(sample(p.f, grid))
+        th = theta(k * grid.h)
+        interior = 16.0 * EPS * ((4.0 * th / grid.h**2 + k * k) * u_max + f_max)
+        assert np.max(np.abs(tau - _tau_oracle(exact, k, grid))) <= interior
+        closure = 16.0 * EPS * ((2.0 * k / math.sin(k * grid.h) + k) * u_max
+                                + abs(p.g0) + abs(p.gL))
+        ob0, obL = _beta_oracle(exact, k, grid.h, p.L)
+        assert abs(b0 - ob0) <= closure
+        assert abs(bL - obL) <= closure
+
+
+class TestChecksReadAssembledRows:
+    @pytest.mark.parametrize("field, factor", [("u0", 1.0 + 1e-6), ("c", 1.0 + 1e-9)])
+    def test_perturbed_stencil_fails_checks(self, monkeypatch, field, factor):
+        # The identity and residual suites read the BPF rows from assemble,
+        # so a wrong row there must fail them.
+        def perturbed(p, n, kind):
+            sys = assemble(p, n, kind)
+            stencil = sys.stencil._replace(**{field: getattr(sys.stencil, field) * factor})
+            return TridiagonalSystem(stencil, sys.rhs, sys.theta)
+
+        monkeypatch.setattr(analysis, "assemble", perturbed)
+        failed = {c.name for c in verify_identities(0) if not c.passed}
+        assert failed & {"boundary_rewrite", "factorization_three_point"}
+        failed = [c.name for c in verify_residuals() if not c.passed]
+        assert any(name.startswith(("tau_", "beta_")) for name in failed)
 
 
 class TestResidualReport:
@@ -300,8 +368,8 @@ class TestErrorEquation:
         ref = sample(exact.u, u_h.grid)
         e = u_h.values - ref.values
         sys = assemble(p, n, SchemeKind.BPF)
-        tau, _ = interior_residual(exact, k, u_h.grid)
-        b0, bL = boundary_residuals(exact, k, u_h.grid.h, 1.0)
+        tau = _tau_oracle(exact, k, u_h.grid)
+        b0, bL = _beta_oracle(exact, k, u_h.grid.h, 1.0)
         sys.rhs[1:-1] = -tau
         sys.rhs[0] = -b0
         sys.rhs[-1] = -bL

@@ -8,7 +8,6 @@ import pytest
 from bpfhelm.errors import InvalidGrid, NonFiniteSample, NonNestedGrids
 from bpfhelm.grid import (
     GridFunction,
-    discrete_laplacian,
     forward_diff,
     make_grid,
     nodal_values,
@@ -27,6 +26,12 @@ from bpfhelm.trisolve import BLOCK
 def _random_gf(rng, grid):
     return GridFunction(grid, rng.standard_normal(grid.n + 1)
                         + 1j * rng.standard_normal(grid.n + 1))
+
+
+def _laplacian(v):
+    """Oracle: second differences (v_{i+1} - 2 v_i + v_{i-1})/h^2, i = 1..n-1."""
+    u = v.values
+    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / v.grid.h**2
 
 
 class TestMakeGrid:
@@ -176,25 +181,6 @@ class TestDifferenceOperators:
         expected = np.exp(1j * k * x) * (np.exp(1j * k * g.h) - 1.0) / g.h
         assert np.max(np.abs(forward_diff(v) - expected)) <= 1e-12
 
-    def test_laplacian_linear_is_zero(self):
-        g = make_grid(1.0, 8)
-        v = sample(lambda x: 2.0 * np.asarray(x) + 1.0, g)
-        assert np.max(np.abs(discrete_laplacian(v))) <= 1e-12
-
-    def test_laplacian_exact_on_quadratics(self):
-        g = make_grid(1.0, 8)
-        v = sample(lambda x: np.asarray(x) ** 2, g)
-        assert np.allclose(discrete_laplacian(v), 2.0, atol=1e-10)
-
-    def test_laplacian_sine_symbol(self):
-        # oracle: Delta_h sin(xi x) = -(4/h^2) sin^2(xi h/2) sin(xi x)
-        xi = 3.0 * math.pi
-        g = make_grid(1.0, 27)
-        v = sample(lambda x: np.sin(xi * np.asarray(x)), g)
-        x = g.nodes()[1:-1]
-        symbol = -4.0 / g.h**2 * math.sin(0.5 * xi * g.h) ** 2
-        assert np.max(np.abs(discrete_laplacian(v) - symbol * np.sin(xi * x))) <= 1e-9
-
 
 class TestNorms:
     def test_constant_l2h(self):
@@ -240,7 +226,7 @@ class TestNorms:
         for n in (8, 33, 100):
             g = make_grid(1.0, n)
             v = _random_gf(rng, g)
-            lap = discrete_laplacian(v)
+            lap = _laplacian(v)
             lhs = g.h * np.sum(lap * np.conj(v.values[1:-1]))
             grad = forward_diff(v)
             rhs = (-seminorm_h1h(v) ** 2

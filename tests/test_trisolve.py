@@ -334,6 +334,8 @@ class TestResidual:
         sys = TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), np.ones(3))
         with pytest.raises(ValueError):
             residual_inf_norm(sys, np.ones(4, dtype=complex))
+        with pytest.raises(ValueError):
+            trisolve.residual(sys, np.ones(4, dtype=complex))
 
 
 def _random_stencil(rng):
@@ -380,7 +382,7 @@ def test_stencil_residual_matches_diagonals_bitwise(coefficients, m, seed):
     rng = np.random.default_rng(seed)
     rhs, x = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
     sys = TridiagonalSystem(Stencil(*coefficients), rhs)
-    assert trisolve._residual(sys, x).tobytes() == _unblocked_residual(sys, x).tobytes()
+    assert trisolve.residual(sys, x).tobytes() == _unblocked_residual(sys, x).tobytes()
 
 
 def _unblocked_residual(sys, x):
@@ -480,7 +482,7 @@ class TestStreamedSolve:
                                 rng.standard_normal(m) + 1j * rng.standard_normal(m))
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         full = _unblocked_residual(sys, x)
-        assert trisolve._residual(sys, x).tobytes() == full.tobytes()
+        assert trisolve.residual(sys, x).tobytes() == full.tobytes()
         assert residual_inf_norm(sys, x) == float(np.max(np.abs(full)))
 
     @pytest.mark.parametrize("m", [9, 181, 1000, 4097])
@@ -500,7 +502,7 @@ class TestStreamedSolve:
             monkeypatch.setattr(trisolve, "BLOCK", block)
             n_blocks.append(-(-m // _block_length(m)))
             x = trisolve._solve_kernel(sys, correct)
-            outputs.append([x.tobytes(), trisolve._residual(sys, x).tobytes(),
+            outputs.append([x.tobytes(), trisolve.residual(sys, x).tobytes(),
                             residual_inf_norm(sys, x), trisolve.max_abs(x)])
         assert n_blocks[0] == 1 and n_blocks[1] > 1
         assert outputs[0] == outputs[1]
