@@ -29,8 +29,6 @@ from .grid import (
     seminorm_h1h,
 )
 from .numerics import (
-    _bernoulli_closed,
-    _bernoulli_series,
     bernoulli,
     envelope_derivative_sup,
     nyquist_guard,
@@ -395,13 +393,14 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     compared against it, and passing n_ref for one raises ValueError. Any
     other benchmark is compared against a cached fine-grid solve of the same
     scheme on n_ref subintervals (default: the registry's resolution), which
-    every entry of n_list must divide; that is checked before anything is
-    solved. Cells run in n_list order.
+    every entry of n_list must divide and be less than; that is checked
+    before anything is solved, as is each count (make_grid: a whole number
+    >= 2, else InvalidGrid). Cells run in n_list order.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing and nonempty")
     problem, exact = make_benchmark(benchmark, k)
+    grids = [make_grid(problem.L, n) for n in n_list]
+    if not grids or any(b.n <= a.n for a, b in zip(grids, grids[1:])):
+        raise ValueError("n_list must be strictly increasing and nonempty")
     if exact is not None:
         if n_ref is not None:
             raise ValueError(f"n_ref sets a fine reference, but benchmark {benchmark!r} "
@@ -410,8 +409,8 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     else:
         n_ref = BENCHMARKS[benchmark][1] if n_ref is None else n_ref
         fine_grid = make_grid(problem.L, n_ref)
-        for n in n_list:
-            check_nested(fine_grid, make_grid(problem.L, n))
+        for grid in grids:
+            check_nested(fine_grid, grid)
         fine = fine_grid_reference(problem, n_ref, kind)
 
     def run_cell(n: int) -> ConvergenceRow:
@@ -422,7 +421,7 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
             ref = restrict(fine, u_h.grid)
         return ConvergenceRow(k, n, u_h.grid.h, error_report(u_h, ref, k))
 
-    rows = [run_cell(n) for n in n_list]
+    rows = [run_cell(grid.n) for grid in grids]
 
     hs = [row.h for row in rows]
     rates: dict[str, float] = {}
@@ -468,11 +467,6 @@ def verify_identities(seed: int = 0) -> list[CheckResult]:
     b_pos, b_neg = bernoulli(zs), bernoulli(-zs)
     checks.append(CheckResult("bernoulli_reflection", _rel_mismatch(b_neg, np.exp(zs) * b_pos), 1e-12))
     checks.append(CheckResult("bernoulli_difference", _rel_mismatch(b_neg - b_pos, zs), 1e-12))
-
-    # Series/closed-form crossover continuity on the threshold circle.
-    ring = 1e-3 * np.exp(2j * math.pi * np.linspace(0, 1, 64, endpoint=False))
-    checks.append(CheckResult("bernoulli_crossover",
-                              _rel_mismatch(_bernoulli_series(ring), _bernoulli_closed(ring)), 1e-14))
 
     # Theta against |B(is)|^2 and its range on [0, pi].
     s_grid = np.linspace(1e-3, 2.0 * math.pi - 0.05, 500)

@@ -190,9 +190,9 @@ def cmd_table(args) -> int:
     """Relative error matrix (rows k_list, columns h = 1/n) for the sine2
     benchmark. Each cell is solved once and measured against both the
     closed form and a fine-grid BPF reference on --n subintervals (default:
-    the registry's resolution), which every n must divide; that is checked
-    before anything is solved. The diagonal summary reads the closed-form
-    matrix."""
+    the registry's resolution), which every n must divide and be less than;
+    that is checked before anything is solved. The diagonal summary reads
+    the closed-form matrix."""
     k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args)
     if len(set(k_list)) < len(k_list) or len(set(n_list)) < len(n_list):
@@ -229,7 +229,8 @@ def cmd_compare(args) -> int:
     pair, reporting the relative error in the selected norm. A benchmark
     without a closed form is measured against one fine-grid BPF reference
     per pair at the registry's resolution, shared by the three schemes; every
-    n must divide that resolution, which is checked before anything is solved."""
+    n must be a proper divisor of that resolution, which is checked before
+    anything is solved."""
     k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args)
     if len(k_list) != len(n_list):

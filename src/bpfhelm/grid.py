@@ -139,12 +139,15 @@ def norm_linf(v: GridFunction) -> float:
 
 
 def check_nested(fine: UniformGrid, coarse: UniformGrid) -> None:
-    """Raise NonNestedGrids unless every coarse node is a fine node: the same
-    domain length and n_fine an integer multiple of n_coarse."""
+    """Raise NonNestedGrids unless every coarse node is a fine node and the
+    fine grid is finer: the same domain length and n_fine a multiple of
+    n_coarse other than n_coarse itself."""
     if abs(fine.L - coarse.L) > 1e-14 * max(abs(coarse.L), 1.0):
         raise NonNestedGrids(f"domain lengths differ: {fine.L!r} vs {coarse.L!r}")
     if fine.n % coarse.n != 0:
         raise NonNestedGrids(f"{fine.n} subintervals are not a multiple of {coarse.n}")
+    if fine.n == coarse.n:
+        raise NonNestedGrids(f"{fine.n} subintervals are not finer than {coarse.n}")
 
 
 def restrict(fine: GridFunction, coarse: UniformGrid) -> GridFunction:

@@ -1,11 +1,12 @@
 """Special functions and wavenumber-dependent constants.
 
 Everything here is a pure function: the Bernoulli function
-B(z) = z/(e^z - 1) that generates the one-way flux weights, the
-phase-fitted stencil weight Theta(s) = s^2 / (4 sin^2(s/2)), the boundary
-correction factor m(s) = e^{-is/2} cos(s/2), the shifted wavenumber
-(2/h) sin(kh/2), and the stability envelope constant A0. B and m work
-elementwise on arrays; the rest, on the solve path, take scalars. Guards convert
+B(z) = z/(e^z - 1) that generates the one-way flux weights, evaluated
+everywhere as the one formula z/expm1(z) with B(0) = 1, the phase-fitted
+stencil weight Theta(s) = s^2 / (4 sin^2(s/2)), the boundary correction
+factor m(s) = e^{-is/2} cos(s/2), the shifted wavenumber (2/h) sin(kh/2),
+and the stability envelope constant A0. B and m work elementwise on arrays;
+the rest, on the solve path, take scalars. Guards convert
 near-singular parameter choices (kh near pi*Z, s near 2*pi*Z) into typed
 exceptions instead of silently returning huge numbers.
 """
@@ -23,9 +24,6 @@ from .errors import NearNyquist, SingularParameter
 # assembled condition numbers below ~1e8.
 GUARD_TOL = 1e-8
 
-# Below this |z| the closed form of B(z) is replaced by its Taylor series.
-BERNOULLI_SERIES_THRESHOLD = 1e-3
-
 
 def _distance_to_multiples(s: float, period: float) -> tuple[float, int]:
     """Distance from s to the nearest multiple of `period`, and that multiple."""
@@ -35,42 +33,19 @@ def _distance_to_multiples(s: float, period: float) -> tuple[float, int]:
     return abs(s - m * period), m
 
 
-def _cexpm1(z):
-    """e^z - 1 with full relative accuracy for small |z|, elementwise.
-
-    Splits into real/imaginary parts so that the cancellation in
-    e^x cos y - 1 is performed analytically:
-        e^z - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y.
-    """
-    x, y = np.real(z), np.imag(z)
-    half_sin = np.sin(0.5 * y)
-    return np.expm1(x) * np.cos(y) - 2.0 * half_sin * half_sin + 1j * (np.exp(x) * np.sin(y))
-
-
-def _bernoulli_series(z):
-    # Taylor series of z/(e^z-1); next omitted term is z^6/30240.
-    z2 = z * z
-    return 1.0 - 0.5 * z + z2 / 12.0 - z2 * z2 / 720.0
-
-
-def _bernoulli_closed(z):
-    return z / _cexpm1(z)
-
-
 def bernoulli(z):
     """Bernoulli function B(z) = z/(e^z - 1), with B(0) = 1, elementwise.
 
-    Uses a 4-term Taylor series below |z| = 1e-3 and the closed form above;
-    both branches carry >= 13 correct digits so the crossover is seamless.
+    One formula, z/expm1(z), accurate near 0 because numpy's complex expm1
+    keeps full relative accuracy for small |z|. At z = 0 the quotient is
+    taken at a stand-in and replaced by 1, so 0/0 never warns.
     Finite where Re z < 709 (e^z overflows above), except at the poles
     2*pi*i*Z minus 0, which are the caller's responsibility (see theta).
     """
     z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < BERNOULLI_SERIES_THRESHOLD
-    # each branch runs at a stand-in where it is not taken (closed form: 0/0 at 0)
-    series = _bernoulli_series(np.where(small, z, 0.0))
-    closed = _bernoulli_closed(np.where(small, 1.0, z))
-    return np.where(small, series, closed)[()]  # [()]: a scalar for scalar z
+    zero = z == 0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, safe / np.expm1(safe))[()]  # [()]: a scalar for scalar z
 
 
 def theta(s: float) -> float:

@@ -29,7 +29,7 @@ from bpfhelm.analysis import (
     verify_residuals,
     verify_stability,
 )
-from bpfhelm.errors import NearNyquist, NearResonantFrequency
+from bpfhelm.errors import InvalidGrid, NearNyquist, NearResonantFrequency
 from bpfhelm.grid import (GridFunction, make_grid, norm_l2h, norm_linf, norm_v, sample,
                           seminorm_h1h)
 from bpfhelm.numerics import stability_constant_a0, theta
@@ -407,6 +407,22 @@ class TestConvergenceStudy:
             convergence_study("box", SchemeKind.BPF, 4.0, [8, 16], n_ref=81)  # not nested
         with pytest.raises(ValueError):
             convergence_study("smooth", SchemeKind.BPF, 4.0, [8, 16], n_ref=64)
+
+    @pytest.mark.parametrize("n_list", [[8.5, 16.9], [8, float("nan")], [8, 16, 1.0]])
+    def test_bad_count_raises_invalid_grid_before_any_solve(self, monkeypatch, n_list):
+        # int(n) used to solve n = 8 and 16 for 8.5 and 16.9, and a NaN count
+        # raised a bare ValueError from int
+        def spy(*args):
+            raise AssertionError("solve_scheme called")
+
+        monkeypatch.setattr(analysis, "solve_scheme", spy)
+        with pytest.raises(InvalidGrid):
+            convergence_study("smooth", SchemeKind.BPF, 32.0, n_list)
+
+    def test_whole_float_counts_accepted(self):
+        tab = convergence_study("smooth", SchemeKind.BPF, 32.0, [16.0, 32.0])
+        assert [row.n for row in tab.rows] == [16, 32]
+        assert all(type(row.n) is int for row in tab.rows)
 
     @pytest.mark.parametrize("name", ["planewave", "smooth", "sine2"])
     def test_n_ref_rejected_for_closed_form(self, name):

@@ -343,6 +343,27 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             "usage error: 262144 subintervals are not a multiple of 3\n")
 
+    @pytest.mark.parametrize("argv,n", [
+        (["convergence", "--k", "8", "--n-list", "81,729", "--benchmark", "box", "--n", "729"], 729),
+        (["table", "--k-list", "8", "--h-list", "0.5,0.25", "--n", "4"], 4),
+        (["compare", "--k-list", "8", "--n-list", "531441", "--benchmark", "box"], 531441),
+    ], ids=["convergence", "table", "compare"])
+    def test_mesh_equal_to_fine_reference_rejected_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, argv, n):
+        # the mesh used to be compared with itself: a 0.0 error, and in
+        # convergence a log(0) rate fit that wrote nan rates with exit 0
+        clear_reference_cache()
+
+        def spy(*args):
+            raise AssertionError("solve_scheme called")
+
+        for module in (cli, analysis, reference):
+            monkeypatch.setattr(module, "solve_scheme", spy)
+        code = main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {n} subintervals are not finer than {n}\n")
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         code = main(["convergence", "--k", "4", "--n-list", "4,8", "--out", str(out)])

@@ -265,6 +265,12 @@ class TestRestrict:
         with pytest.raises(NonNestedGrids):
             restrict(v, make_grid(1.0, 4))
 
+    def test_same_grid_rejected(self):
+        # a grid restricted onto itself is no finer reference
+        v = sample(lambda x: np.asarray(x), make_grid(1.0, 8))
+        with pytest.raises(NonNestedGrids, match="not finer"):
+            restrict(v, make_grid(1.0, 8))
+
     def test_different_length_rejected(self):
         v = sample(lambda x: np.asarray(x), make_grid(2.0, 8))
         with pytest.raises(NonNestedGrids):

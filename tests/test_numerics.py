@@ -10,9 +10,6 @@ import pytest
 
 from bpfhelm.errors import NearNyquist, SingularParameter
 from bpfhelm.numerics import (
-    BERNOULLI_SERIES_THRESHOLD,
-    _bernoulli_closed,
-    _bernoulli_series,
     bernoulli,
     envelope_derivative_sup,
     nyquist_guard,
@@ -56,29 +53,15 @@ class TestBernoulli:
             diff = bernoulli(-z) - bernoulli(z)
             assert abs(diff - z) <= 1e-12 * max(abs(z), 1e-300)
 
-    def test_branch_crossover_continuous(self):
-        # both branches agree to 1e-14 relative on the threshold circle
-        for ang in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
-            z = 1e-3 * cmath.exp(1j * ang)
-            a = _bernoulli_series(z)
-            b = _bernoulli_closed(z)
-            assert abs(a - b) <= 1e-14 * abs(b)
-
-    def test_small_argument_uses_series_accurately(self):
-        # series truncation error ~ |z|^6 / 30240, invisible at 1e-4
-        z = 1e-4 + 1e-4j
-        expected = 1.0 - z / 2.0 + z * z / 12.0 - z**4 / 720.0
-        assert bernoulli(z) == expected
-
     @staticmethod
-    def _disk_and_series_points(seed):
-        # random points of |z| <= 10 and of the series disk |z| < 1e-3
+    def _disk_points(seed, radii=(10.0,) * 400 + (1e-3,) * 100):
+        # random points of the disks |z| <= r, one per radius r
         rng = np.random.default_rng(seed)
-        radius = np.concatenate([10.0 * np.ones(400), 1e-3 * np.ones(100)])
-        return radius * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * math.pi * rng.uniform(0, 1, 500))
+        m = len(radii)
+        return np.array(radii) * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
 
     def test_array_matches_scalar_calls(self):
-        z = self._disk_and_series_points(21)
+        z = self._disk_points(21)
         got = bernoulli(z)
         expected = np.array([bernoulli(complex(v)) for v in z])
         assert got.shape == z.shape
@@ -86,23 +69,27 @@ class TestBernoulli:
 
     def test_matches_mpmath(self):
         # 40-digit z/(e^z - 1) at the same float inputs; the bound scales with
-        # the condition number |z|/dist(z, poles) near the poles +-2*pi*i
-        z = self._disk_and_series_points(22)
+        # the condition number |z|/dist(z, poles) near the poles +-2*pi*i.
+        # Points: the disks |z| <= 10, 1e-3 and 1e-8, and the imaginary axis
+        # +-i*s for s in [1e-8, 3], where the flux weights B(+-i*kh) live
+        s = np.geomspace(1e-8, 3.0, 200)
+        z = np.concatenate([self._disk_points(22), self._disk_points(23, (1e-8,) * 100),
+                            1j * s, -1j * s])
         with mpmath.workdps(40):
             exact = np.array([complex(mpmath.mpc(v) / mpmath.expm1(mpmath.mpc(v))) for v in z])
         dist = np.minimum(np.abs(z - 2j * math.pi), np.abs(z + 2j * math.pi))
         cond = np.maximum(1.0, np.abs(z) / dist)
         assert np.all(np.abs(bernoulli(z) - exact) <= 8 * EPS * cond * np.abs(exact))
 
-    def test_array_with_zero_across_threshold_raises_no_warning(self):
-        t = BERNOULLI_SERIES_THRESHOLD
-        mags = np.array([0.0, t * (1 - 1e-12), t, t * (1 + 1e-12), 0.5 * t, 2 * t])
+    def test_array_with_zero_raises_no_warning(self):
+        # 0 next to tiny, small and unit magnitudes, along four rays
+        mags = np.array([0.0, 1e-300, 1e-12, 1e-4, 0.5, 1.0])
         z = np.concatenate([mags, 1j * mags, -mags, mags * cmath.exp(0.7j)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bernoulli(z)
-        assert got[0] == 1.0
-        expected = np.array([bernoulli(complex(v)) for v in z])
+            expected = np.array([bernoulli(complex(v)) for v in z])
+        assert np.all(got[z == 0] == 1.0)
         assert np.all(np.abs(got - expected) <= 4 * EPS * np.abs(expected))
 
     def test_scalar_input_gives_complex_scalar(self):

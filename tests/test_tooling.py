@@ -1,6 +1,8 @@
 """Test tooling: the pytest configuration, the CLI run recorder and its
-committed record, and the library-path cell digests."""
+committed record, the library-path cell digests, and the rule that no
+package module imports another's private names."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -120,3 +122,16 @@ def test_cell_digests_smoke(tmp_path):
     assert module.fine_digest(module.FINE_CELLS[-1]).split(",") == [
         benchmark, scheme, str(n), k.hex(), module._digest(assemble(problem, n, kind).rhs),
         module._digest(solve_scheme(problem, n, kind).values)]
+
+
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name is its own module's business: importing it ties two
+    # modules together through what neither of them exports
+    offenders = []
+    for path in sorted((ROOT / "src" / "bpfhelm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "bpfhelm"):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []
