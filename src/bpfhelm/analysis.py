@@ -386,21 +386,22 @@ def fit_rate(hs, errs) -> float:
 
 def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
                       n_ref: int | None = None) -> ConvergenceTable:
-    """Solve one benchmark over a strictly increasing list of subinterval
-    counts and fit log-log rates of the relative max and V errors.
+    """Solve one benchmark over a strictly increasing list of at least two
+    subinterval counts and fit log-log rates of the relative max and V errors.
 
     The reference follows the benchmark: a benchmark with a closed form is
     compared against it, and passing n_ref for one raises ValueError. Any
     other benchmark is compared against a cached fine-grid solve of the same
     scheme on n_ref subintervals (default: the registry's resolution), which
     every entry of n_list must divide and be less than; that is checked
-    before anything is solved, as is each count (make_grid: a whole number
-    >= 2, else InvalidGrid). Cells run in n_list order.
+    before anything is solved, as are n_list's length and order and each
+    count (make_grid: a whole number >= 2, else InvalidGrid). Cells run in
+    n_list order.
     """
     problem, exact = make_benchmark(benchmark, k)
     grids = [make_grid(problem.L, n) for n in n_list]
-    if not grids or any(b.n <= a.n for a, b in zip(grids, grids[1:])):
-        raise ValueError("n_list must be strictly increasing and nonempty")
+    if len(grids) < 2 or any(b.n <= a.n for a, b in zip(grids, grids[1:])):
+        raise ValueError("n_list must be strictly increasing with at least two counts")
     if exact is not None:
         if n_ref is not None:
             raise ValueError(f"n_ref sets a fine reference, but benchmark {benchmark!r} "

@@ -20,24 +20,16 @@ system records about its kernel:
   e^{+-i theta j}, and the particular solution comes from two cumulative
   sums. The phases come from theta itself, not from the stored diagonal,
   whose rounding drifts the phase by about eps * n / theta over n steps at
-  small theta. Where that drift is at most CORRECTION_MAX_DRIFT (every
-  coarse grid), one correction step x -= K^{-1}(A x - b) against the
-  assembled rows brings the residual down to the level of elimination.
-  Above it (the fine-grid references) the step is skipped, because it
-  would pull x toward the stored rows' drifted phase. The drift is
-  measured in theta, not in sin(theta): near theta = pi the two kernel
-  vectors coalesce, so there the bare kernel solve loses accuracy while
-  the stored rows keep theirs, and the step stays on.
-  A system that fits one block of about BLOCK unknowns (every coarse grid)
-  is solved in one straight line of whole-array operations. A larger one
-  streams through blocks of whole rows of its phase table, so that a
-  block's working set stays in L2: pass 1 writes the particular solution
-  and carries the two cumulative sums from block to block, pass 2 rebuilds
-  the block's phases and adds the homogeneous part. Every element sees the
-  one-block solve's operations in the same order, so results are bitwise
-  those of a solve over whole arrays. Beyond rhs and x a streamed solve
-  holds block-sized buffers only, and the corrected path one residual,
-  whose buffer receives the correction.
+  small theta. A system that fits one block of about BLOCK unknowns
+  (every coarse grid) is solved in one straight line of whole-array
+  operations. A larger one streams through blocks of whole rows of its
+  phase table, so that a block's working set stays in L2: pass 1 writes
+  the particular solution and carries the two cumulative sums from block
+  to block, pass 2 rebuilds the block's phases and adds the homogeneous
+  part. Every element sees the one-block solve's operations in the same
+  order, so results are bitwise those of a solve over whole arrays.
+  Beyond rhs and x a streamed solve holds block-sized buffers only, and a
+  correction step one residual, whose buffer receives the correction.
 * The root lambda with |lambda| <= 1, which every other system records:
   fd at kh > 2, where lambda is real in (-1, 0), and every hand-built
   stencil. With K = 1 / (c (lambda - 1/lambda)),
@@ -49,16 +41,16 @@ system records about its kernel:
   carry per row passes the sum on to the next. A row spans at most
   _ROW_LOG_RANGE in ln|lambda|, so the scaled terms stay far from
   overflow. At a double root (lambda = +-1, e.g. fd at kh = 2 exactly)
-  K is infinite, and the kernel is lambda^j and j lambda^j instead. The
-  path takes the same correction step where the roots are close, with
-  1 - |lambda| at most CORRECTION_MAX_GAP, and a second one in the band
-  where they all but meet (SECOND_CORRECTION_MAX_GAP).
+  K is infinite, and the kernel is lambda^j and j lambda^j instead.
 
-Both paths raise SingularSystem instead of returning garbage when the
-determinant of the 2x2 boundary system drops below PIVOT_REL_TOL times its
-scale. The root path measures against the matrix scale as well (a boundary
-row of a near-zero pivot, all coefficients zero), and against the interior
-pivot, which vanishes only when both c and d are negligible.
+Each path is a factory that checks the system and returns its solve;
+solve_tridiagonal decides how many correction steps follow it and takes
+them in one loop. Both paths raise SingularSystem instead of returning
+garbage when the determinant of the 2x2 boundary system drops below
+PIVOT_REL_TOL times its scale. The root path measures against the matrix
+scale as well (a boundary row of a near-zero pivot, all coefficients
+zero), and against the interior pivot, which vanishes only when both c
+and d are negligible.
 
 residual_inf_norm and max_abs reduce a system that fits one block
 directly, and a larger one block by block; either gives NaN if the array
@@ -214,35 +206,67 @@ def _power(z: complex, n: int) -> complex:
 
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     """Solve sys in the basis of its interior kernel: by its kernel angle
-    when it carries one, by its root otherwise.
+    when it carries one, by its root otherwise. Raises SingularSystem on a
+    relative breakdown of either path.
 
-    The kernel-angle path takes its correction step while the phase drift
-    eps * n / |theta| is at most CORRECTION_MAX_DRIFT. The root path takes
-    one while the root gap 1 - |lambda| is at most CORRECTION_MAX_GAP and a
-    second while it is at most SECOND_CORRECTION_MAX_GAP. Raises
-    SingularSystem on a relative breakdown of either path.
+    The kernel-basis solve x = K^{-1} b is followed by up to two correction
+    steps x -= K^{-1}(A x - b) against the assembled rows, each of which
+    brings the residual down toward the level of elimination. The
+    kernel-angle path takes one while the phase drift eps * n / |theta| of
+    the assembled rows is at most CORRECTION_MAX_DRIFT (every coarse grid).
+    Above it (the fine-grid references) the step would pull x toward the
+    stored rows' drifted phase, as K takes its phases from theta itself.
+    The drift is measured in theta, not in sin(theta): near theta = pi the
+    two kernel vectors coalesce, so there K loses accuracy while the stored
+    rows keep theirs, and the step stays on. The root path takes one while
+    the root gap 1 - |lambda| is at most CORRECTION_MAX_GAP, where the roots
+    come close, and a second while it is at most SECOND_CORRECTION_MAX_GAP,
+    where they all but meet.
     """
     if sys.theta is not None:
         drift = _EPS * (sys.size - 1) / abs(sys.theta)
-        return _solve_kernel(sys, correct=drift <= CORRECTION_MAX_DRIFT)
+        return _solve(sys, _kernel_solver(sys), int(drift <= CORRECTION_MAX_DRIFT))
     gap = 1.0 - abs(sys.root)
-    return _solve_root(sys, steps=(gap <= CORRECTION_MAX_GAP) + (gap <= SECOND_CORRECTION_MAX_GAP))
+    return _solve(sys, _root_solver(sys),
+                  (gap <= CORRECTION_MAX_GAP) + (gap <= SECOND_CORRECTION_MAX_GAP))
 
 
-def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
-    """Kernel-basis solve; with `correct`, one correction step against the
-    assembled rows follows.
+def _solve(sys: TridiagonalSystem, solve, steps: int) -> np.ndarray:
+    """x = solve(rhs), then `steps` correction steps, each solving for the
+    correction into the residual's buffer."""
+    x = solve(sys.rhs)
+    for _ in range(steps):
+        r = residual(sys, x)
+        x -= solve(r, r)
+    return x
+
+
+def _boundary_solver(m00: complex, m01: complex, m10: complex, m11: complex,
+                     floor: float = 0.0):
+    """(r0, rn) -> the multiples (a, b) of the two kernel vectors that solve
+    the boundary rows [[m00, m01], [m10, m11]] (a, b) = (r0, rn). Raises
+    SingularSystem when |det| is below PIVOT_REL_TOL times
+    max(|m00 m11| + |m01 m10|, floor)."""
+    det = m00 * m11 - m01 * m10
+    if not abs(det) >= PIVOT_REL_TOL * max(abs(m00 * m11) + abs(m01 * m10), floor):
+        raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
+    return lambda r0, rn: ((r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det)
+
+
+def _kernel_solver(sys: TridiagonalSystem):
+    """solve(rhs, out=None) by the kernel angle: the solution for rhs,
+    written into out (a new array if None), which may be rhs itself.
 
     Particular solution, zero at j = 0 and 1 (S_j sums l = 1..j-1):
         p_j = (e^{i theta j} S-_j - e^{-i theta j} S+_j) / (2i c sin theta),
         S+-_j = sum_l e^{+-i theta l} b_l.
     The phases e^{+-i theta j}, j = q * width + r, are products of two tables
     of about sqrt(m) entries. A system that fits one block builds them once
-    and solves in whole-array steps (_solve_kernel_block). A larger one
-    builds them for one block of whole rows q at a time: pass 1 writes p
-    block by block, carrying both sums from block to block in accumulate's
-    sequential order; pass 2 rebuilds each block's phases and adds the
-    homogeneous part a e^{i theta j} + b e^{-i theta j}.
+    and solves in whole-array steps. A larger one builds them for one block
+    of whole rows q at a time: pass 1 writes p block by block, carrying both
+    sums from block to block in accumulate's sequential order; pass 2
+    rebuilds each block's phases and adds the homogeneous part
+    a e^{i theta j} + b e^{-i theta j}.
     """
     m = sys.size
     width = math.isqrt(m - 1) + 1
@@ -259,21 +283,29 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
     # flat indices below the row length of coarse and fine read e^{+i...}.
     (qa, ra), (qb, rb) = divmod(m - 2, width), divmod(m - 1, width)
     e1, en1, en = (coarse.take((0, qa, qb)) * fine.take((1, ra, rb))).tolist()
-    m00, m01 = d0 + u0 * e1, d0 + u0 * e1.conjugate()
-    m10, m11 = ln * en1 + dn * en, ln * en1.conjugate() + dn * en.conjugate()
-    det = m00 * m11 - m01 * m10
-    if not abs(det) >= PIVOT_REL_TOL * (abs(m00 * m11) + abs(m01 * m10)):
-        raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
-    ends = (kappa, ln, dn, m00, m01, m10, m11, det)
+    weights = _boundary_solver(d0 + u0 * e1, d0 + u0 * e1.conjugate(), ln * en1 + dn * en,
+                               ln * en1.conjugate() + dn * en.conjugate())
 
     if rows == n_rows:
         ph = np.multiply(coarse, fine).reshape(2, -1)[:, :m]
         sums = np.empty((2, m), dtype=complex)
-        x = _solve_kernel_block(sys.rhs, np.empty(m, dtype=complex), ph, sums, ends)
-        if correct:
-            r = residual(sys, x)
-            x -= _solve_kernel_block(r, r, ph, sums, ends)
-        return x
+
+        def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            out = np.empty(m, dtype=complex) if out is None else out
+            r0, r_last = complex(rhs[0]), complex(rhs[-1])
+            sums[:, :2] = 0.0
+            np.multiply(ph[::-1, 1:m - 1], rhs[1:m - 1], out=sums[:, 2:])
+            np.add.accumulate(sums, axis=1, out=sums)
+            np.multiply(sums, ph, out=sums)  # `sums *= ph` would make sums local
+            np.multiply(np.subtract(sums[0], sums[1], out=sums[0]), kappa, out=out)
+            p_before_last, p_last = out[-2:].tolist()
+            a, b = weights(r0, r_last - ln * p_before_last - dn * p_last)
+            homogeneous = np.multiply(ph[0], a, out=sums[0])
+            homogeneous += np.multiply(ph[1], b, out=sums[1])
+            out += homogeneous
+            return out
+
+        return solve
 
     # Buffers reused by every block: a fresh block-sized array per block
     # would cost more in page faults than the block's arithmetic.
@@ -290,8 +322,8 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
             block = np.multiply(coarse[:, q0:q1], fine, out=table[:, :q1 - q0])
             yield q0 * width, block.reshape(2, -1)[:, :m - q0 * width]
 
-    def solve(rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Solution for rhs, written into out, which may be rhs itself."""
+    def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(m, dtype=complex) if out is None else out
         r0, r_last = complex(rhs[0]), complex(rhs[-1])
         sums[:, :2] = 0.0
         for j0, ph in blocks():
@@ -310,8 +342,7 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
             if j0 + length < m:
                 sums[:, 0] = sums[:, length]  # S-+ at the next block's first unknown
         p_before_last, p_last = out[-2:].tolist()
-        rn = r_last - ln * p_before_last - dn * p_last
-        a, b = (r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det
+        a, b = weights(r0, r_last - ln * p_before_last - dn * p_last)
         for j0, ph in blocks():
             length = ph.shape[1]
             homogeneous = np.multiply(ph[0], a, out=sums[0, :length])
@@ -319,39 +350,12 @@ def _solve_kernel(sys: TridiagonalSystem, correct: bool) -> np.ndarray:
             out[j0:j0 + length] += homogeneous
         return out
 
-    x = solve(sys.rhs, np.empty(m, dtype=complex))
-    if correct:
-        r = residual(sys, x)
-        x -= solve(r, r)
-    return x
+    return solve
 
 
-def _solve_kernel_block(rhs: np.ndarray, out: np.ndarray, ph: np.ndarray, sums: np.ndarray,
-                        ends: tuple) -> np.ndarray:
-    """One-block kernel solve for rhs, written into out (which may be rhs),
-    given the phases ph (2, m), a (2, m) buffer sums and the boundary data
-    (kappa, ln, dn, m00, m01, m10, m11, det); the streamed solve's
-    operations on a single block."""
-    kappa, ln, dn, m00, m01, m10, m11, det = ends
-    m = out.shape[0]
-    r0, r_last = complex(rhs[0]), complex(rhs[-1])
-    sums[:, :2] = 0.0
-    np.multiply(ph[::-1, 1:m - 1], rhs[1:m - 1], out=sums[:, 2:])
-    np.add.accumulate(sums, axis=1, out=sums)
-    sums *= ph
-    np.multiply(np.subtract(sums[0], sums[1], out=sums[0]), kappa, out=out)
-    p_before_last, p_last = out[-2:].tolist()
-    rn = r_last - ln * p_before_last - dn * p_last
-    a, b = (r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det
-    homogeneous = np.multiply(ph[0], a, out=sums[0])
-    homogeneous += np.multiply(ph[1], b, out=sums[1])
-    out += homogeneous
-    return out
-
-
-def _solve_root(sys: TridiagonalSystem, steps: int) -> np.ndarray:
-    """Solve sys from the root lambda of its interior row, followed by
-    `steps` correction steps against the assembled rows.
+def _root_solver(sys: TridiagonalSystem):
+    """solve(rhs, out=None) from the root lambda of the interior row: the
+    solution for rhs in a new array (out is not written).
 
     For a simple root, x_j = K (F_j + G_j - b_j) + A lambda^j
     + B lambda^(m-1-j), where F and G are the forward and backward sums
@@ -375,29 +379,21 @@ def _solve_root(sys: TridiagonalSystem, steps: int) -> np.ndarray:
         m01, m11 = lam_n * (d0 * lam + u0), ln * lam + dn
     else:
         m01, m11 = u0 * lam, lam_n * (ln * (m - 2) + dn * (m - 1) * lam)
-    det = m00 * m11 - m01 * m10
-    if not abs(det) >= PIVOT_REL_TOL * max(abs(m00 * m11) + abs(m01 * m10), scale * scale):
-        raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
+    boundary = _boundary_solver(m00, m01, m10, m11, scale * scale)
 
     def weights(rhs, p0: complex, p1: complex, pn1: complex, pn: complex):
         """Multiples A and B of the two kernel vectors, given the particular
         solution's values at j = 0, 1, m-2 and m-1."""
-        r0 = complex(rhs[0]) - d0 * p0 - u0 * p1
-        rn = complex(rhs[-1]) - ln * pn1 - dn * pn
-        return (r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det
+        return boundary(complex(rhs[0]) - d0 * p0 - u0 * p1,
+                        complex(rhs[-1]) - ln * pn1 - dn * pn)
 
     if r:
-        solve = _simple_root_solver(lam, r, m, weights)
-    else:
-        solve = _double_root_solver(lam, c, m, weights)
-    x = solve(sys.rhs)
-    for _ in range(steps):
-        x -= solve(residual(sys, x))
-    return x
+        return _simple_root_solver(lam, r, m, weights)
+    return _double_root_solver(lam, c, m, weights)
 
 
 def _simple_root_solver(lam: complex, r: complex, m: int, weights):
-    """rhs -> x for the root path at a simple root lambda (r != 0)."""
+    """The root path's solve(rhs, out=None) at a simple root (r != 0)."""
     decay = -math.log(abs(lam)) if lam else math.inf
     width = _ROW if decay <= 0.0 else max(1, min(_ROW, int(_ROW_LOG_RANGE / decay)))
     n_rows = -(-m // width)
@@ -421,7 +417,7 @@ def _simple_root_solver(lam: complex, r: complex, m: int, weights):
     rows_at = [(d, i // width) for d, i in ends]
     scales = [powers[i % width] for _, i in ends]
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
+    def solve(rhs: np.ndarray, out=None) -> np.ndarray:
         sums = np.zeros((2, n_rows * width), dtype=complex)
         sums[0, 1:m - 1] = rhs[1:m - 1]
         sums[1, 1:m - 1] = rhs[m - 2:0:-1]
@@ -456,12 +452,12 @@ def _simple_root_solver(lam: complex, r: complex, m: int, weights):
 
 
 def _double_root_solver(lam: complex, c: complex, m: int, weights):
-    """rhs -> x for the root path at the double root lambda = +-1."""
+    """The root path's solve(rhs, out=None) at the double root +-1."""
     j = np.arange(m, dtype=float)
     sign = 1.0 - 2.0 * (np.arange(m) & 1) if lam == -1.0 else np.ones(m)
     over_c = lam / c  # lambda^(j-1) / c = lambda^j * lam / c
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
+    def solve(rhs: np.ndarray, out=None) -> np.ndarray:
         # S0_j = sum_{l<j} lambda^l b_l and S1_j = sum_{l<j} l lambda^l b_l
         # over the interior rows l
         sums = np.zeros((2, m), dtype=complex)

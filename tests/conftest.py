@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import bpfhelm
+from bpfhelm import trisolve
 
 
 @pytest.fixture
@@ -15,3 +16,24 @@ def child_env():
     src = str(Path(bpfhelm.__file__).resolve().parents[1])
     rest = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
+@pytest.fixture
+def solve_routes(monkeypatch):
+    """The path and correction step count of each solve_tridiagonal call
+    from here on, as kernel-1 or root-2."""
+    routed = []
+    for path in ("kernel", "root"):
+        def factory_spy(sys, path=path, factory=getattr(trisolve, f"_{path}_solver")):
+            routed.append(path)
+            return factory(sys)
+
+        monkeypatch.setattr(trisolve, f"_{path}_solver", factory_spy)
+    solve = trisolve._solve
+
+    def solve_spy(sys, solver, steps):
+        routed[-1] += f"-{steps}"
+        return solve(sys, solver, steps)
+
+    monkeypatch.setattr(trisolve, "_solve", solve_spy)
+    return routed

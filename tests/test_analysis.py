@@ -419,6 +419,16 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidGrid):
             convergence_study("smooth", SchemeKind.BPF, 32.0, n_list)
 
+    @pytest.mark.parametrize("name, n_list", [("smooth", [16]), ("box", [27])])
+    def test_single_count_raises_before_any_solve(self, monkeypatch, name, n_list):
+        # one mesh used to be solved before fit_rate rejected it
+        calls = []
+        monkeypatch.setattr(analysis, "solve_scheme", lambda *args: calls.append(args))
+        monkeypatch.setattr(analysis, "fine_grid_reference", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="at least two"):
+            convergence_study(name, SchemeKind.BPF, 32.0, n_list)
+        assert calls == []
+
     def test_whole_float_counts_accepted(self):
         tab = convergence_study("smooth", SchemeKind.BPF, 32.0, [16.0, 32.0])
         assert [row.n for row in tab.rows] == [16, 32]

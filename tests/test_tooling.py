@@ -1,6 +1,7 @@
 """Test tooling: the pytest configuration, the CLI run recorder and its
-committed record, the library-path cell digests, and the rule that no
-package module imports another's private names."""
+committed record, the library-path cell digests, the check that both tools
+read the tree they are given, and the rule that no package module imports
+another's private names."""
 
 import ast
 import importlib.util
@@ -122,6 +123,34 @@ def test_cell_digests_smoke(tmp_path):
     assert module.fine_digest(module.FINE_CELLS[-1]).split(",") == [
         benchmark, scheme, str(n), k.hex(), module._digest(assemble(problem, n, kind).rhs),
         module._digest(solve_scheme(problem, n, kind).values)]
+
+
+def test_cell_digests_branch_cells_take_their_listed_paths(solve_routes):
+    module = _load_tool("cell_digests")
+    assert len(module.BRANCH_CELLS) == 5
+    for cell, route in module.BRANCH_CELLS.items():
+        solve_routes.clear()
+        assert ",error," not in module.fine_digest(cell)
+        assert solve_routes == [route], cell
+
+
+def test_cell_digests_reject_a_tree_without_the_package(tmp_path, child_env):
+    # with this tree's package on the path, a wrong SRC_ROOT used to digest
+    # this tree, so that a parent-vs-change diff compared a tree with itself
+    out = tmp_path / "digests.txt"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cell_digests.py"), str(tmp_path / "no-tree"),
+         str(out)], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 2, proc.stderr
+    assert "not " + str(tmp_path / "no-tree" / "src") in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_runs_reject_a_tree_without_the_package(tmp_path):
+    # a wrong SRC_ROOT used to write one ModuleNotFoundError record per run
+    out = tmp_path / "runs"
+    assert _load_cli_runs().main([str(tmp_path / "no-tree"), str(out)]) == 2
+    assert not out.exists()
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -35,12 +35,17 @@ def _dense(sys):
     return np.diag(sys.diag) + np.diag(sys.lower, -1) + np.diag(sys.upper, 1)
 
 
+def _kernel_solve(sys, steps):
+    """The kernel-angle path followed by `steps` correction steps."""
+    return trisolve._solve(sys, trisolve._kernel_solver(sys), steps)
+
+
 # Every path through the solver on a system that carries a kernel angle; the
 # root path solves it from the root of its stored interior row.
 PATHS = {
-    "root": lambda sys: trisolve._solve_root(sys, steps=1),
-    "bare-kernel": lambda sys: trisolve._solve_kernel(sys, correct=False),
-    "corrected-kernel": lambda sys: trisolve._solve_kernel(sys, correct=True),
+    "root": lambda sys: trisolve._solve(sys, trisolve._root_solver(sys), 1),
+    "bare-kernel": lambda sys: _kernel_solve(sys, 0),
+    "corrected-kernel": lambda sys: _kernel_solve(sys, 1),
 }
 
 
@@ -101,24 +106,6 @@ class TestSolve:
             solve_tridiagonal(sys)
 
 
-def _spy_paths(monkeypatch):
-    """Record which helper each solve_tridiagonal call reaches."""
-    routed = []
-    root, kernel = trisolve._solve_root, trisolve._solve_kernel
-
-    def root_spy(sys, steps):
-        routed.append(f"root-{steps}")
-        return root(sys, steps)
-
-    def kernel_spy(sys, correct):
-        routed.append("corrected-kernel" if correct else "bare-kernel")
-        return kernel(sys, correct)
-
-    monkeypatch.setattr(trisolve, "_solve_root", root_spy)
-    monkeypatch.setattr(trisolve, "_solve_kernel", kernel_spy)
-    return routed
-
-
 class TestRouting:
     @pytest.mark.parametrize("kind, kh", [
         (SchemeKind.BPF, 0.5),
@@ -130,7 +117,7 @@ class TestRouting:
         # theta within 6e-8 of pi, where the two kernel vectors coalesce
         (SchemeKind.CLASSICAL_FD, 2.0 - 1e-15),
     ])
-    def test_oscillating_kernel_takes_kernel_path(self, monkeypatch, kind, kh):
+    def test_oscillating_kernel_takes_kernel_path(self, solve_routes, kind, kh):
         n = 64  # h = 1/64 is exact, so the assembled kh is the drawn one
         p, _ = smooth_manufactured_problem(kh * n)
         sys = assemble(p, n, kind)
@@ -138,9 +125,8 @@ class TestRouting:
             assert sys.theta == 2.0 * math.asin(0.5 * kh)
         else:
             assert sys.theta == kh
-        routed = _spy_paths(monkeypatch)
         x = solve_tridiagonal(sys)
-        assert routed == ["corrected-kernel"]
+        assert solve_routes == ["kernel-1"]
         x_dense = np.linalg.solve(_dense(sys), sys.rhs)
         assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
@@ -151,24 +137,22 @@ class TestRouting:
         (2.5, -0.25, 0),
         (10.0, -0.01020514, 0),
     ], ids=["kh-2", "kh-2+2^-40", "kh-2.001", "kh-2.5", "kh-10"])
-    def test_decaying_fd_kernel_takes_root_path(self, monkeypatch, kh, root, steps):
+    def test_decaying_fd_kernel_takes_root_path(self, solve_routes, kh, root, steps):
         # fd at kh >= 2: lambda = -2 / (s + sqrt(s^2 - 4)), s = (kh)^2 - 2
         p, _ = smooth_manufactured_problem(kh * 64)
         sys = assemble(p, 64, SchemeKind.CLASSICAL_FD)
         assert sys.theta is None and sys.root.imag == 0.0
         assert sys.root.real == pytest.approx(root, rel=1e-6)
-        routed = _spy_paths(monkeypatch)
         x = solve_tridiagonal(sys)
-        assert routed == [f"root-{steps}"]
+        assert solve_routes == [f"root-{steps}"]
         x_dense = np.linalg.solve(_dense(sys), sys.rhs)
         assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
-    def test_hand_built_system_takes_root_path(self, monkeypatch):
+    def test_hand_built_system_takes_root_path(self, solve_routes):
         sys = _random_system(np.random.default_rng(5), 40)
         assert sys.theta is None and abs(sys.root) < 1.0 - trisolve.CORRECTION_MAX_GAP
-        routed = _spy_paths(monkeypatch)
         solve_tridiagonal(sys)
-        assert routed == ["root-0"]
+        assert solve_routes == ["root-0"]
 
     @pytest.mark.parametrize("c, d, m", [
         (1.0 + 0.5j, 0.3 - 2.0j, 300),        # complex root, |lambda| 0.55
@@ -205,12 +189,11 @@ class TestRouting:
         (2.0**8, 2**18, "bare-kernel"),         # drift 6.0e-8, a fine reference
         (2.0**5, 3**12, "bare-kernel"),         # drift 2.0e-6, the box fine reference
     ])
-    def test_correction_follows_phase_drift(self, monkeypatch, k, n, path):
+    def test_correction_follows_phase_drift(self, solve_routes, k, n, path):
         p, _ = sine_squared_problem(k)
         sys = assemble(p, n, SchemeKind.BPF)
-        routed = _spy_paths(monkeypatch)
         solve_tridiagonal(sys)
-        assert routed == [path]
+        assert solve_routes == [{"bare-kernel": "kernel-0", "corrected-kernel": "kernel-1"}[path]]
 
     def test_coefficients_unchanged(self):
         p, _ = sine_squared_problem(2.0**5)
@@ -461,7 +444,7 @@ class TestStreamedSolve:
         ends = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta)
-        x = trisolve._solve_kernel(sys, correct)
+        x = _kernel_solve(sys, int(correct))
         assert x.tobytes() == _unblocked_kernel_solve(sys, correct).tobytes()
         assert np.array_equal(sys.rhs, rhs)
 
@@ -501,7 +484,7 @@ class TestStreamedSolve:
         for block in (trisolve.BLOCK, 8):
             monkeypatch.setattr(trisolve, "BLOCK", block)
             n_blocks.append(-(-m // _block_length(m)))
-            x = trisolve._solve_kernel(sys, correct)
+            x = _kernel_solve(sys, int(correct))
             outputs.append([x.tobytes(), trisolve.residual(sys, x).tobytes(),
                             residual_inf_norm(sys, x), trisolve.max_abs(x)])
         assert n_blocks[0] == 1 and n_blocks[1] > 1

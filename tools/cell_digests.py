@@ -12,14 +12,19 @@ fields to the last bit (`float.hex`) and the warnings the cell raised, or
 the error it raised instead. A short fixed list of fine cells follows,
 whose grids span more than one block of `trisolve.BLOCK` nodes: each line
 holds the cell and digests of the assembled right-hand side and of u_h, or
-the error raised. It is the library-path twin of `tools/cli_runs.py`: run it
-on two trees (say a parent commit unpacked with `git archive` and the
-working tree) and compare them with `diff OUT_PARENT OUT_CHANGE`.
+the error raised; the fixed list of branch cells after it, each of which
+takes one branch of the solver, is digested the same way. The package must
+live under SRC_ROOT/src (exit 2 otherwise), so that no run digests another
+tree than the one named. It is the library-path twin of
+`tools/cli_runs.py`: run it on two trees (say a parent commit unpacked with
+`git archive` and the working tree) and compare them with
+`diff OUT_PARENT OUT_CHANGE`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import warnings
 from dataclasses import fields
@@ -37,6 +42,17 @@ KH_RANGE = (0.1, 3.0)
 # smallest grids of two blocks (BLOCK = 2**13 nodes per block).
 FINE_CELLS = (("sine2", "bpf", 2**18, 64.0), ("box", "bpf", 3**12, 32.0),
               ("smooth", "bpf", 2**13, 32.0), ("smooth", "bpf", 2**13 + 1, 32.0))
+# (benchmark, scheme, n, k) -> the solver path and correction step count the
+# cell takes: fd's double root at kh = 2, its two-step and one-step
+# correction bands just above (kh = k / 64 is exact on n = 64), the kernel
+# angle next to pi, and a streamed, corrected kernel solve.
+BRANCH_CELLS = {
+    ("smooth", "fd", 64, 128.0): "root-2",
+    ("smooth", "fd", 64, (2.0 + 1e-12) * 64): "root-2",
+    ("smooth", "fd", 64, 2.001 * 64): "root-1",
+    ("planewave", "bpf", 400, math.pi * (1.0 - 1e-4) * 400): "kernel-1",
+    ("sine2", "bpf", 2**16, 2000.0): "kernel-1",
+}
 
 
 def cells() -> list[tuple[str, str, int, float]]:
@@ -96,8 +112,18 @@ def main(args: list[str]) -> int:
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(args[0]).resolve() / "src"))
-    lines = [digest(cell) for cell in cells()] + [fine_digest(cell) for cell in FINE_CELLS]
+    src = Path(args[0]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    try:
+        import bpfhelm
+    except ImportError as exc:
+        print(f"cannot import bpfhelm from {src}: {exc}", file=sys.stderr)
+        return 2
+    if src not in Path(bpfhelm.__file__).resolve().parents:
+        print(f"bpfhelm was imported from {bpfhelm.__file__}, not {src}", file=sys.stderr)
+        return 2
+    lines = ([digest(cell) for cell in cells()]
+             + [fine_digest(cell) for cell in (*FINE_CELLS, *BRANCH_CELLS)])
     Path(args[1]).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return 0
 

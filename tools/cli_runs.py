@@ -10,7 +10,8 @@ SRC_ROOT is a checkout of this repository; each run is a fresh
 SRC_ROOT/src. OUT_DIR/<name>.txt receives the argv, the exit code, stdout
 and stderr of run <name>. Run it on two trees (say a parent commit unpacked
 with `git archive` and the working tree) and compare them with
-`diff -r OUT_PARENT OUT_CHANGE`.
+`diff -r OUT_PARENT OUT_CHANGE`. Before any run, a probe process checks that
+the package the runs import lives under SRC_ROOT/src (exit 2 otherwise).
 
 `--update` rewrites tests/golden/<name>.txt, in the same format, from runs
 through `bpfhelm.cli.main` in this process with this tree's package. The
@@ -80,12 +81,30 @@ def _record(argv: list[str], code: int, stdout: str, stderr: str) -> str:
     return f"argv: {shlex.join(argv)}\nexit: {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
 
 
+def _run_process(src_root: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh process that imports the package from
+    SRC_ROOT/src."""
+    env = {**os.environ, "PYTHONPATH": str(src_root / "src")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def run(src_root: Path, argv: list[str]) -> str:
     """One CLI run in a fresh process, as the text written for it."""
-    env = {**os.environ, "PYTHONPATH": str(src_root / "src")}
-    proc = subprocess.run([sys.executable, "-m", "bpfhelm.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _run_process(src_root, ["-m", "bpfhelm.cli", *argv])
     return _record(argv, proc.returncode, proc.stdout, proc.stderr)
+
+
+def tree_problem(src_root: Path) -> str | None:
+    """Why a run would not import bpfhelm from SRC_ROOT/src, or None if it
+    would."""
+    src = src_root.resolve() / "src"
+    proc = _run_process(src_root, ["-c", "import bpfhelm; print(bpfhelm.__file__)"])
+    if proc.returncode != 0:
+        reason = proc.stderr.strip().rsplit("\n", 1)[-1]
+        return f"cannot import bpfhelm from {src}: {reason}"
+    if src not in Path(proc.stdout.strip()).resolve().parents:
+        return f"bpfhelm was imported from {proc.stdout.strip()}, not {src}"
+    return None
 
 
 def run_in_process(argv: list[str]) -> str:
@@ -131,6 +150,10 @@ def main(args: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     src_root, out_dir = Path(args[0]).resolve(), Path(args[1])
+    problem = tree_problem(src_root)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, argv in RUNS.items():
         (out_dir / f"{name}.txt").write_text(run(src_root, argv), encoding="utf-8")
