@@ -36,12 +36,12 @@ system records about its kernel:
       x_j = K sum_l lambda^|j-l| b_l + A lambda^j + B lambda^(m-1-j),
   the sum over interior rows l. No term grows. The two one-sided sums are
   the recurrences F_j = lambda F_{j-1} + b_j, run forward and backward,
-  evaluated in rows of at most _ROW unknowns: a row scales its terms by
-  lambda^-r, takes one cumulative sum and scales back by lambda^r, and a
-  carry per row passes the sum on to the next. A row spans at most
-  _ROW_LOG_RANGE in ln|lambda|, so the scaled terms stay far from
-  overflow. At a double root (lambda = +-1, e.g. fd at kh = 2 exactly)
-  K is infinite, and the kernel is lambda^j and j lambda^j instead.
+  both summed by recursive doubling: each pass adds lambda^s times the
+  sums shifted by s, for s = 1, 2, 4, ... until |lambda^s| < eps. No
+  factor exceeds 1 in modulus, so nothing is rescaled: a partial sum never
+  exceeds max|b| times the number of its terms. At a double root
+  (lambda = +-1, e.g. fd at kh = 2 exactly) K is infinite, and the kernel
+  is lambda^j and j lambda^j instead.
 
 Each path is a factory that checks the system and returns its solve;
 solve_tridiagonal decides how many correction steps follow it and takes
@@ -90,12 +90,6 @@ SECOND_CORRECTION_MAX_GAP = 1e-5
 # block's working set, about seven complex arrays of this length (under
 # 1 MiB), stays in a 2 MiB L2 cache.
 BLOCK = 2**13
-
-# Unknowns per row of the root path's one-sided sums, and the largest
-# ln|lambda^-r| a row may span: e^200 leaves right-hand sides up to about
-# 1e220 clear of overflow.
-_ROW = 64
-_ROW_LOG_RANGE = 200.0
 
 _EPS = float(np.finfo(float).eps)
 _SIGNS = np.array([[1j], [-1j]])
@@ -393,59 +387,37 @@ def _root_solver(sys: TridiagonalSystem):
 
 
 def _simple_root_solver(lam: complex, r: complex, m: int, weights):
-    """The root path's solve(rhs, out=None) at a simple root (r != 0)."""
-    decay = -math.log(abs(lam)) if lam else math.inf
-    width = _ROW if decay <= 0.0 else max(1, min(_ROW, int(_ROW_LOG_RANGE / decay)))
-    n_rows = -(-m // width)
-    # lambda^r and lambda^-r within a row, as a running product so that the
-    # ratio of any two is lambda^(r-t) to a few ulp
-    up = np.full(width, lam)
-    up[0] = 1.0
-    np.multiply.accumulate(up, out=up)
-    down = 1.0 / up
-    powers = up.tolist()
-    step = powers[-1]  # lambda^(width-1): row start to row end
-    first = np.full(n_rows, step * lam)  # lambda^(q width) at the start of row q
-    first[0] = 1.0
-    np.multiply.accumulate(first, out=first)
+    """The root path's solve(rhs, out=None) at a simple root (r != 0).
+
+    The forward sums F and the backward sums G, reversed, are the two rows
+    of one array, each summed by recursive doubling: the pass for shift s
+    adds lambda^s times the row shifted by s, so after the passes for
+    s = 1, 2, ..., S entry j holds the terms of rows j-2S+1 .. j.
+    The passes end once |lambda^s| < eps, where the dropped tail is below
+    eps * max|b| / (1 - |lambda|), the level the sums round at anyway.
+    """
+    shifts, s, lam_s = [], 1, lam
+    while s < m - 1 and abs(lam_s) >= _EPS:
+        shifts.append((s, lam_s))
+        s, lam_s = 2 * s, lam_s * lam_s
+    powers = np.full(m, lam)  # lambda^j, as one running product
+    powers[0] = 1.0
+    np.multiply.accumulate(powers, out=powers)
     k = 1.0 / r
-    # Where the boundary rows read the sums: both directions at j = 0, 1,
-    # m-2 and m-1 (the backward sum at its unknown m-1-j), as (direction,
-    # its unknown) with the flat index, row and scale lambda^r of each.
-    ends = [(0, j) for j in (0, 1, m - 2, m - 1)] + [(1, m - 1 - j) for j in (0, 1, m - 2, m - 1)]
-    flat = np.array([d * n_rows * width + i for d, i in ends])
-    rows_at = [(d, i // width) for d, i in ends]
-    scales = [powers[i % width] for _, i in ends]
 
     def solve(rhs: np.ndarray, out=None) -> np.ndarray:
-        sums = np.zeros((2, n_rows * width), dtype=complex)
+        sums = np.zeros((2, m), dtype=complex)
         sums[0, 1:m - 1] = rhs[1:m - 1]
         sums[1, 1:m - 1] = rhs[m - 2:0:-1]
-        blocks = sums.reshape(2, n_rows, width)
-        blocks *= down
-        np.add.accumulate(blocks, axis=2, out=blocks)
-        carries = []
-        for row_ends in blocks[:, :, -1].tolist():
-            carry, total = [], 0j
-            for v in row_ends:
-                carry.append(total)
-                total = step * (v + lam * total)
-            carries.append(carry)
-        f0, f1, fn1, fn, g0, g1, gn1, gn = (
-            scale * (v + lam * carries[d][q])
-            for scale, v, (d, q) in zip(scales, sums.take(flat).tolist(), rows_at))
-        b1, bn = complex(rhs[1]), complex(rhs[m - 2])
-        a, b = weights(rhs, k * (f0 + g0), k * (f1 + g1 - b1), k * (fn1 + gn1 - bn),
-                       k * (fn + gn))
-        # Each row's carry, plus the homogeneous part A lambda^j (forward)
-        # and B lambda^(m-1-j) (backward) in units of K, then lambda^r.
-        offsets = lam * np.array(carries)
-        offsets += np.multiply.outer((a * r, b * r), first)
-        blocks += offsets[:, :, None]
-        blocks *= up
-        x = sums[0, :m] + sums[1, m - 1::-1]
+        terms = np.empty_like(sums)  # one buffer for every pass's products
+        for s, lam_s in shifts:
+            sums[:, s:] += np.multiply(lam_s, sums[:, :-s], out=terms[:, s:])
+        x = sums[0] + sums[1, ::-1]
         x[1:-1] -= rhs[1:-1]
         x *= k
+        a, b = weights(rhs, *x.take(_END_INDEX).tolist())
+        x += np.multiply(powers, a, out=sums[0])
+        x += np.multiply(powers[::-1], b, out=sums[1])
         return x
 
     return solve

@@ -127,7 +127,7 @@ def test_cell_digests_smoke(tmp_path):
 
 def test_cell_digests_branch_cells_take_their_listed_paths(solve_routes):
     module = _load_tool("cell_digests")
-    assert len(module.BRANCH_CELLS) == 5
+    assert len(module.BRANCH_CELLS) == 6
     for cell, route in module.BRANCH_CELLS.items():
         solve_routes.clear()
         assert ",error," not in module.fine_digest(cell)

@@ -157,9 +157,10 @@ class TestRouting:
     @pytest.mark.parametrize("c, d, m", [
         (1.0 + 0.5j, 0.3 - 2.0j, 300),        # complex root, |lambda| 0.55
         (1.0, 4.25, 501),                     # fd at kh = 2.5: lambda = -1/4
-        (1.0, 1e6 - 2.0, 300),                # kh = 1e3: rows of 14, by decay
-        (0.0, 2.0 - 1.0j, 100),               # diagonal interior: rows of one
+        (1.0, 1e6 - 2.0, 300),                # kh = 1e3: the scan stops after two doublings
+        (0.0, 2.0 - 1.0j, 100),               # diagonal interior: lambda = 0, no doubling
         (1.0, 1.0, 200),                      # |lambda| = 1, angle 2 pi / 3
+        (1.0, 1.0, 1025),                     # ... so the scan never stops early
         (1.0, 2.0, 200),                      # double root lambda = -1
         (1.0, 2.0 + 1e-9, 1025),              # roots 6e-5 apart
     ])
@@ -174,6 +175,22 @@ class TestRouting:
         assert np.max(np.abs(x - x_dense)) <= 8.0 * EPS * np.linalg.cond(a) * np.max(np.abs(x_dense))
         scale = np.max(np.abs(rhs)) + 4.0 * max(map(abs, sys.stencil)) * np.max(np.abs(x))
         assert residual_inf_norm(sys, x) <= 4.0 * EPS * scale
+
+    @pytest.mark.parametrize("c, d", [(1.0, 4.25), (1.0, 1e6 - 2.0), (1.0 + 0.5j, 0.3 - 2.0j)])
+    def test_root_path_stays_finite_near_overflow(self, c, d):
+        # a right-hand side of 1e300 gives the solution of the scaled-back
+        # one, scaled up, with no term on the way overflowing
+        m = 300
+        rng = np.random.default_rng(m)
+        d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), 1e300 * rhs)
+        a = _dense(sys)
+        x_dense = np.linalg.solve(a, sys.rhs * 1e-300)
+        x = solve_tridiagonal(sys)
+        assert np.all(np.isfinite(x))
+        err = np.max(np.abs(x * 1e-300 - x_dense))
+        assert err <= 8.0 * EPS * np.linalg.cond(a) * np.max(np.abs(x_dense))
 
     @pytest.mark.parametrize("c, d, root", [(0.0, 1.0, 0.0), (-1.0, 2.0, 1.0),
                                             (1.0, 2.0, -1.0), (1j, 0.5, -0.7807764j)])

@@ -45,13 +45,15 @@ FINE_CELLS = (("sine2", "bpf", 2**18, 64.0), ("box", "bpf", 3**12, 32.0),
 # (benchmark, scheme, n, k) -> the solver path and correction step count the
 # cell takes: fd's double root at kh = 2, its two-step and one-step
 # correction bands just above (kh = k / 64 is exact on n = 64), the kernel
-# angle next to pi, and a streamed, corrected kernel solve.
+# angle next to pi, a streamed, corrected kernel solve, and a root-path
+# solve of more than one block.
 BRANCH_CELLS = {
     ("smooth", "fd", 64, 128.0): "root-2",
     ("smooth", "fd", 64, (2.0 + 1e-12) * 64): "root-2",
     ("smooth", "fd", 64, 2.001 * 64): "root-1",
     ("planewave", "bpf", 400, math.pi * (1.0 - 1e-4) * 400): "kernel-1",
     ("sine2", "bpf", 2**16, 2000.0): "kernel-1",
+    ("sine2", "fd", 2**14, 2.5 * 2**14): "root-0",
 }
 
 
