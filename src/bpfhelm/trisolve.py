@@ -32,25 +32,26 @@ system records about its kernel:
   correction step one residual, whose buffer receives the correction.
 * The root lambda with |lambda| <= 1, which every other system records:
   fd at kh > 2, where lambda is real in (-1, 0), and every hand-built
-  stencil. With K = 1 / (c (lambda - 1/lambda)),
-      x_j = K sum_l lambda^|j-l| b_l + A lambda^j + B lambda^(m-1-j),
-  the sum over interior rows l. No term grows. The two one-sided sums are
-  the recurrences F_j = lambda F_{j-1} + b_j, run forward and backward,
-  both summed by recursive doubling: each pass adds lambda^s times the
-  sums shifted by s, for s = 1, 2, 4, ... until |lambda^s| < eps. No
-  factor exceeds 1 in modulus, so nothing is rescaled: a partial sum never
-  exceeds max|b| times the number of its terms. At a double root
-  (lambda = +-1, e.g. fd at kh = 2 exactly) K is infinite, and the kernel
-  is lambda^j and j lambda^j instead.
+  stencil. One running product builds v_j = lambda^j, and the second
+  kernel vector w is v reversed, or j v_j at the double root lambda = +-1
+  (fd at kh = 2 exactly), where v is exactly the signs. The 2x2 boundary
+  system is read from v and w, the vectors that are added. With
+  K = 1 / (c (lambda - 1/lambda)), the particular solution
+  K sum_l lambda^|j-l| b_l is the recurrence F_j = lambda F_{j-1} + b_j
+  run forward and backward, summed by recursive doubling: each pass adds
+  lambda^s times the sums shifted by s, for s = 1, 2, 4, ... until
+  |lambda^s| < eps. No factor exceeds 1 in modulus, so nothing is
+  rescaled. At the double root K is infinite, and the particular solution
+  takes two cumulative sums instead.
 
 Each path is a factory that checks the system and returns its solve;
 solve_tridiagonal decides how many correction steps follow it and takes
 them in one loop. Both paths raise SingularSystem instead of returning
-garbage when the determinant of the 2x2 boundary system drops below
-PIVOT_REL_TOL times its scale. The root path measures against the matrix
-scale as well (a boundary row of a near-zero pivot, all coefficients
-zero), and against the interior pivot, which vanishes only when both c
-and d are negligible.
+garbage when the determinant of the 2x2 boundary system is zero or not
+finite, or drops below PIVOT_REL_TOL times its scale. The root path
+measures against the matrix scale as well (a boundary row of a near-zero
+pivot, all coefficients zero), and against the interior pivot, which
+vanishes only when both c and d are negligible.
 
 residual_inf_norm and max_abs reduce a system that fits one block
 directly, and a larger one block by block; either gives NaN if the array
@@ -185,19 +186,6 @@ def _root(c: complex, d: complex) -> tuple[complex, complex]:
     return -2.0 * c / (d + r), r
 
 
-def _power(z: complex, n: int) -> complex:
-    """z^n for n >= 0 by repeated squaring, to a few ulp (Python's complex
-    power takes exp and log above n = 100, which leaves a spurious
-    imaginary part on (-1)^n)."""
-    result = 1.0 + 0.0j
-    while n:
-        if n & 1:
-            result *= z
-        z *= z
-        n >>= 1
-    return result
-
-
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     """Solve sys in the basis of its interior kernel: by its kernel angle
     when it carries one, by its root otherwise. Raises SingularSystem on a
@@ -239,9 +227,11 @@ def _boundary_solver(m00: complex, m01: complex, m10: complex, m11: complex,
                      floor: float = 0.0):
     """(r0, rn) -> the multiples (a, b) of the two kernel vectors that solve
     the boundary rows [[m00, m01], [m10, m11]] (a, b) = (r0, rn). Raises
-    SingularSystem when |det| is below PIVOT_REL_TOL times
-    max(|m00 m11| + |m01 m10|, floor)."""
+    SingularSystem when det is zero or not finite, or when |det| is below
+    PIVOT_REL_TOL times max(|m00 m11| + |m01 m10|, floor)."""
     det = m00 * m11 - m01 * m10
+    if not 0.0 < abs(det) < math.inf:
+        raise SingularSystem(f"boundary system determinant is {'zero' if det == 0 else abs(det)}")
     if not abs(det) >= PIVOT_REL_TOL * max(abs(m00 * m11) + abs(m01 * m10), floor):
         raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
     return lambda r0, rn: ((r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det)
@@ -349,14 +339,13 @@ def _kernel_solver(sys: TridiagonalSystem):
 
 def _root_solver(sys: TridiagonalSystem):
     """solve(rhs, out=None) from the root lambda of the interior row: the
-    solution for rhs in a new array (out is not written).
+    solution x = p + a v + b w for rhs in a new array (out is not written).
 
-    For a simple root, x_j = K (F_j + G_j - b_j) + A lambda^j
-    + B lambda^(m-1-j), where F and G are the forward and backward sums
-    F_j = lambda F_{j-1} + b_j and G_j = lambda G_{j+1} + b_j over the
-    interior rows and K = 1/r (see _root). For the double root lambda = +-1,
-    x_j = p_j + (A + B j) lambda^j with the particular solution
-    p_j = lambda^(j-1)/c sum_{l<j} (j - l) lambda^-l b_l, zero at j = 0, 1.
+    The kernel vectors are v_j = lambda^j, one running product (exactly the
+    signs at the double root lambda = +-1), and w: v reversed at a simple
+    root, j v_j at the double root. The boundary rows, applied to p, v and
+    w at unknowns 0, 1, m-2 and m-1, fix a and b; the particular solution
+    p comes from _simple_root_particular or _double_root_particular.
     """
     m = sys.size
     c, d, d0, u0, ln, dn = sys.stencil
@@ -366,46 +355,48 @@ def _root_solver(sys: TridiagonalSystem):
         raise SingularSystem("all matrix coefficients are zero")
     if not abs(d + r) >= 2.0 * PIVOT_REL_TOL * scale:
         raise SingularSystem(f"interior pivot {0.5 * abs(d + r):.3e} below threshold")
-    lam_n = _power(lam, m - 2)
-    # Boundary rows applied to the two kernel vectors (columns 0 and 1).
-    m00, m10 = d0 + u0 * lam, lam_n * (ln + dn * lam)
-    if r:
-        m01, m11 = lam_n * (d0 * lam + u0), ln * lam + dn
-    else:
-        m01, m11 = u0 * lam, lam_n * (ln * (m - 2) + dn * (m - 1) * lam)
-    boundary = _boundary_solver(m00, m01, m10, m11, scale * scale)
+    v = np.full(m, lam)
+    v[0] = 1.0
+    np.multiply.accumulate(v, out=v)
+    w = v[::-1] if r else np.arange(m) * v
+    (v0, v1, vn1, vn), (w0, w1, wn1, wn) = v[_END_INDEX].tolist(), w[_END_INDEX].tolist()
+    weights = _boundary_solver(d0 * v0 + u0 * v1, d0 * w0 + u0 * w1,
+                               ln * vn1 + dn * vn, ln * wn1 + dn * wn, scale * scale)
+    particular = _simple_root_particular(lam, r, m) if r else _double_root_particular(c, v, w)
+    homogeneous = np.empty(m, dtype=complex)
 
-    def weights(rhs, p0: complex, p1: complex, pn1: complex, pn: complex):
-        """Multiples A and B of the two kernel vectors, given the particular
-        solution's values at j = 0, 1, m-2 and m-1."""
-        return boundary(complex(rhs[0]) - d0 * p0 - u0 * p1,
-                        complex(rhs[-1]) - ln * pn1 - dn * pn)
+    def solve(rhs: np.ndarray, out=None) -> np.ndarray:
+        x = particular(rhs)
+        p0, p1, pn1, pn = x.take(_END_INDEX).tolist()
+        a, b = weights(complex(rhs[0]) - d0 * p0 - u0 * p1,
+                       complex(rhs[-1]) - ln * pn1 - dn * pn)
+        x += np.multiply(v, a, out=homogeneous)
+        x += np.multiply(w, b, out=homogeneous)
+        return x
 
-    if r:
-        return _simple_root_solver(lam, r, m, weights)
-    return _double_root_solver(lam, c, m, weights)
+    return solve
 
 
-def _simple_root_solver(lam: complex, r: complex, m: int, weights):
-    """The root path's solve(rhs, out=None) at a simple root (r != 0).
+def _simple_root_particular(lam: complex, r: complex, m: int):
+    """rhs -> the particular solution K (F_j + G_j - b_j) at a simple root
+    (r != 0), in a new array, where F and G are the forward and backward
+    sums F_j = lambda F_{j-1} + b_j and G_j = lambda G_{j+1} + b_j over the
+    interior rows and K = 1/r (see _root).
 
-    The forward sums F and the backward sums G, reversed, are the two rows
-    of one array, each summed by recursive doubling: the pass for shift s
-    adds lambda^s times the row shifted by s, so after the passes for
-    s = 1, 2, ..., S entry j holds the terms of rows j-2S+1 .. j.
-    The passes end once |lambda^s| < eps, where the dropped tail is below
-    eps * max|b| / (1 - |lambda|), the level the sums round at anyway.
+    F and G, reversed, are the two rows of one array, each summed by
+    recursive doubling: the pass for shift s adds lambda^s times the row
+    shifted by s, so after the passes for s = 1, 2, ..., S entry j holds the
+    terms of rows j-2S+1 .. j. The passes end once |lambda^s| < eps, where
+    the dropped tail is below eps * max|b| / (1 - |lambda|), the level the
+    sums round at anyway.
     """
     shifts, s, lam_s = [], 1, lam
     while s < m - 1 and abs(lam_s) >= _EPS:
         shifts.append((s, lam_s))
         s, lam_s = 2 * s, lam_s * lam_s
-    powers = np.full(m, lam)  # lambda^j, as one running product
-    powers[0] = 1.0
-    np.multiply.accumulate(powers, out=powers)
     k = 1.0 / r
 
-    def solve(rhs: np.ndarray, out=None) -> np.ndarray:
+    def particular(rhs: np.ndarray) -> np.ndarray:
         sums = np.zeros((2, m), dtype=complex)
         sums[0, 1:m - 1] = rhs[1:m - 1]
         sums[1, 1:m - 1] = rhs[m - 2:0:-1]
@@ -415,40 +406,31 @@ def _simple_root_solver(lam: complex, r: complex, m: int, weights):
         x = sums[0] + sums[1, ::-1]
         x[1:-1] -= rhs[1:-1]
         x *= k
-        a, b = weights(rhs, *x.take(_END_INDEX).tolist())
-        x += np.multiply(powers, a, out=sums[0])
-        x += np.multiply(powers[::-1], b, out=sums[1])
         return x
 
-    return solve
+    return particular
 
 
-def _double_root_solver(lam: complex, c: complex, m: int, weights):
-    """The root path's solve(rhs, out=None) at the double root +-1."""
-    j = np.arange(m, dtype=float)
-    sign = 1.0 - 2.0 * (np.arange(m) & 1) if lam == -1.0 else np.ones(m)
-    over_c = lam / c  # lambda^(j-1) / c = lambda^j * lam / c
+def _double_root_particular(c: complex, v: np.ndarray, w: np.ndarray):
+    """rhs -> the particular solution at the double root lambda = +-1, in a
+    new array, from the kernel vectors v_j = lambda^j and w_j = j lambda^j:
+        p_j = lambda/c (w_j S0_j - v_j S1_j),
+    S0_j = sum_{l<j} v_l b_l and S1_j = sum_{l<j} w_l b_l over the interior
+    rows l, so p is zero at j = 0 and 1."""
+    m = v.shape[0]
+    over_c = v[1] / c
 
-    def solve(rhs: np.ndarray, out=None) -> np.ndarray:
-        # S0_j = sum_{l<j} lambda^l b_l and S1_j = sum_{l<j} l lambda^l b_l
-        # over the interior rows l
+    def particular(rhs: np.ndarray) -> np.ndarray:
         sums = np.zeros((2, m), dtype=complex)
-        np.multiply(sign[1:m - 1], rhs[1:m - 1], out=sums[0, 2:])
-        np.multiply(j[1:m - 1], sums[0, 2:], out=sums[1, 2:])
+        np.multiply(v[1:m - 1], rhs[1:m - 1], out=sums[0, 2:])
+        np.multiply(w[1:m - 1], rhs[1:m - 1], out=sums[1, 2:])
         np.add.accumulate(sums, axis=1, out=sums)
         sums *= over_c
-        (s0n1, s0n), (s1n1, s1n) = sums[:, -2:].tolist()
-        pn1 = sign[-2] * ((m - 2) * s0n1 - s1n1)
-        pn = sign[-1] * ((m - 1) * s0n - s1n)
-        a, b = weights(rhs, 0j, 0j, pn1, pn)
-        sums[0] += b
-        sums[1] -= a
-        x = np.multiply(j, sums[0])
-        x -= sums[1]
-        x *= sign
+        x = np.multiply(w, sums[0])
+        x -= np.multiply(v, sums[1], out=sums[1])
         return x
 
-    return solve
+    return particular
 
 
 def residual(sys: TridiagonalSystem, x: np.ndarray) -> np.ndarray:

@@ -53,6 +53,17 @@ class TestConvergence:
         rate_v = float(footers[1].split(",")[2])
         assert 1.9 <= rate_v <= 2.1
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--k", "1e-170", "--benchmark", "smooth"], "zero"),     # det and threshold underflow
+        (["--k", "1e150", "--benchmark", "planewave"], "inf"),   # det overflows
+    ], ids=["tiny-k", "huge-k"])
+    def test_singular_boundary_system_exit_3(self, tmp_path, capsys, argv, reason):
+        code = main(["convergence", "--n-list", "8,16", "--scheme", "fd", *argv,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"numerical guard: boundary system determinant is {reason}\n")
+
     def test_floored_footer(self, tmp_path):
         code, text = _run(tmp_path, [
             "convergence", "--k", "128", "--n-list", "8,16",

@@ -176,6 +176,22 @@ class TestRouting:
         scale = np.max(np.abs(rhs)) + 4.0 * max(map(abs, sys.stencil)) * np.max(np.abs(x))
         assert residual_inf_norm(sys, x) <= 4.0 * EPS * scale
 
+    @pytest.mark.parametrize("d, m", [(1.0, 1025), (1.0, 4097), (-1.0, 1025), (-1.0, 4097)])
+    def test_boundary_rows_hold_for_the_kernel_vectors_added(self, d, m):
+        # |lambda| = 1 with c = 1: no power of lambda decays, so a boundary
+        # system built from other powers than the ones added leaves a
+        # boundary residual that grows with m; the bare solve must meet
+        # both boundary rows to the rounding of elimination
+        rng = np.random.default_rng(m)
+        d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sys = TridiagonalSystem(Stencil(1.0, d, d0, u0, ln, dn), rhs)
+        x = trisolve._solve(sys, trisolve._root_solver(sys), 0)
+        norm = max(abs(d0) + abs(u0), 2.0 + abs(d), abs(ln) + abs(dn))  # ||A||_inf
+        r = trisolve.residual(sys, x)
+        assert max(abs(r[0]), abs(r[-1])) <= 2.0 * EPS * (np.max(np.abs(rhs))
+                                                           + norm * np.max(np.abs(x)))
+
     @pytest.mark.parametrize("c, d", [(1.0, 4.25), (1.0, 1e6 - 2.0), (1.0 + 0.5j, 0.3 - 2.0j)])
     def test_root_path_stays_finite_near_overflow(self, c, d):
         # a right-hand side of 1e300 gives the solution of the scaled-back

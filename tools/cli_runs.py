@@ -43,8 +43,9 @@ _GUARD = ["convergence", "--k", "25.132741228718345", "--n-list", "8,16",
           "--benchmark", "smooth"]
 
 # name -> argv. Every subcommand, every benchmark and every scheme, the
-# table exit-2 path, the four verify suites and the Nyquist guard at kh = pi
-# (exit 3 for bpf and fd-dc; fd has no guard and solves).
+# table exit-2 path, the four verify suites, the Nyquist guard at kh = pi
+# (exit 3 for bpf and fd-dc; fd has no guard and solves) and fd's boundary
+# determinant underflowing to zero at k = 1e-170 (exit 3).
 RUNS: dict[str, list[str]] = {
     "exactness-k64": ["exactness", "--k", "64", "--n", "400"],
     "exactness-k1000": ["exactness", "--k", "1000", "--n", "400"],
@@ -74,6 +75,8 @@ RUNS: dict[str, list[str]] = {
     "guard-exactness": ["exactness", "--k", "25.132741228718345", "--n", "8"],
     "guard-convergence-fd": _GUARD + ["--scheme", "fd"],
     "guard-convergence-fd-dc": _GUARD + ["--scheme", "fd-dc"],
+    "singular-convergence-fd": ["convergence", "--k", "1e-170", "--n-list", "8,16",
+                                "--benchmark", "smooth", "--scheme", "fd"],
 }
 
 
