@@ -12,6 +12,7 @@ Nothing here proves anything; every check samples and compares.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,8 +104,8 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Per-mesh errors and fitted log-log rates; a norm whose errors all sit
-    below ERROR_FLOOR gets no rate."""
+    """Per-mesh errors and fitted log-log rates; a norm with an error below
+    ERROR_FLOOR or not finite gets no rate."""
 
     rows: list[ConvergenceRow]
     rates: dict[str, float]
@@ -360,11 +361,23 @@ def error_report(u_h: GridFunction, ref: GridFunction, k: float) -> ErrorReport:
         step /= h
         np.abs(step, out=slope[:, i0:i1])
     a_linf, r_linf = mag.max(axis=1).tolist()
+    # Slopes are at most 2 max / h. Where m squares that large could
+    # overflow, each row is divided by a power of two near its maximum
+    # (exactly) and its norms are multiplied back.
+    scaled = 2.0 * max(a_linf, r_linf) / h >= math.sqrt(sys.float_info.max / m)
+    if scaled:
+        scale = np.ldexp(1.0, [[math.frexp(a_linf)[1] - 1], [math.frexp(r_linf)[1] - 1]])
+        mag /= scale
+        slope /= scale
     inner = mag[:, 1:-1]
     inner *= inner
-    a_l2, r_l2 = np.sqrt(h * inner.sum(axis=1)).tolist()
+    l2 = np.sqrt(h * inner.sum(axis=1))
     slope *= slope
-    a_h1, r_h1 = np.sqrt(h * slope.sum(axis=1)).tolist()
+    h1 = np.sqrt(h * slope.sum(axis=1))
+    if scaled:
+        l2 *= scale[:, 0]
+        h1 *= scale[:, 0]
+    (a_l2, r_l2), (a_h1, r_h1) = l2.tolist(), h1.tolist()
     # the V norms from the parts above, as norm_v computes them
     a_v, r_v = float(np.hypot(k * a_l2, a_h1)), float(np.hypot(k * r_l2, r_h1))
     return ErrorReport(
@@ -428,9 +441,8 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     rates: dict[str, float] = {}
     for norm in ("linf", "v"):
         errs = [row.errors.rel(norm) for row in rows]
-        if max(errs) < ERROR_FLOOR:
-            continue
-        rates[norm] = fit_rate(hs, errs)
+        if all(math.isfinite(e) and e >= ERROR_FLOOR for e in errs):
+            rates[norm] = fit_rate(hs, errs)
     return ConvergenceTable(rows, rates)
 
 

@@ -8,41 +8,40 @@ the six scalars.
 
 Every system is solved in the basis of its interior kernel. The interior
 rows c x_{j-1} + d x_j + c x_{j+1} = b_j are one constant recurrence whose
-kernel is spanned by z^j for the two roots of c z^2 + d z + c = 0, lambda
-and 1/lambda. So x is a particular solution from discrete variation of
-parameters plus a multiple of each kernel vector, and a 2x2 solve on the
-two boundary rows fixes the two multiples. Two paths, chosen by what the
-system records about its kernel:
+kernel is spanned by two vectors v and w built from the two roots of
+c z^2 + d z + c = 0, lambda and 1/lambda. So x = p + a v + b w for a
+particular solution p, and every solve ends in one tail: the two boundary
+rows, applied to v, w and p at unknowns 0, 1, m-2 and m-1, fix a and b.
+p has two recipes: discrete variation of parameters, which takes the
+cumulative sums Sv and Sw of v b and w b and sets p = kappa (v Sw - w Sv),
+and at a simple root a recurrence summed by doubling. Two paths, chosen by
+what the system records about its kernel:
 
 * The kernel angle theta, for assembled systems whose kernel oscillates
-  (bpf and fd-dc, and fd while kh < 2): the recurrence reads
-  x_{j+1} - 2 cos(theta) x_j + x_{j-1} = b_j / c, the kernel is
-  e^{+-i theta j}, and the particular solution comes from two cumulative
-  sums. The phases come from theta itself, not from the stored diagonal,
-  whose rounding drifts the phase by about eps * n / theta over n steps at
-  small theta. A system that fits one block of about BLOCK unknowns
-  (every coarse grid) is solved in one straight line of whole-array
-  operations. A larger one streams through blocks of whole rows of its
-  phase table, so that a block's working set stays in L2: pass 1 writes
-  the particular solution and carries the two cumulative sums from block
-  to block, pass 2 rebuilds the block's phases and adds the homogeneous
-  part. Every element sees the one-block solve's operations in the same
-  order, so results are bitwise those of a solve over whole arrays.
-  Beyond rhs and x a streamed solve holds block-sized buffers only, and a
-  correction step one residual, whose buffer receives the correction.
+  (bpf and fd-dc, and fd while kh < 2): v and w are e^{+-i theta j}, and
+  p comes from variation of parameters. The phases come from theta itself,
+  not from the stored diagonal, whose rounding drifts the phase by about
+  eps * n / theta over n steps at small theta. A system that fits one
+  block of about BLOCK unknowns (every coarse grid) is solved in one
+  straight line of whole-array operations. A larger one streams through
+  blocks of whole rows of its phase table, so that a block's working set
+  stays in L2: pass 1 writes p and carries the two cumulative sums from
+  block to block, pass 2 rebuilds the block's phases and adds a v + b w.
+  Every element sees the one-block solve's operations in the same order,
+  so results are bitwise those of a solve over whole arrays. Beyond rhs
+  and x a streamed solve holds block-sized buffers only, and a correction
+  step one residual, whose buffer receives the correction.
 * The root lambda with |lambda| <= 1, which every other system records:
   fd at kh > 2, where lambda is real in (-1, 0), and every hand-built
-  stencil. One running product builds v_j = lambda^j, and the second
-  kernel vector w is v reversed, or j v_j at the double root lambda = +-1
-  (fd at kh = 2 exactly), where v is exactly the signs. The 2x2 boundary
-  system is read from v and w, the vectors that are added. With
-  K = 1 / (c (lambda - 1/lambda)), the particular solution
-  K sum_l lambda^|j-l| b_l is the recurrence F_j = lambda F_{j-1} + b_j
-  run forward and backward, summed by recursive doubling: each pass adds
-  lambda^s times the sums shifted by s, for s = 1, 2, 4, ... until
-  |lambda^s| < eps. No factor exceeds 1 in modulus, so nothing is
-  rescaled. At the double root K is infinite, and the particular solution
-  takes two cumulative sums instead.
+  stencil. One running product builds v_j = lambda^j, and w is v
+  reversed, or j v_j at the double root lambda = +-1 (fd at kh = 2
+  exactly), where v is exactly the signs. With K = 1 / (c (lambda -
+  1/lambda)), p = K sum_l lambda^|j-l| b_l is the recurrence
+  F_j = lambda F_{j-1} + b_j run forward and backward, summed by recursive
+  doubling: each pass adds lambda^s times the sums shifted by s, for
+  s = 1, 2, 4, ... until |lambda^s| < eps. No factor exceeds 1 in modulus,
+  so nothing is rescaled. At the double root K is infinite, and p comes
+  from variation of parameters with kappa = -lambda / c.
 
 Each path is a factory that checks the system and returns its solve;
 solve_tridiagonal decides how many correction steps follow it and takes
@@ -223,34 +222,83 @@ def _solve(sys: TridiagonalSystem, solve, steps: int) -> np.ndarray:
     return x
 
 
-def _boundary_solver(m00: complex, m01: complex, m10: complex, m11: complex,
-                     floor: float = 0.0):
-    """(r0, rn) -> the multiples (a, b) of the two kernel vectors that solve
-    the boundary rows [[m00, m01], [m10, m11]] (a, b) = (r0, rn). Raises
-    SingularSystem when det is zero or not finite, or when |det| is below
-    PIVOT_REL_TOL times max(|m00 m11| + |m01 m10|, floor)."""
+def _boundary_solver(stencil: Stencil, v_ends, w_ends, floor: float = 0.0):
+    """weights(r0, r_last, p_ends) -> the multiples (a, b) of the kernel
+    vectors v and w that make x = p + a v + b w satisfy the two boundary rows
+    of stencil, from the values of v, w and p at _END_INDEX. Raises
+    SingularSystem when the 2x2 determinant is zero or not finite, or when it
+    is below PIVOT_REL_TOL times max(|m00 m11| + |m01 m10|, floor)."""
+    _, _, d0, u0, ln, dn = stencil
+    (v0, v1, vn1, vn), (w0, w1, wn1, wn) = v_ends, w_ends
+    m00, m01 = d0 * v0 + u0 * v1, d0 * w0 + u0 * w1
+    m10, m11 = ln * vn1 + dn * vn, ln * wn1 + dn * wn
     det = m00 * m11 - m01 * m10
     if not 0.0 < abs(det) < math.inf:
         raise SingularSystem(f"boundary system determinant is {'zero' if det == 0 else abs(det)}")
     if not abs(det) >= PIVOT_REL_TOL * max(abs(m00 * m11) + abs(m01 * m10), floor):
         raise SingularSystem(f"boundary system determinant {abs(det):.3e} below threshold")
-    return lambda r0, rn: ((r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det)
+
+    def weights(r0: complex, r_last: complex, p_ends) -> tuple[complex, complex]:
+        p0, p1, pn1, pn = p_ends
+        r0, rn = r0 - d0 * p0 - u0 * p1, r_last - ln * pn1 - dn * pn
+        return (r0 * m11 - m01 * rn) / det, (m00 * rn - m10 * r0) / det
+
+    return weights
+
+
+def _basis_solver(sys: TridiagonalSystem, v: np.ndarray, w: np.ndarray, particular,
+                  floor: float = 0.0):
+    """solve(rhs, out=None) -> p + a v + b w, with p = particular(rhs, out)
+    (out, or a new array) and a, b fixed by the two boundary rows."""
+    weights = _boundary_solver(sys.stencil, v[_END_INDEX].tolist(), w[_END_INDEX].tolist(),
+                               floor)
+    homogeneous = np.empty((2, sys.size), dtype=complex)
+
+    def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # Read before particular writes into out, which may be rhs itself.
+        r0, r_last = complex(rhs[0]), complex(rhs[-1])
+        x = particular(rhs, out)
+        a, b = weights(r0, r_last, x[_END_INDEX].tolist())
+        h = np.multiply(v, a, out=homogeneous[0])
+        h += np.multiply(w, b, out=homogeneous[1])
+        x += h
+        return x
+
+    return solve
+
+
+def _variation_particular(vw: np.ndarray, kappa: complex):
+    """particular(rhs, out=None) -> p_j = kappa (v_j Sw_j - w_j Sv_j), written
+    into out (a new array if None), which may be rhs itself, for the two
+    kernel vectors (v, w) = vw of the interior rows: discrete variation of
+    parameters, with Sv_j and Sw_j the sums of v_l b_l and w_l b_l over the
+    interior rows l < j, so p is zero at j = 0 and 1."""
+    m = vw.shape[1]
+    sums = np.empty((2, m), dtype=complex)
+
+    def particular(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(m, dtype=complex) if out is None else out
+        sums[:, :2] = 0.0
+        np.multiply(vw[::-1, 1:m - 1], rhs[1:m - 1], out=sums[:, 2:])
+        np.add.accumulate(sums, axis=1, out=sums)
+        np.multiply(sums, vw, out=sums)  # `sums *= vw` would make sums local
+        return np.multiply(np.subtract(sums[0], sums[1], out=sums[0]), kappa, out=out)
+
+    return particular
 
 
 def _kernel_solver(sys: TridiagonalSystem):
     """solve(rhs, out=None) by the kernel angle: the solution for rhs,
     written into out (a new array if None), which may be rhs itself.
 
-    Particular solution, zero at j = 0 and 1 (S_j sums l = 1..j-1):
-        p_j = (e^{i theta j} S-_j - e^{-i theta j} S+_j) / (2i c sin theta),
-        S+-_j = sum_l e^{+-i theta l} b_l.
-    The phases e^{+-i theta j}, j = q * width + r, are products of two tables
-    of about sqrt(m) entries. A system that fits one block builds them once
-    and solves in whole-array steps. A larger one builds them for one block
-    of whole rows q at a time: pass 1 writes p block by block, carrying both
-    sums from block to block in accumulate's sequential order; pass 2
-    rebuilds each block's phases and adds the homogeneous part
-    a e^{i theta j} + b e^{-i theta j}.
+    The kernel vectors are v_j = e^{i theta j} and w_j = e^{-i theta j},
+    with kappa = 1 / (2i c sin theta) in _variation_particular. The phases,
+    j = q * width + r, are products of two tables of about sqrt(m) entries.
+    A system that fits one block builds them once and solves through
+    _basis_solver. A larger one builds them for one block of whole rows q at
+    a time: pass 1 writes p block by block, carrying both sums from block to
+    block in accumulate's sequential order; pass 2 rebuilds each block's
+    phases and adds the homogeneous part a v + b w.
     """
     m = sys.size
     width = math.isqrt(m - 1) + 1
@@ -259,38 +307,14 @@ def _kernel_solver(sys: TridiagonalSystem):
     fine = np.exp(angles[:, None, :])
     n_rows = coarse.shape[1]
     rows = min(max(1, BLOCK // width), n_rows)
-
-    c, _, d0, u0, ln, dn = sys.stencil
-    kappa = 1.0 / (2j * math.sin(sys.theta) * c)
-    # Boundary rows applied to e^{+i theta j} (column 0) and e^{-i theta j},
-    # whose phases at j = 1, m-2, m-1 come from the same table products;
-    # flat indices below the row length of coarse and fine read e^{+i...}.
-    (qa, ra), (qb, rb) = divmod(m - 2, width), divmod(m - 1, width)
-    e1, en1, en = (coarse.take((0, qa, qb)) * fine.take((1, ra, rb))).tolist()
-    weights = _boundary_solver(d0 + u0 * e1, d0 + u0 * e1.conjugate(), ln * en1 + dn * en,
-                               ln * en1.conjugate() + dn * en.conjugate())
+    kappa = 1.0 / (2j * math.sin(sys.theta) * sys.stencil.c)
 
     if rows == n_rows:
         ph = np.multiply(coarse, fine).reshape(2, -1)[:, :m]
-        sums = np.empty((2, m), dtype=complex)
+        return _basis_solver(sys, ph[0], ph[1], _variation_particular(ph, kappa))
 
-        def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            out = np.empty(m, dtype=complex) if out is None else out
-            r0, r_last = complex(rhs[0]), complex(rhs[-1])
-            sums[:, :2] = 0.0
-            np.multiply(ph[::-1, 1:m - 1], rhs[1:m - 1], out=sums[:, 2:])
-            np.add.accumulate(sums, axis=1, out=sums)
-            np.multiply(sums, ph, out=sums)  # `sums *= ph` would make sums local
-            np.multiply(np.subtract(sums[0], sums[1], out=sums[0]), kappa, out=out)
-            p_before_last, p_last = out[-2:].tolist()
-            a, b = weights(r0, r_last - ln * p_before_last - dn * p_last)
-            homogeneous = np.multiply(ph[0], a, out=sums[0])
-            homogeneous += np.multiply(ph[1], b, out=sums[1])
-            out += homogeneous
-            return out
-
-        return solve
-
+    q, r = divmod(_END_INDEX % m, width)
+    weights = _boundary_solver(sys.stencil, *(coarse[:, q, 0] * fine[:, 0, r]).tolist())
     # Buffers reused by every block: a fresh block-sized array per block
     # would cost more in page faults than the block's arithmetic.
     table = np.empty((2, rows, width), dtype=complex)
@@ -325,8 +349,7 @@ def _kernel_solver(sys: TridiagonalSystem):
                         out=out[j0:j0 + length])
             if j0 + length < m:
                 sums[:, 0] = sums[:, length]  # S-+ at the next block's first unknown
-        p_before_last, p_last = out[-2:].tolist()
-        a, b = weights(r0, r_last - ln * p_before_last - dn * p_last)
+        a, b = weights(r0, r_last, out[_END_INDEX].tolist())
         for j0, ph in blocks():
             length = ph.shape[1]
             homogeneous = np.multiply(ph[0], a, out=sums[0, :length])
@@ -339,16 +362,16 @@ def _kernel_solver(sys: TridiagonalSystem):
 
 def _root_solver(sys: TridiagonalSystem):
     """solve(rhs, out=None) from the root lambda of the interior row: the
-    solution x = p + a v + b w for rhs in a new array (out is not written).
+    solution for rhs in a new array (out is not written).
 
     The kernel vectors are v_j = lambda^j, one running product (exactly the
     signs at the double root lambda = +-1), and w: v reversed at a simple
-    root, j v_j at the double root. The boundary rows, applied to p, v and
-    w at unknowns 0, 1, m-2 and m-1, fix a and b; the particular solution
-    p comes from _simple_root_particular or _double_root_particular.
+    root, j v_j at the double root. The particular solution comes from
+    _simple_root_particular, or at the double root from
+    _variation_particular with kappa = -lambda / c.
     """
     m = sys.size
-    c, d, d0, u0, ln, dn = sys.stencil
+    c, d = sys.stencil.c, sys.stencil.d
     lam, r = _root(c, d)
     scale = max(map(abs, sys.stencil))
     if scale == 0.0:
@@ -358,30 +381,20 @@ def _root_solver(sys: TridiagonalSystem):
     v = np.full(m, lam)
     v[0] = 1.0
     np.multiply.accumulate(v, out=v)
-    w = v[::-1] if r else np.arange(m) * v
-    (v0, v1, vn1, vn), (w0, w1, wn1, wn) = v[_END_INDEX].tolist(), w[_END_INDEX].tolist()
-    weights = _boundary_solver(d0 * v0 + u0 * v1, d0 * w0 + u0 * w1,
-                               ln * vn1 + dn * vn, ln * wn1 + dn * wn, scale * scale)
-    particular = _simple_root_particular(lam, r, m) if r else _double_root_particular(c, v, w)
-    homogeneous = np.empty(m, dtype=complex)
-
-    def solve(rhs: np.ndarray, out=None) -> np.ndarray:
-        x = particular(rhs)
-        p0, p1, pn1, pn = x.take(_END_INDEX).tolist()
-        a, b = weights(complex(rhs[0]) - d0 * p0 - u0 * p1,
-                       complex(rhs[-1]) - ln * pn1 - dn * pn)
-        x += np.multiply(v, a, out=homogeneous)
-        x += np.multiply(w, b, out=homogeneous)
-        return x
-
-    return solve
+    if r:
+        w, particular = v[::-1], _simple_root_particular(lam, r, m)
+    else:
+        vw = np.stack((v, np.arange(m) * v))
+        w, particular = vw[1], _variation_particular(vw, -lam / c)
+    return _basis_solver(sys, v, w, particular, scale * scale)
 
 
 def _simple_root_particular(lam: complex, r: complex, m: int):
-    """rhs -> the particular solution K (F_j + G_j - b_j) at a simple root
-    (r != 0), in a new array, where F and G are the forward and backward
-    sums F_j = lambda F_{j-1} + b_j and G_j = lambda G_{j+1} + b_j over the
-    interior rows and K = 1/r (see _root).
+    """particular(rhs, out=None) -> the particular solution K (F_j + G_j - b_j)
+    at a simple root (r != 0), in a new array (out is not written), where F
+    and G are the forward and backward sums F_j = lambda F_{j-1} + b_j and
+    G_j = lambda G_{j+1} + b_j over the interior rows and K = 1/r (see
+    _root).
 
     F and G, reversed, are the two rows of one array, each summed by
     recursive doubling: the pass for shift s adds lambda^s times the row
@@ -396,7 +409,7 @@ def _simple_root_particular(lam: complex, r: complex, m: int):
         s, lam_s = 2 * s, lam_s * lam_s
     k = 1.0 / r
 
-    def particular(rhs: np.ndarray) -> np.ndarray:
+    def particular(rhs: np.ndarray, out=None) -> np.ndarray:
         sums = np.zeros((2, m), dtype=complex)
         sums[0, 1:m - 1] = rhs[1:m - 1]
         sums[1, 1:m - 1] = rhs[m - 2:0:-1]
@@ -406,28 +419,6 @@ def _simple_root_particular(lam: complex, r: complex, m: int):
         x = sums[0] + sums[1, ::-1]
         x[1:-1] -= rhs[1:-1]
         x *= k
-        return x
-
-    return particular
-
-
-def _double_root_particular(c: complex, v: np.ndarray, w: np.ndarray):
-    """rhs -> the particular solution at the double root lambda = +-1, in a
-    new array, from the kernel vectors v_j = lambda^j and w_j = j lambda^j:
-        p_j = lambda/c (w_j S0_j - v_j S1_j),
-    S0_j = sum_{l<j} v_l b_l and S1_j = sum_{l<j} w_l b_l over the interior
-    rows l, so p is zero at j = 0 and 1."""
-    m = v.shape[0]
-    over_c = v[1] / c
-
-    def particular(rhs: np.ndarray) -> np.ndarray:
-        sums = np.zeros((2, m), dtype=complex)
-        np.multiply(v[1:m - 1], rhs[1:m - 1], out=sums[0, 2:])
-        np.multiply(w[1:m - 1], rhs[1:m - 1], out=sums[1, 2:])
-        np.add.accumulate(sums, axis=1, out=sums)
-        sums *= over_c
-        x = np.multiply(w, sums[0])
-        x -= np.multiply(v, sums[1], out=sums[1])
         return x
 
     return particular

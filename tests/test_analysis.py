@@ -530,6 +530,20 @@ class TestErrorReport:
                 assert getattr(rep, "abs_" + field) == norm(err)
                 assert getattr(rep, "rel_" + field) == norm(err) / norm(ref)
 
+    @pytest.mark.parametrize("n", [8, 181, 2**14 + 3])
+    def test_huge_values_scale_exactly(self, n):
+        # squares near 2^1800 overflow: the report scales each row by a
+        # power of two instead, so every field moves by exactly 2^900
+        rng = np.random.default_rng(n)
+        g = make_grid(1.0, n)
+        u, ref = (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1) for _ in range(2))
+        rep = error_report(GridFunction(g, u), GridFunction(g, ref), 3.0)
+        big = error_report(GridFunction(g, 2.0**900 * u), GridFunction(g, 2.0**900 * ref), 3.0)
+        for field in ("linf", "l2h", "h1"):
+            assert getattr(big, "abs_" + field) == 2.0**900 * getattr(rep, "abs_" + field)
+        for field in ("linf", "l2h", "h1", "v"):
+            assert getattr(big, "rel_" + field) == getattr(rep, "rel_" + field)
+
 
 class TestCheckResult:
     def test_verdict_is_value_within_bound(self):

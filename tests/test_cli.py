@@ -71,6 +71,19 @@ class TestConvergence:
         assert code == 0
         assert "floored" in text
 
+    @pytest.mark.parametrize("name, floored", [("smooth", 0), ("planewave", 2)])
+    def test_tiny_k_prints_no_inf_or_nan(self, capsys, name, floored):
+        # at k = 1e-160 fd's smooth errors near 1e156 must not overflow in
+        # their squares, and planewave's exact 0.0 at n = 8 gets no rate
+        code = main(["convergence", "--k", "1e-160", "--n-list", "8,16",
+                     "--benchmark", name, "--scheme", "fd"])
+        out = capsys.readouterr().out
+        assert code == 0
+        values = [f for line in out.splitlines()[1:] for f in line.split(",")
+                  if not f.startswith(("#", "err_"))]
+        assert all(f == "floored" or math.isfinite(float(f)) for f in values)
+        assert values.count("floored") == floored
+
     def test_h_list_accepted(self, tmp_path):
         code, text = _run(tmp_path, [
             "convergence", "--k", "32", "--h-list", "0.04,0.02",

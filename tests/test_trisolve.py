@@ -162,6 +162,7 @@ class TestRouting:
         (1.0, 1.0, 200),                      # |lambda| = 1, angle 2 pi / 3
         (1.0, 1.0, 1025),                     # ... so the scan never stops early
         (1.0, 2.0, 200),                      # double root lambda = -1
+        (-1.0 + 0.5j, 2.0 - 1.0j, 300),       # double root lambda = +1, complex c
         (1.0, 2.0 + 1e-9, 1025),              # roots 6e-5 apart
     ])
     def test_root_path_matches_dense_solve(self, c, d, m):

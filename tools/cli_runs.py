@@ -41,11 +41,14 @@ _PAIRS = ["--k-list", "16,32", "--n-list", "64,128"]
 # k = 8*pi: on n = 8 subintervals kh = pi, where the Nyquist guard fires.
 _GUARD = ["convergence", "--k", "25.132741228718345", "--n-list", "8,16",
           "--benchmark", "smooth"]
+_TINY_K = ["convergence", "--k", "1e-160", "--n-list", "8,16", "--scheme", "fd"]
 
 # name -> argv. Every subcommand, every benchmark and every scheme, the
 # table exit-2 path, the four verify suites, the Nyquist guard at kh = pi
-# (exit 3 for bpf and fd-dc; fd has no guard and solves) and fd's boundary
-# determinant underflowing to zero at k = 1e-170 (exit 3).
+# (exit 3 for bpf and fd-dc; fd has no guard and solves), fd's boundary
+# determinant underflowing to zero at k = 1e-170 (exit 3), and fd at
+# k = 1e-160, whose smooth errors near 1e156 must not overflow in their
+# squares and whose planewave error of 0.0 at n = 8 gets no rate.
 RUNS: dict[str, list[str]] = {
     "exactness-k64": ["exactness", "--k", "64", "--n", "400"],
     "exactness-k1000": ["exactness", "--k", "1000", "--n", "400"],
@@ -77,6 +80,8 @@ RUNS: dict[str, list[str]] = {
     "guard-convergence-fd-dc": _GUARD + ["--scheme", "fd-dc"],
     "singular-convergence-fd": ["convergence", "--k", "1e-170", "--n-list", "8,16",
                                 "--benchmark", "smooth", "--scheme", "fd"],
+    "tiny-k-convergence-smooth-fd": _TINY_K + ["--benchmark", "smooth"],
+    "tiny-k-convergence-planewave-fd": _TINY_K + ["--benchmark", "planewave"],
 }
 
 
