@@ -277,21 +277,25 @@ def flux_estimate_check(p: HelmholtzProblem, u_h: GridFunction) -> FluxReport:
     auxiliary energy bound, both requiring homogeneous radiation data."""
     if abs(p.g0) != 0.0 or abs(p.gL) != 0.0:
         raise ValueError("flux estimate applies to homogeneous radiation data only")
-    grid = u_h.grid
-    h = grid.h
-    s = p.k * h
+    th, flux_lhs, aux_lhs = _flux_and_energy(u_h, p.k)
+    fnorm2 = norm_l2h(sample(p.f, u_h.grid)) ** 2
+    return FluxReport(flux_lhs, p.L**2 / th * fnorm2, aux_lhs, p.L**2 / (2.0 * th) * fnorm2)
+
+
+def _flux_and_energy(v: GridFunction, k: float) -> tuple[float, float, float]:
+    """(Theta(kh), flux, energy) of v: the flux h (||D+ v||^2 + ||D- v||^2) is
+    twice the energy Theta cos(kh) |v|_{1,h}^2 + k^2 ||v||_{0,h}^2
+    + (k^2 h/2)(|v_0|^2 + |v_n|^2) for every grid function v."""
+    h = v.grid.h
+    s = k * h
     th = theta(s)
-    dplus = apply_one_way_plus(u_h, p.k)
-    dminus = apply_one_way_minus(u_h, p.k)
-    flux_lhs = float(h * (np.sum(np.abs(dplus) ** 2) + np.sum(np.abs(dminus) ** 2)))
-    fnorm2 = norm_l2h(sample(p.f, grid)) ** 2
-    flux_rhs = p.L**2 / th * fnorm2
-    u = u_h.values
-    aux_lhs = (th * math.cos(s) * seminorm_h1h(u_h) ** 2
-               + p.k**2 * norm_l2h(u_h) ** 2
-               + 0.5 * p.k**2 * h * (abs(u[0]) ** 2 + abs(u[-1]) ** 2))
-    aux_rhs = p.L**2 / (2.0 * th) * fnorm2
-    return FluxReport(flux_lhs, flux_rhs, aux_lhs, aux_rhs)
+    flux = float(h * (np.sum(np.abs(apply_one_way_plus(v, k)) ** 2)
+                      + np.sum(np.abs(apply_one_way_minus(v, k)) ** 2)))
+    u = v.values
+    energy = (th * math.cos(s) * seminorm_h1h(v) ** 2
+              + k**2 * norm_l2h(v) ** 2
+              + 0.5 * k**2 * h * (abs(u[0]) ** 2 + abs(u[-1]) ** 2))
+    return th, flux, energy
 
 
 def energy_identity_mismatch(p: HelmholtzProblem, u_h: GridFunction) -> float:
@@ -522,16 +526,9 @@ def verify_identities(seed: int = 0) -> list[CheckResult]:
     # Flux-energy relation for arbitrary grid functions.
     lhs, rhs = [], []
     for k, n in ((2.0, 16), (12.5, 32), (32.0, 64)):
-        grid = make_grid(1.0, n)
-        v = _random_grid_function(rng, grid)
-        s = k * grid.h
-        th = theta(s)
-        lhs.append(grid.h * float(np.sum(np.abs(apply_one_way_plus(v, k)) ** 2)
-                                  + np.sum(np.abs(apply_one_way_minus(v, k)) ** 2)))
-        u = v.values
-        rhs.append(2.0 * th * math.cos(s) * seminorm_h1h(v) ** 2
-                   + 2.0 * k * k * norm_l2h(v) ** 2
-                   + k * k * grid.h * (abs(u[0]) ** 2 + abs(u[-1]) ** 2))
+        _, flux, energy = _flux_and_energy(_random_grid_function(rng, make_grid(1.0, n)), k)
+        lhs.append(flux)
+        rhs.append(2.0 * energy)
     checks.append(CheckResult("flux_energy_relation", _rel_mismatch(lhs, rhs), 1e-12))
 
     # Discrete energy identity on homogeneous-radiation solves. With the

@@ -10,7 +10,8 @@ verify       run one of the named verification suites
 
 All numeric output is CSV with 17-significant-digit scientific notation so
 runs diff cleanly. Exit codes: 0 success, 1 check failure, 2 usage error,
-3 numerical guard (near-Nyquist or resonant parameters, a singular system).
+3 numerical guard (near-Nyquist or resonant parameters, a singular system,
+a source that overflows at the grid nodes).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import sys
 import numpy as np
 
 from .analysis import VERIFY_SUITES, convergence_study, error_report
-from .errors import InvalidGrid, NonNestedGrids, NumericalGuardError, SingularSystem
+from .errors import (InvalidGrid, NonFiniteSample, NonNestedGrids, NumericalGuardError,
+                     SingularSystem)
 from .grid import check_nested, make_grid, restrict, sample
 from .reference import BENCHMARKS, fine_grid_reference, make_benchmark
 from .schemes import SchemeKind, solve_scheme
@@ -342,7 +344,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (NumericalGuardError, SingularSystem) as exc:
+    except (NumericalGuardError, SingularSystem, NonFiniteSample) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (UsageError, InvalidGrid, NonNestedGrids) as exc:

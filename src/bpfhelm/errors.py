@@ -40,7 +40,8 @@ class InvalidGrid(ValueError):
 
 
 class NonFiniteSample(ValueError):
-    """Sampling a function produced NaN or Inf nodal values."""
+    """Sampling a function produced NaN or Inf nodal values, or a source's
+    coefficients overflow, so that sampling it would."""
 
 
 class NonNestedGrids(ValueError):

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import ResonantSource
+from .errors import NonFiniteSample, ResonantSource
 from .grid import GridFunction
 from .schemes import HelmholtzProblem, SchemeKind, solve_scheme
 
@@ -107,12 +107,16 @@ _R_POLY = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
 _R1_POLY = _R_POLY.deriv(1)
 _R2_POLY = _R_POLY.deriv(2)
 _BUMP = tuple(functools.partial(_polyval, r.coef) for r in (_R_POLY, _R1_POLY, _R2_POLY))
+_R_PEAK = float(np.max(np.abs(_R_POLY.coef)))
 
 
 def _smooth_source(k: float) -> np.ndarray:
     """Coefficients of the manufactured source f = r'' + k^2 r: k*k*r_i +
     r''_i, the float operations of `_R2_POLY + k * k * _R_POLY` without the
-    cost of Polynomial arithmetic."""
+    cost of Polynomial arithmetic. Raises NonFiniteSample when one of them
+    overflows, as k^2 times the largest |r_i| does from about k = 5.5e153."""
+    if not math.isfinite(_R_PEAK * (k * k)):
+        raise NonFiniteSample(f"smooth source coefficients overflow at k = {k!r}")
     coef = _R_POLY.coef * (k * k)
     coef[:_R2_POLY.coef.size] += _R2_POLY.coef
     return coef

@@ -134,10 +134,11 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem
     The interior rows are one constant recurrence
     u_{j+1} - 2 cos(theta) u_j + u_{j-1} = h^2 f_j / w, and the system
     records its kernel: the angle theta = kh for bpf and fd-dc, and
-    theta = 2 asin(kh/2) for fd while kh < 2. From kh = 2 on, the fd kernel
-    no longer oscillates: its roots are lambda and 1/lambda with lambda
-    real in [-1, 0), and the system records lambda, taken from its stored
-    row, instead of an angle (trisolve's root path).
+    theta = 2 asin(kh/2) for fd while 0 < kh/2 < 1. From kh = 2 on, the fd
+    kernel no longer oscillates: its roots are lambda and 1/lambda with
+    lambda real in [-1, 0), and the system records lambda, taken from its
+    stored row, instead of an angle (trisolve's root path). So does an fd
+    system whose kh/2 underflows to 0, where the angle would be 0.
 
     The system keeps (w/h^2, kk - 2w/h^2) and the four boundary entries as
     its stencil; lower, diag and upper are built from them when read. The
@@ -151,7 +152,7 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem
     kh = p.k * h
     if kind is SchemeKind.CLASSICAL_FD:
         w, kk = 1.0, p.k**2
-        kernel_angle = 2.0 * math.asin(0.5 * kh) if kh < 2.0 else None
+        kernel_angle = 2.0 * math.asin(0.5 * kh) if 0.0 < 0.5 * kh < 1.0 else None
     else:
         nyquist_guard(p.k, h)
         if kind is SchemeKind.BPF:

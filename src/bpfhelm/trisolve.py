@@ -48,9 +48,9 @@ solve_tridiagonal decides how many correction steps follow it and takes
 them in one loop. Both paths raise SingularSystem instead of returning
 garbage when the determinant of the 2x2 boundary system is zero or not
 finite, or drops below PIVOT_REL_TOL times its scale. The root path
-measures against the matrix scale as well (a boundary row of a near-zero
-pivot, all coefficients zero), and against the interior pivot, which
-vanishes only when both c and d are negligible.
+measures against the matrix scale as well, and raises when the interior
+pivot, which vanishes only when both c and d are negligible, is not above
+PIVOT_REL_TOL times that scale: an all-zero matrix fails this one test.
 
 residual_inf_norm and max_abs reduce a system that fits one block
 directly, and a larger one block by block; either gives NaN if the array
@@ -374,9 +374,7 @@ def _root_solver(sys: TridiagonalSystem):
     c, d = sys.stencil.c, sys.stencil.d
     lam, r = _root(c, d)
     scale = max(map(abs, sys.stencil))
-    if scale == 0.0:
-        raise SingularSystem("all matrix coefficients are zero")
-    if not abs(d + r) >= 2.0 * PIVOT_REL_TOL * scale:
+    if not abs(d + r) > 2.0 * PIVOT_REL_TOL * scale:
         raise SingularSystem(f"interior pivot {0.5 * abs(d + r):.3e} below threshold")
     v = np.full(m, lam)
     v[0] = 1.0
@@ -457,7 +455,7 @@ def _residual_rows(sys: TridiagonalSystem, x: np.ndarray, i0: int, out: np.ndarr
     inner += np.multiply(s.c, x[first - 1:last - 1], out=t)
     inner += np.multiply(s.c, x[first + 1:last + 1], out=t)
     if i0 == 0 or i1 == m:
-        d0x0, u0x1, lnxm, dnxn = (np.array(s[2:]) * x.take(_END_INDEX)).tolist()
+        d0x0, u0x1, lnxm, dnxn = (np.array(s[2:]) * x[_END_INDEX]).tolist()
         if i0 == 0:
             out[0] = (d0x0 - complex(sys.rhs[0])) + u0x1
         if i1 == m:

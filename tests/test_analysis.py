@@ -181,6 +181,25 @@ class TestChecksReadAssembledRows:
         failed = [c.name for c in verify_residuals() if not c.passed]
         assert any(name.startswith(("tau_", "beta_")) for name in failed)
 
+    def test_scaled_energy_fails_the_flux_relation(self, monkeypatch):
+        # The identity suite's flux-energy relation and the stability suite's
+        # flux and auxiliary bounds read one routine, so an energy off by
+        # 1e-9 there must fail the relation and reach the auxiliary bound.
+        original = analysis._flux_and_energy
+
+        def scaled(v, k):
+            th, flux, energy = original(v, k)
+            return th, flux, energy * (1.0 + 1e-9)
+
+        p, _ = sine_squared_problem(2.0**5)
+        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
+        u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
+        aux = flux_estimate_check(p, u_h).aux_lhs
+        monkeypatch.setattr(analysis, "_flux_and_energy", scaled)
+        failed = [c.name for c in verify_identities(0) if not c.passed]
+        assert failed == ["flux_energy_relation"]
+        assert flux_estimate_check(p, u_h).aux_lhs == aux * (1.0 + 1e-9)
+
 
 class TestResidualReport:
     def test_bounds_hold_on_sweep_sample(self):

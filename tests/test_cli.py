@@ -585,3 +585,31 @@ class TestBenchmarkRegistry:
         code, _ = _run(tmp_path, ["table", "--k-list", "4", "--h-list", "0.25,0.125"])
         assert code == 0
         assert seen == [64, 64]
+
+
+def _extreme_wavenumber_runs():
+    """Every command at the smallest subnormal k and at the largest k the
+    parser takes, on grids each benchmark accepts."""
+    runs = []
+    for k in ("5e-324", "1.3e154"):
+        for name in BENCHMARKS:
+            n_list = "27,81" if name == "box" else "8,16"
+            runs += [["convergence", "--k", k, "--n-list", n_list, "--benchmark", name,
+                      "--scheme", scheme]
+                     for scheme in _option_choices("convergence", "scheme")]
+            runs.append(["compare", "--k-list", k, "--n-list", n_list.split(",")[0],
+                         "--benchmark", name])
+        runs += [["exactness", "--k", k, "--n", "8"],
+                 ["table", "--k-list", k, "--n-list", "8", "--n", "16"]]
+    return runs
+
+
+class TestExtremeWavenumbers:
+    @pytest.mark.parametrize("argv", _extreme_wavenumber_runs(), ids=" ".join)
+    def test_exit_code_without_a_traceback(self, capsys, argv):
+        # fd used to hand a kernel angle of 0 to the solver when kh underflowed,
+        # and smooth's source coefficients overflow while k^2 is still finite:
+        # both raised out of main instead of reporting a guard
+        assert main(argv) in (0, 2, 3)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) <= 1

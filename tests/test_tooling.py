@@ -51,7 +51,7 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
 
 def test_cli_runs_cover_every_subcommand_and_parse():
     runs = _load_cli_runs().RUNS
-    assert len(runs) == 28
+    assert len(runs) == 30
     assert {argv[0] for argv in runs.values()} == {
         "exactness", "convergence", "table", "compare", "verify"}
     for argv in runs.values():
