@@ -6,6 +6,8 @@ resonant frequency. They are recoverable in the sense that the caller can
 pick different parameters; the CLI maps them to a dedicated exit code.
 """
 
+import math
+
 
 class NumericalGuardError(Exception):
     """Base class for parameter-guard failures (singular or resonant setups)."""
@@ -16,14 +18,22 @@ class SingularParameter(NumericalGuardError):
 
 
 class NearNyquist(NumericalGuardError):
-    """kh is within guard tolerance of an integer multiple of pi."""
+    """kh is within guard tolerance of an integer multiple of pi.
+
+    Above about 1.8e16 the spacing of floats near kh exceeds pi, so kh
+    cannot be placed against pi*Z at all; the message says so instead of
+    naming a multiple of a hundred or more digits.
+    """
 
     def __init__(self, kh: float, multiple: int, tol: float):
         self.kh = kh
         self.multiple = multiple
         self.tol = tol
+        spacing = math.ulp(kh)
         super().__init__(
-            f"kh = {kh!r} is within tolerance {tol:g} of {multiple}*pi"
+            f"kh = {kh!r} is within tolerance {tol:g} of {multiple}*pi" if spacing <= math.pi
+            else f"kh = {kh!r} is too large to place against pi*Z "
+                 f"(float spacing {spacing:.3g} exceeds pi)"
         )
 
 

@@ -25,8 +25,10 @@ what the system records about its kernel:
   block of about BLOCK unknowns (every coarse grid) is solved in one
   straight line of whole-array operations. A larger one streams through
   blocks of whole rows of its phase table, so that a block's working set
-  stays in L2: pass 1 writes p and carries the two cumulative sums from
+  stays in L2: pass 1 writes p and carries the cumulative sums from
   block to block, pass 2 rebuilds the block's phases and adds a v + b w.
+  While the interior of the right-hand side is real, as a sampled source
+  is, Sv = conj(Sw), and pass 1 carries one sum instead of two.
   Every element sees the one-block solve's operations in the same order,
   so results are bitwise those of a solve over whole arrays. Beyond rhs
   and x a streamed solve holds block-sized buffers only, and a correction
@@ -296,9 +298,18 @@ def _kernel_solver(sys: TridiagonalSystem):
     j = q * width + r, are products of two tables of about sqrt(m) entries.
     A system that fits one block builds them once and solves through
     _basis_solver. A larger one builds them for one block of whole rows q at
-    a time: pass 1 writes p block by block, carrying both sums from block to
+    a time: pass 1 writes p block by block, carrying the sums from block to
     block in accumulate's sequential order; pass 2 rebuilds each block's
     phases and adds the homogeneous part a v + b w.
+
+    While the interior rows of rhs read so far are real (a sampled source;
+    not a correction step's residual), w_l b_l = conj(v_l b_l), so
+    Sv = conj(Sw) and v Sw - w Sv = 2i Im(v Sw), bit for bit but for the
+    sign of a zero part, as exp and the complex multiply are
+    conjugate-symmetric. Pass 1 then accumulates Sw alone and writes
+    p = Im(v Sw) (2i kappa), which rounds as (2i Im(v Sw)) kappa does. At
+    the first block with a complex interior entry it sets Sv = conj(Sw)
+    and carries both sums from there on.
     """
     m = sys.size
     width = math.isqrt(m - 1) + 1
@@ -308,6 +319,7 @@ def _kernel_solver(sys: TridiagonalSystem):
     n_rows = coarse.shape[1]
     rows = min(max(1, BLOCK // width), n_rows)
     kappa = 1.0 / (2j * math.sin(sys.theta) * sys.stencil.c)
+    two_i_kappa = 2j * kappa
 
     if rows == n_rows:
         ph = np.multiply(coarse, fine).reshape(2, -1)[:, :m]
@@ -334,21 +346,34 @@ def _kernel_solver(sys: TridiagonalSystem):
         out = np.empty(m, dtype=complex) if out is None else out
         r0, r_last = complex(rhs[0]), complex(rhs[-1])
         sums[:, :2] = 0.0
+        real = True  # the interior rows read so far are real: Sv = conj(Sw)
         for j0, ph in blocks():
             length = ph.shape[1]
             lo, hi = max(j0, 1), min(j0 + length, m - 1)
-            np.multiply(ph[::-1, lo - j0:hi - j0], rhs[lo:hi],
-                        out=sums[:, lo - j0 + 1:hi - j0 + 1])
-            running = sums[:, :hi - j0 + 1]
+            # count_nonzero: on a strided view it beats .any()
+            if real and np.count_nonzero(rhs[lo:hi].imag):
+                real = False
+                # Sv so far; + 0j makes a zero imaginary part +0, as in a sum
+                sums[1, 0] = sums[0, 0].conjugate() + 0j
+            n_sums = 1 if real else 2  # Sw, or Sw and Sv
+            used = sums[:n_sums]
+            np.multiply(ph[::-1][:n_sums, lo - j0:hi - j0], rhs[lo:hi],
+                        out=used[:, lo - j0 + 1:hi - j0 + 1])
+            running = used[:, :hi - j0 + 1]
             np.add.accumulate(running, axis=1, out=running)
-            terms = sums[:, :length]
-            terms *= ph
-            # Not an in-place multiply: on a block of one unknown numpy would
-            # take its scalar reduce loop, which rounds unlike the SIMD one.
-            np.multiply(np.subtract(terms[0], terms[1], out=terms[0]), kappa,
-                        out=out[j0:j0 + length])
+            # No in-place multiply of one row: on a block of one unknown
+            # numpy would take its scalar reduce loop, which rounds unlike
+            # the SIMD one.
+            if real:  # p = Im(v Sw) (2i kappa), v Sw in the idle Sv row
+                z = np.multiply(sums[0, :length], ph[0], out=sums[1, :length])
+                np.multiply(z.imag, two_i_kappa, out=out[j0:j0 + length])
+            else:
+                terms = sums[:, :length]
+                terms *= ph
+                np.multiply(np.subtract(terms[0], terms[1], out=terms[0]), kappa,
+                            out=out[j0:j0 + length])
             if j0 + length < m:
-                sums[:, 0] = sums[:, length]  # S-+ at the next block's first unknown
+                used[:, 0] = used[:, length]  # S-+ at the next block's first unknown
         a, b = weights(r0, r_last, out[_END_INDEX].tolist())
         for j0, ph in blocks():
             length = ph.shape[1]

@@ -64,6 +64,16 @@ class TestConvergence:
         assert capsys.readouterr().err == (
             f"numerical guard: boundary system determinant is {reason}\n")
 
+    def test_guard_at_huge_kh_prints_one_short_line(self, tmp_path, capsys):
+        # the message used to name the multiple of pi in all 148 digits,
+        # though floats near kh = 2.4e148 are 2.8e132 apart
+        code = main(["convergence", "--k", "1.3e154", "--n-list", "27,81",
+                     "--benchmark", "box", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical guard: kh = 2.446179350106597e+148 is too large to place "
+                       "against pi*Z (float spacing 2.84e+132 exceeds pi)\n")
+
     def test_floored_footer(self, tmp_path):
         code, text = _run(tmp_path, [
             "convergence", "--k", "128", "--n-list", "8,16",

@@ -226,6 +226,15 @@ class TestNyquistGuard:
             nyquist_guard(math.pi, 1.0)
         assert exc.value.multiple == 1
 
+    @pytest.mark.parametrize("kh, placed", [(1e6 * math.pi, True), (2.0**54, False)])
+    def test_message_names_the_multiple_while_floats_resolve_pi(self, kh, placed):
+        # from 2^54 on floats are 4 apart, so no multiple of pi can be named
+        with pytest.raises(NearNyquist) as exc:
+            nyquist_guard(kh, 1.0)
+        assert exc.value.multiple == round(kh / math.pi)
+        assert (f"of {exc.value.multiple}*pi" in str(exc.value)) == placed
+        assert ("too large to place against pi*Z" in str(exc.value)) != placed
+
     def test_near_multiple_rejected_at_default_tol(self):
         with pytest.raises(NearNyquist) as exc:
             nyquist_guard(3.0 * math.pi + 1e-12, 1.0)

@@ -29,7 +29,13 @@ from bpfhelm.schemes import (
     assemble,
     solve_scheme,
 )
-from bpfhelm.trisolve import residual_inf_norm, solve_tridiagonal
+from bpfhelm.trisolve import (
+    Stencil,
+    TridiagonalSystem,
+    max_abs,
+    residual_inf_norm,
+    solve_tridiagonal,
+)
 
 
 def _random_gf(rng, grid):
@@ -313,7 +319,9 @@ class TestSolveScheme:
     def test_quality_warning_compares_against_the_scale(self, monkeypatch, between):
         # the scale is built only for a residual above SOLVE_RESIDUAL_TOL;
         # with the tolerance patched so that TOL < res, the verdict is still
-        # res > TOL * scale: silent up to it, a warning above it
+        # res > TOL * scale: silent up to it, a warning above it. Here
+        # ||A|| max(|x_0|, |x_n|) + 1 is 1.1e4 of the scale's 1.2e4, so the
+        # lower bound alone clears the `between` residual: no max_abs pass.
         p, _ = sine_squared_problem(2.0**5)
         sys = assemble(p, 256, SchemeKind.BPF)
         x = solve_tridiagonal(sys)
@@ -325,10 +333,52 @@ class TestSolveScheme:
         tol = res / math.sqrt(scale) if between else 0.5 * res / scale
         assert tol < res and (res <= tol * scale) == between
         monkeypatch.setattr(schemes, "SOLVE_RESIDUAL_TOL", tol)
+        scale_passes = []
+        monkeypatch.setattr(schemes, "max_abs", lambda a: scale_passes.append(a) or max_abs(a))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             solve_scheme(p, 256, SchemeKind.BPF)
         assert [w.category for w in caught] == ([] if between else [SolveQualityWarning])
+        assert len(scale_passes) == (0 if between else 2)
+
+    @pytest.mark.parametrize("error, scale_built, warns", [
+        (1e-11, False, False),  # res at or below SOLVE_RESIDUAL_TOL
+        (5e-10, False, False),  # TOL < res <= TOL * lower
+        (1e-9, True, False),    # TOL * lower < res <= TOL * scale
+        (1e-8, True, True),     # TOL * scale < res
+    ], ids=["below-tol", "below-lower", "between", "above"])
+    def test_quality_check_decisions_on_a_hand_built_system(self, monkeypatch, error,
+                                                           scale_built, warns):
+        # Rows (1, -2, 1) inside identity boundary rows: ||A|| = 4, and
+        # max(|x_0|, |x_n|) = max|x| = 2, so the lower bound 4 * 2 + 1 is 9,
+        # while the scale max|b| + 4 * 2 + 1 is 11. b is A x, but for
+        # `error` in row 1, which makes res = error.
+        x = np.array([2, 1, 2, 1, 0], dtype=complex)
+        sys = TridiagonalSystem(Stencil(1, -2, 1, 0, 0, 1), [2, 2 + error, -2, 0, 0])
+        assert residual_inf_norm(sys, x) == pytest.approx(error, rel=1e-5)
+        scale_passes = []
+        monkeypatch.setattr(schemes, "assemble", lambda p, n, kind: sys)
+        monkeypatch.setattr(schemes, "solve_tridiagonal", lambda sys: x.copy())
+        monkeypatch.setattr(schemes, "max_abs", lambda a: scale_passes.append(a) or max_abs(a))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_scheme(sine_squared_problem(2.0)[0], 4)
+        assert len(scale_passes) == 2 * scale_built
+        assert [w.category for w in caught] == [SolveQualityWarning] * warns
+        if warns:
+            assert "exceeds 1e-10 * 1.100e+01" in str(caught[0].message)
+
+    def test_fine_solve_clears_the_lower_bound_without_the_scale(self, monkeypatch):
+        # res of a fine reference is above SOLVE_RESIDUAL_TOL (1.7e-6 here)
+        # and far below TOL * (||A|| max(|x_0|, |x_n|) + 1): no max_abs pass
+        residuals, scale_passes = [], []
+        monkeypatch.setattr(schemes, "residual_inf_norm",
+                            lambda sys, x: residuals.append(residual_inf_norm(sys, x))
+                            or residuals[-1])
+        monkeypatch.setattr(schemes, "max_abs", lambda a: scale_passes.append(a) or max_abs(a))
+        p, _ = make_benchmark("sine2", 64.0)
+        solve_scheme(p, 2**18)
+        assert residuals[0] > schemes.SOLVE_RESIDUAL_TOL and scale_passes == []
 
     def test_flux_energy_relation(self):
         # ||D+ v||^2 + ||D- v||^2 == 2 Theta cos(kh) |v|_1^2 + 2 k^2 ||v||^2

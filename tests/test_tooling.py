@@ -1,7 +1,7 @@
 """Test tooling: the pytest configuration, the CLI run recorder and its
-committed record, the library-path cell digests, the check that both tools
-read the tree they are given, and the rule that no package module imports
-another's private names."""
+committed record, the library-path cell digests, the benchmark pair runner's
+verdict, the check that every tool reads the tree it is given, and the rule
+that no package module imports another's private names."""
 
 import ast
 import importlib.util
@@ -151,6 +151,38 @@ def test_cli_runs_reject_a_tree_without_the_package(tmp_path):
     out = tmp_path / "runs"
     assert _load_cli_runs().main([str(tmp_path / "no-tree"), str(out)]) == 2
     assert not out.exists()
+
+
+def test_bench_pairs_reject_a_tree_without_the_package(tmp_path):
+    # before any run: a wrong root would pair a tree with itself or fail late
+    main = _load_tool("bench_pairs").main
+    out = tmp_path / "bench.json"
+    for roots in ((tmp_path / "no-tree", ROOT), (ROOT, tmp_path / "no-tree")):
+        assert main([*map(str, roots), str(out), "--workload", "sweep"]) == 2
+    assert not out.exists()
+
+
+def test_bench_pairs_verdict_on_canned_runs():
+    verdict = _load_tool("bench_pairs").pair_verdict
+    parent = [100.0, 104, 98, 102, 110, 101, 99, 103, 97, 105]  # quartiles 99.25, 103.75
+    faster = [p - 12 for p in parent]
+    met = verdict(parent, faster, "lower", 0.25)
+    assert met["parent"] == {"q1": 99.25, "median": 101.5, "q3": 103.75}
+    assert (met["change_better_pairs"], met["parent_iqr"], met["median_gap"]) == (10, 4.5, 12)
+    assert met["met"] and not met["worse_than_bound"]
+    assert met["runs"] == {"parent": parent, "change": faster}
+    # a gap inside the parent's IQR, or two lost pairs and a tie, fails the rule
+    assert not verdict(parent, [p - 3 for p in parent], "lower", 0.25)["met"]
+    lost_two = [101, 92, 86, 90, 111, 89, 87, 91, 85, 105]
+    lost = verdict(parent, lost_two, "lower", 0.25)
+    assert lost["change_better_pairs"] == 7 and lost["median_gap"] > 4.5 and not lost["met"]
+    # the better direction decides wins, gap and the bound
+    assert verdict(parent, [p + 12 for p in parent], "higher", 0.25)["met"]
+    slower = verdict(parent, [1.3 * p for p in parent], "lower", 0.25)
+    assert slower["change_better_pairs"] == 0 and slower["worse_than_bound"]
+    assert not verdict(parent, [1.2 * p for p in parent], "lower", 0.25)["worse_than_bound"]
+    # the rule asks for ten pairs: nine clear wins in nine pairs are not enough
+    assert not verdict(parent[:9], faster[:9], "lower", 0.25)["met"]
 
 
 def test_no_module_imports_another_modules_private_name():

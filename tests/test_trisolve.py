@@ -5,6 +5,7 @@ the root path, and the diagonals a stencil system builds."""
 import math
 import subprocess
 import sys
+import types
 
 import mpmath
 import numpy as np
@@ -502,27 +503,69 @@ class TestStreamedSolve:
         assert trisolve.residual(sys, x).tobytes() == full.tobytes()
         assert residual_inf_norm(sys, x) == float(np.max(np.abs(full)))
 
-    @pytest.mark.parametrize("m", [9, 181, 1000, 4097])
+    @pytest.mark.parametrize("m", [9, 10, 17, 21, 181, 1000, 4097])
+    @pytest.mark.parametrize("interior", ["real", "complex", "real-but-one"])
+    @pytest.mark.parametrize("real_c", [False, True], ids=["complex-c", "real-c"])
     @pytest.mark.parametrize("correct", [False, True], ids=["bare", "corrected"])
-    def test_one_block_path_matches_streamed_solve_bitwise(self, monkeypatch, m, correct):
+    def test_one_block_path_matches_streamed_solve_bitwise(self, monkeypatch, m, interior,
+                                                           real_c, correct):
         # The straight-line path of a system that fits one block against the
         # streamed path, which takes that system once BLOCK is smaller than
-        # it; the residual and the max-abs reductions as well.
-        rng = np.random.default_rng(m)
+        # it; the residual and the max-abs reductions as well. A real
+        # interior takes one cumulative sum in the streamed path, the
+        # one-block path two; the correction step's residual is complex. At
+        # m = 21 the streamed solve's last block holds one unknown. tobytes,
+        # not array_equal, which takes -0.0 for +0.0.
+        rng = np.random.default_rng([m, len(interior), real_c])
         theta = float(rng.uniform(1e-3, 3.1))
-        c = complex(*rng.standard_normal(2))
+        c = complex(rng.standard_normal()) if real_c else complex(*rng.standard_normal(2))
         ends = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        rhs = rng.standard_normal(m) + 0j
+        if interior == "complex":
+            rhs += 1j * rng.standard_normal(m)
+        elif interior == "real-but-one":
+            # past the first block of the streamed solve, whose blocks hold
+            # 6 and 8 unknowns at m = 9 and 10 and about sqrt(m) from 17 on
+            rhs[m // 2 if m >= 17 else m - 2] += 1j * rng.standard_normal()
+        rhs[[0, -1]] = ends[:2]
         sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta)
-        outputs, n_blocks = [], []
+        outputs, last_blocks = [], []
         for block in (trisolve.BLOCK, 8):
             monkeypatch.setattr(trisolve, "BLOCK", block)
-            n_blocks.append(-(-m // _block_length(m)))
+            last_blocks.append(m % _block_length(m) or _block_length(m))
             x = _kernel_solve(sys, int(correct))
             outputs.append([x.tobytes(), trisolve.residual(sys, x).tobytes(),
                             residual_inf_norm(sys, x), trisolve.max_abs(x)])
-        assert n_blocks[0] == 1 and n_blocks[1] > 1
+        assert last_blocks[0] == m > last_blocks[1] and (last_blocks[1] == 1) == (m == 21)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("complex_at", [None, 2 * trisolve.BLOCK + 7])
+    def test_real_interior_accumulates_one_sum(self, monkeypatch, complex_at):
+        # rows of each cumulative sum in a streamed bare solve: one while the
+        # interior read so far is real, two from the first complex block on
+        rows = []
+
+        def accumulate(a, axis, out):
+            rows.append(a.shape[0])
+            return np.add.accumulate(a, axis=axis, out=out)
+
+        class NumpySpy:
+            add = types.SimpleNamespace(accumulate=accumulate)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        m = 3 * trisolve.BLOCK + 5
+        rhs = np.random.default_rng(5).standard_normal(m) + 0j
+        rhs[[0, -1]] = 1j
+        if complex_at is not None:
+            rhs[complex_at] = 1j
+        sys = TridiagonalSystem(Stencil(1.0, -2.0 * math.cos(0.3), 1, 2, 3, 4), rhs, 0.3)
+        monkeypatch.setattr(trisolve, "np", NumpySpy())
+        _kernel_solve(sys, 0)
+        n_blocks = -(-m // _block_length(m))
+        first = n_blocks if complex_at is None else complex_at // _block_length(m)
+        assert n_blocks > 1 and rows == [1] * first + [2] * (n_blocks - first)
 
     @pytest.mark.parametrize("at", [0, 1, trisolve.BLOCK - 1, trisolve.BLOCK,
                                     2 * trisolve.BLOCK + 7, 3 * trisolve.BLOCK + 4])
