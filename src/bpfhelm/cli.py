@@ -17,6 +17,7 @@ a source that overflows at the grid nodes).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -278,6 +279,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand."""
     parser = _Parser(
         prog="bpfhelm",
         description="Phase-fitted finite differences for the 1D Helmholtz "
@@ -337,9 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on its first call: parsing leaves no
+    state in it, and the cmd_* functions it dispatches to look up the
+    package's names when they run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         _check_out(args.out)
         return args.func(args)
     except SystemExit as exc:  # --help

@@ -17,24 +17,28 @@ class SingularParameter(NumericalGuardError):
     """Argument sits within guard tolerance of a pole of a special function."""
 
 
-class NearNyquist(NumericalGuardError):
-    """kh is within guard tolerance of an integer multiple of pi.
+def unplaceable(s: float, period: float, name: str) -> str | None:
+    """Why s cannot be placed against the multiples of period (written name)
+    when the spacing of floats near s exceeds the period, and None when it
+    does not. A guard message then says so instead of naming a multiple of
+    a hundred or more digits."""
+    spacing = math.ulp(s)
+    if spacing <= period:
+        return None
+    return f"too large to place against {name}*Z (float spacing {spacing:.3g} exceeds {name})"
 
-    Above about 1.8e16 the spacing of floats near kh exceeds pi, so kh
-    cannot be placed against pi*Z at all; the message says so instead of
-    naming a multiple of a hundred or more digits.
-    """
+
+class NearNyquist(NumericalGuardError):
+    """kh is within guard tolerance of an integer multiple of pi, or (from
+    kh = 2^54 on) so large that the floats near it are more than pi apart,
+    which the message says instead of naming the multiple."""
 
     def __init__(self, kh: float, multiple: int, tol: float):
         self.kh = kh
         self.multiple = multiple
         self.tol = tol
-        spacing = math.ulp(kh)
-        super().__init__(
-            f"kh = {kh!r} is within tolerance {tol:g} of {multiple}*pi" if spacing <= math.pi
-            else f"kh = {kh!r} is too large to place against pi*Z "
-                 f"(float spacing {spacing:.3g} exceeds pi)"
-        )
+        super().__init__(f"kh = {kh!r} is " + (unplaceable(kh, math.pi, "pi")
+                                               or f"within tolerance {tol:g} of {multiple}*pi"))
 
 
 class ResonantSource(NumericalGuardError):

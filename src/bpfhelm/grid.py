@@ -8,6 +8,7 @@ is the wavenumber-weighted energy norm used to report errors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,7 +75,9 @@ class GridFunction:
 
 
 def nodal_values(fn: Callable, grid: UniformGrid) -> np.ndarray:
-    """fn at the grid nodes, as a new writable complex array.
+    """fn at the grid nodes, as a new writable array of fn's own kind:
+    float64 while fn's values are real, complex from the first block on
+    which they are complex, which converts the blocks before it once.
 
     fn must be pointwise: each value depends on its own node only. It is
     called once per block of trisolve.BLOCK nodes, on that block's nodes
@@ -83,31 +86,47 @@ def nodal_values(fn: Callable, grid: UniformGrid) -> np.ndarray:
     temporaries; a grid of at most BLOCK nodes (every coarse grid) is one
     call. A callable that fails on a block's nodes (ValueError or
     TypeError, or a result of the wrong shape), as a scalar-only one does
-    on the first, is evaluated node by node from that block on. The result
+    on the first, is evaluated node by node from that block on; there a
+    block whose values are not all real numbers is complex. The result
     never shares memory with what fn returned, so the caller may write to
     it or freeze it.
     """
     m = grid.n + 1
-    vals = np.empty(m, dtype=complex)
+    vals = None
     per_node = False
     for i0 in range(0, m, BLOCK):
         i1 = min(i0 + BLOCK, m)
         x = _scaled(np.arange(i0, i1, dtype=float), grid)
         if not per_node:
             try:
-                fx = fn(x)
-                if np.shape(fx) != x.shape:
+                fx = np.asarray(fn(x))
+                if fx.shape != x.shape:
                     raise ValueError
+                vals = _holding(vals, m, fx)
                 vals[i0:i1] = fx
                 continue
             except (ValueError, TypeError):
                 per_node = True
-        vals[i0:i1] = [complex(fn(xi)) for xi in x]
+        ys = [fn(xi) for xi in x]
+        real = all(isinstance(y, numbers.Real) for y in ys)
+        fx = np.array([float(y) if real else complex(y) for y in ys])
+        vals = _holding(vals, m, fx)
+        vals[i0:i1] = fx
     return vals
 
 
+def _holding(vals: np.ndarray | None, m: int, fx: np.ndarray) -> np.ndarray:
+    """vals, or a new array of m entries if None, of a kind that holds the
+    values fx: complex if they are, float64 otherwise; a float64 vals that
+    meets complex values is converted."""
+    kind = complex if fx.dtype.kind == "c" else float
+    if vals is None:
+        return np.empty(m, dtype=kind)
+    return vals.astype(complex) if kind is complex and vals.dtype != complex else vals
+
+
 def sample(fn: Callable, grid: UniformGrid) -> GridFunction:
-    """Evaluate fn at the grid nodes (see nodal_values)."""
+    """Evaluate fn at the grid nodes (see nodal_values), as complex values."""
     return GridFunction(grid, nodal_values(fn, grid))
 
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import NearNyquist, SingularParameter
+from .errors import NearNyquist, SingularParameter, unplaceable
 
 # The guard tolerance, relative to pi, for distances from the singular sets
 # pi*Z and 2*pi*Z: the one place it is set, read by every guard. Keeps
@@ -57,9 +57,9 @@ def theta(s: float) -> float:
     """
     dist, m = _distance_to_multiples(s, 2.0 * math.pi)
     if m != 0 and dist / math.pi <= GUARD_TOL:
-        raise SingularParameter(
-            f"theta({s!r}): within tolerance {GUARD_TOL:g} of {m}*2*pi"
-        )
+        raise SingularParameter(f"theta({s!r}): " + (
+            unplaceable(s, 2.0 * math.pi, "2*pi")
+            or f"within tolerance {GUARD_TOL:g} of {m}*2*pi"))
     if abs(s) < 1e-100:
         return 1.0
     half_sin = math.sin(0.5 * s)
@@ -94,9 +94,8 @@ def stability_constant_a0(s: float, t: float, L: float) -> float:
         raise ValueError("t = k*L must be positive")
     dist, m = _distance_to_multiples(s, math.pi)
     if m % 2 == 1 and dist / math.pi <= GUARD_TOL:
-        raise SingularParameter(
-            f"stability_constant_a0({s!r}): sec(s/2) singular near {m}*pi"
-        )
+        raise SingularParameter(f"stability_constant_a0({s!r}): " + (
+            unplaceable(s, math.pi, "pi") or f"sec(s/2) singular near {m}*pi"))
     sec = 1.0 / math.cos(0.5 * s)
     th = theta(s)
     return L / math.sqrt(2.0 * th) * abs(sec) + L / (2.0 * t) * sec * sec
@@ -106,11 +105,13 @@ def nyquist_guard(k: float, h: float) -> None:
     """Reject kh within GUARD_TOL*pi of the Nyquist set pi*Z.
 
     Raises NearNyquist carrying the offending multiple; returns None when
-    the distance to every multiple of pi exceeds GUARD_TOL*pi.
+    the distance to every multiple of pi exceeds GUARD_TOL*pi. From
+    kh = 2^54 on, floats are more than pi apart, so that distance is an
+    artefact of rounding m*pi; every such kh is rejected.
     """
     s = k * h
     dist, m = _distance_to_multiples(s, math.pi)
-    if dist / math.pi <= GUARD_TOL:
+    if dist / math.pi <= GUARD_TOL or math.ulp(s) > math.pi:
         raise NearNyquist(s, m, GUARD_TOL)
 
 

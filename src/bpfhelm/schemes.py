@@ -142,8 +142,11 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem
 
     The system keeps (w/h^2, kk - 2w/h^2) and the four boundary entries as
     its stencil; lower, diag and upper are built from them when read. The
-    source is sampled straight into the right-hand side. A kind that is not
-    a SchemeKind (such as the string "bpf") raises TypeError.
+    source is sampled straight into the interior of the right-hand side,
+    float64 for a real source, and the right-hand sides of the boundary
+    rows, which carry the complex impedance data, are two complex scalars.
+    A kind that is not a SchemeKind (such as the string "bpf") raises
+    TypeError.
     """
     if not isinstance(kind, SchemeKind):
         raise TypeError(f"kind must be a SchemeKind, got {kind!r}")
@@ -168,16 +171,14 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem
         bfac = p.k / math.sin(kh)
         phase = cmath.exp(1j * p.k * h)
         first, last = (-bfac * phase, bfac), (-bfac, bfac * phase)
-        rhs[0] = p.g0
-        rhs[-1] = p.gL
+        ends = p.g0, p.gL
     else:
         two_over_h2 = 2.0 / h**2
         corner = p.k * p.k - 2.0j * p.k / h - two_over_h2
         first, last = (corner, two_over_h2), (two_over_h2, corner)
-        rhs[0] += 2.0 / h * p.g0
-        rhs[-1] -= 2.0 / h * p.gL
+        ends = complex(rhs[0]) + 2.0 / h * p.g0, complex(rhs[-1]) - 2.0 / h * p.gL
     stencil = Stencil(w / h**2, kk - 2.0 * w / h**2, *first, *last)
-    return TridiagonalSystem(stencil, rhs, kernel_angle)
+    return TridiagonalSystem(stencil, rhs, kernel_angle, ends)
 
 
 def solve_scheme(p: HelmholtzProblem, n: int,
@@ -187,13 +188,14 @@ def solve_scheme(p: HelmholtzProblem, n: int,
     The quality scale includes the row magnitude ||A|| * ||x||_inf on top of
     ||b||_inf: with rows growing like 1/h^2, the bare right-hand-side scale
     sits below the float64 evaluation floor of A x - b on fine grids, so a
-    residual check against it would always fire there. The scale, two full
-    passes over b and x, is built only when two cheaper bounds leave the
-    check open: it is at least 1, and at least ||A|| max(|x_0|, |x_n|) + 1
-    (|x| taken by the np.abs that max_abs uses, so that the bound holds in
-    floating point). A residual at or below SOLVE_RESIDUAL_TOL times either
-    cannot fire the check; every fine reference clears the second by four
-    orders or more.
+    residual check against it would always fire there. ||b||_inf is the
+    largest of the interior's |b_i| and the two boundary entries'. The
+    scale, two full passes over the interior and x, is built only when two
+    cheaper bounds leave the check open: it is at least 1, and at least
+    ||A|| max(|x_0|, |x_n|) + 1 (|x| taken by the np.abs that max_abs uses,
+    so that the bound holds in floating point). A residual at or below
+    SOLVE_RESIDUAL_TOL times either cannot fire the check; every fine
+    reference clears the second by four orders or more.
     """
     sys = assemble(p, n, kind)
     x = solve_tridiagonal(sys)
@@ -202,7 +204,8 @@ def solve_scheme(p: HelmholtzProblem, n: int,
         max_diag, max_lower, max_upper = sys.max_abs_coefficients()
         anorm = max_diag + (max_lower + max_upper)
         if res > SOLVE_RESIDUAL_TOL * (anorm * float(np.abs(x[[0, -1]]).max()) + 1.0):
-            scale = max_abs(sys.rhs) + anorm * max_abs(x) + 1.0
+            bmax = max(max_abs(sys.interior), abs(sys.r0), abs(sys.r_last))
+            scale = bmax + anorm * max_abs(x) + 1.0
             if res > SOLVE_RESIDUAL_TOL * scale:
                 warnings.warn(
                     f"solve residual {res:.3e} exceeds {SOLVE_RESIDUAL_TOL:g} * {scale:.3e}",

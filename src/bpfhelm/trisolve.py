@@ -1,10 +1,13 @@
 """Direct solution of complex tridiagonal systems.
 
 A system is its Stencil, the two coefficients of one constant three-point
-interior row and the four boundary entries, plus a right-hand side. It
-builds its diagonals only when something reads them (tests, benchmark
+interior row and the four boundary entries, plus a right-hand side: the
+interior rows' entries as one array, float64 for a real source and complex
+otherwise, and the entries of rows 0 and m-1 as two complex scalars, the
+only rows that carry complex impedance data. It builds its diagonals and
+its full right-hand side only when something reads them (tests, benchmark
 checkers); the solver, the residual and the coefficient maxima work from
-the six scalars.
+the six scalars, the interior and the two boundary entries.
 
 Every system is solved in the basis of its interior kernel. The interior
 rows c x_{j-1} + d x_j + c x_{j+1} = b_j are one constant recurrence whose
@@ -27,12 +30,12 @@ what the system records about its kernel:
   blocks of whole rows of its phase table, so that a block's working set
   stays in L2: pass 1 writes p and carries the cumulative sums from
   block to block, pass 2 rebuilds the block's phases and adds a v + b w.
-  While the interior of the right-hand side is real, as a sampled source
-  is, Sv = conj(Sw), and pass 1 carries one sum instead of two.
-  Every element sees the one-block solve's operations in the same order,
-  so results are bitwise those of a solve over whole arrays. Beyond rhs
-  and x a streamed solve holds block-sized buffers only, and a correction
-  step one residual, whose buffer receives the correction.
+  When the interior of the right-hand side is a float64 array, as a real
+  source samples to, Sv = conj(Sw), and pass 1 carries one sum instead of
+  two. Every element sees the one-block solve's operations in the same
+  order, so results are bitwise those of a solve over whole arrays. Beyond
+  the interior and x a streamed solve holds block-sized buffers only, and
+  a correction step one residual, whose buffer receives the correction.
 * The root lambda with |lambda| <= 1, which every other system records:
   fd at kh > 2, where lambda is real in (-1, 0), and every hand-built
   stencil. One running product builds v_j = lambda^j, and w is v
@@ -118,9 +121,13 @@ class TridiagonalSystem:
     """A Stencil plus right-hand side for m = n+1 >= 3 unknowns.
 
     Row i reads lower[i-1]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i],
-    where lower and upper (length m-1) and diag (length m) are built from the
-    stencil, read-only, on each read. The solver, the residual and
-    max_abs_coefficients read the six scalars instead.
+    where lower and upper (length m-1), diag (length m) and the complex rhs
+    (length m) are built, read-only, on each read. The system holds rhs as
+    interior, rows 1..m-2 of the array it was given (a view, float64 when
+    that array is real and complex otherwise), and r0 and r_last, the
+    complex entries of rows 0 and m-1: those of the array, or ends when
+    given. The solver, the residual and max_abs_coefficients read these and
+    the six scalars of the stencil.
 
     theta, when set, is the real kernel angle of the interior rows: every
     row 0 < i < m-1 reads c x[i-1] - 2c cos(theta) x[i] + c x[i+1], and
@@ -129,12 +136,16 @@ class TridiagonalSystem:
     a diagonal interior, c = 0), and takes the root path.
     """
 
-    def __init__(self, stencil: Stencil, rhs, theta: float | None = None):
+    def __init__(self, stencil: Stencil, rhs, theta: float | None = None, ends=None):
         self.stencil = Stencil(*(complex(v) for v in stencil))
-        self.rhs = np.asarray(rhs, dtype=complex)
+        rhs = np.asarray(rhs)
+        rhs = np.asarray(rhs, dtype=complex if rhs.dtype.kind == "c" else float)
+        if rhs.ndim != 1 or rhs.shape[0] < 3:
+            raise ValueError(f"a system needs m >= 3 unknowns, got rhs {rhs.shape}")
+        self.interior = rhs[1:-1]
+        r0, r_last = (rhs[0], rhs[-1]) if ends is None else ends
+        self.r0, self.r_last = complex(r0), complex(r_last)
         self.theta = theta
-        if self.rhs.ndim != 1 or self.rhs.shape[0] < 3:
-            raise ValueError(f"a system needs m >= 3 unknowns, got rhs {self.rhs.shape}")
         if theta is not None and not (self.stencil.c != 0.0 and math.isfinite(theta)
                                       and math.sin(theta) != 0.0):
             raise ValueError(f"kernel angle {theta!r} needs c != 0 "
@@ -155,8 +166,15 @@ class TridiagonalSystem:
         return _built(self.size - 1, self.stencil.c, ((0, self.stencil.u0),))
 
     @property
+    def rhs(self) -> np.ndarray:
+        b = np.empty(self.size, dtype=complex)
+        b[0], b[1:-1], b[-1] = self.r0, self.interior, self.r_last
+        b.setflags(write=False)
+        return b
+
+    @property
     def size(self) -> int:
-        return self.rhs.shape[0]
+        return self.interior.shape[0] + 2
 
     def max_abs_coefficients(self) -> tuple[float, float, float]:
         """max |diag|, max |lower| and max |upper|."""
@@ -215,12 +233,12 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
 
 
 def _solve(sys: TridiagonalSystem, solve, steps: int) -> np.ndarray:
-    """x = solve(rhs), then `steps` correction steps, each solving for the
-    correction into the residual's buffer."""
-    x = solve(sys.rhs)
+    """x = solve(interior, r0, r_last) of sys, then `steps` correction
+    steps, each solving for the correction into the residual's buffer."""
+    x = solve(sys.interior, sys.r0, sys.r_last)
     for _ in range(steps):
         r = residual(sys, x)
-        x -= solve(r, r)
+        x -= solve(r[1:-1], complex(r[0]), complex(r[-1]), r)
     return x
 
 
@@ -250,16 +268,16 @@ def _boundary_solver(stencil: Stencil, v_ends, w_ends, floor: float = 0.0):
 
 def _basis_solver(sys: TridiagonalSystem, v: np.ndarray, w: np.ndarray, particular,
                   floor: float = 0.0):
-    """solve(rhs, out=None) -> p + a v + b w, with p = particular(rhs, out)
-    (out, or a new array) and a, b fixed by the two boundary rows."""
+    """solve(interior, r0, r_last, out=None) -> p + a v + b w, with
+    p = particular(interior, out) (out, or a new array) and a, b fixed by
+    the two boundary rows, whose right-hand sides are r0 and r_last."""
     weights = _boundary_solver(sys.stencil, v[_END_INDEX].tolist(), w[_END_INDEX].tolist(),
                                floor)
     homogeneous = np.empty((2, sys.size), dtype=complex)
 
-    def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # Read before particular writes into out, which may be rhs itself.
-        r0, r_last = complex(rhs[0]), complex(rhs[-1])
-        x = particular(rhs, out)
+    def solve(interior: np.ndarray, r0: complex, r_last: complex,
+              out: np.ndarray | None = None) -> np.ndarray:
+        x = particular(interior, out)
         a, b = weights(r0, r_last, x[_END_INDEX].tolist())
         h = np.multiply(v, a, out=homogeneous[0])
         h += np.multiply(w, b, out=homogeneous[1])
@@ -270,18 +288,19 @@ def _basis_solver(sys: TridiagonalSystem, v: np.ndarray, w: np.ndarray, particul
 
 
 def _variation_particular(vw: np.ndarray, kappa: complex):
-    """particular(rhs, out=None) -> p_j = kappa (v_j Sw_j - w_j Sv_j), written
-    into out (a new array if None), which may be rhs itself, for the two
-    kernel vectors (v, w) = vw of the interior rows: discrete variation of
-    parameters, with Sv_j and Sw_j the sums of v_l b_l and w_l b_l over the
-    interior rows l < j, so p is zero at j = 0 and 1."""
+    """particular(interior, out=None) -> p_j = kappa (v_j Sw_j - w_j Sv_j),
+    written into out (a new array if None), which may hold interior itself,
+    for the two kernel vectors (v, w) = vw of the interior rows: discrete
+    variation of parameters, with Sv_j and Sw_j the sums of v_l b_l and
+    w_l b_l over the interior rows l < j (b_l = interior[l - 1]), so p is
+    zero at j = 0 and 1."""
     m = vw.shape[1]
     sums = np.empty((2, m), dtype=complex)
 
-    def particular(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def particular(interior: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(m, dtype=complex) if out is None else out
         sums[:, :2] = 0.0
-        np.multiply(vw[::-1, 1:m - 1], rhs[1:m - 1], out=sums[:, 2:])
+        np.multiply(vw[::-1, 1:m - 1], interior, out=sums[:, 2:])
         np.add.accumulate(sums, axis=1, out=sums)
         np.multiply(sums, vw, out=sums)  # `sums *= vw` would make sums local
         return np.multiply(np.subtract(sums[0], sums[1], out=sums[0]), kappa, out=out)
@@ -290,8 +309,9 @@ def _variation_particular(vw: np.ndarray, kappa: complex):
 
 
 def _kernel_solver(sys: TridiagonalSystem):
-    """solve(rhs, out=None) by the kernel angle: the solution for rhs,
-    written into out (a new array if None), which may be rhs itself.
+    """solve(interior, r0, r_last, out=None) by the kernel angle: the
+    solution, written into out (a new array if None), which may hold
+    interior itself.
 
     The kernel vectors are v_j = e^{i theta j} and w_j = e^{-i theta j},
     with kappa = 1 / (2i c sin theta) in _variation_particular. The phases,
@@ -302,14 +322,12 @@ def _kernel_solver(sys: TridiagonalSystem):
     block in accumulate's sequential order; pass 2 rebuilds each block's
     phases and adds the homogeneous part a v + b w.
 
-    While the interior rows of rhs read so far are real (a sampled source;
-    not a correction step's residual), w_l b_l = conj(v_l b_l), so
-    Sv = conj(Sw) and v Sw - w Sv = 2i Im(v Sw), bit for bit but for the
-    sign of a zero part, as exp and the complex multiply are
-    conjugate-symmetric. Pass 1 then accumulates Sw alone and writes
-    p = Im(v Sw) (2i kappa), which rounds as (2i Im(v Sw)) kappa does. At
-    the first block with a complex interior entry it sets Sv = conj(Sw)
-    and carries both sums from there on.
+    When interior is a float64 array (a real source; not a correction
+    step's residual), w_l b_l = conj(v_l b_l), so Sv = conj(Sw) and
+    v Sw - w Sv = 2i Im(v Sw), bit for bit but for the sign of a zero part,
+    as exp and the complex multiply are conjugate-symmetric. Pass 1 then
+    accumulates Sw alone and writes p = Im(v Sw) (2i kappa), which rounds
+    as (2i Im(v Sw)) kappa does. A complex interior carries both sums.
     """
     m = sys.size
     width = math.isqrt(m - 1) + 1
@@ -342,22 +360,16 @@ def _kernel_solver(sys: TridiagonalSystem):
             block = np.multiply(coarse[:, q0:q1], fine, out=table[:, :q1 - q0])
             yield q0 * width, block.reshape(2, -1)[:, :m - q0 * width]
 
-    def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def solve(interior: np.ndarray, r0: complex, r_last: complex,
+              out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(m, dtype=complex) if out is None else out
-        r0, r_last = complex(rhs[0]), complex(rhs[-1])
+        real = interior.dtype.kind != "c"  # Sv = conj(Sw)
+        used = sums[:1 if real else 2]  # Sw, or Sw and Sv
         sums[:, :2] = 0.0
-        real = True  # the interior rows read so far are real: Sv = conj(Sw)
         for j0, ph in blocks():
             length = ph.shape[1]
             lo, hi = max(j0, 1), min(j0 + length, m - 1)
-            # count_nonzero: on a strided view it beats .any()
-            if real and np.count_nonzero(rhs[lo:hi].imag):
-                real = False
-                # Sv so far; + 0j makes a zero imaginary part +0, as in a sum
-                sums[1, 0] = sums[0, 0].conjugate() + 0j
-            n_sums = 1 if real else 2  # Sw, or Sw and Sv
-            used = sums[:n_sums]
-            np.multiply(ph[::-1][:n_sums, lo - j0:hi - j0], rhs[lo:hi],
+            np.multiply(ph[::-1][:used.shape[0], lo - j0:hi - j0], interior[lo - 1:hi - 1],
                         out=used[:, lo - j0 + 1:hi - j0 + 1])
             running = used[:, :hi - j0 + 1]
             np.add.accumulate(running, axis=1, out=running)
@@ -386,8 +398,8 @@ def _kernel_solver(sys: TridiagonalSystem):
 
 
 def _root_solver(sys: TridiagonalSystem):
-    """solve(rhs, out=None) from the root lambda of the interior row: the
-    solution for rhs in a new array (out is not written).
+    """solve(interior, r0, r_last, out=None) from the root lambda of the
+    interior row: the solution in a new array (out is not written).
 
     The kernel vectors are v_j = lambda^j, one running product (exactly the
     signs at the double root lambda = +-1), and w: v reversed at a simple
@@ -413,7 +425,7 @@ def _root_solver(sys: TridiagonalSystem):
 
 
 def _simple_root_particular(lam: complex, r: complex, m: int):
-    """particular(rhs, out=None) -> the particular solution K (F_j + G_j - b_j)
+    """particular(interior, out=None) -> the particular solution K (F_j + G_j - b_j)
     at a simple root (r != 0), in a new array (out is not written), where F
     and G are the forward and backward sums F_j = lambda F_{j-1} + b_j and
     G_j = lambda G_{j+1} + b_j over the interior rows and K = 1/r (see
@@ -432,15 +444,15 @@ def _simple_root_particular(lam: complex, r: complex, m: int):
         s, lam_s = 2 * s, lam_s * lam_s
     k = 1.0 / r
 
-    def particular(rhs: np.ndarray, out=None) -> np.ndarray:
+    def particular(interior: np.ndarray, out=None) -> np.ndarray:
         sums = np.zeros((2, m), dtype=complex)
-        sums[0, 1:m - 1] = rhs[1:m - 1]
-        sums[1, 1:m - 1] = rhs[m - 2:0:-1]
+        sums[0, 1:m - 1] = interior
+        sums[1, 1:m - 1] = interior[::-1]
         terms = np.empty_like(sums)  # one buffer for every pass's products
         for s, lam_s in shifts:
             sums[:, s:] += np.multiply(lam_s, sums[:, :-s], out=terms[:, s:])
         x = sums[0] + sums[1, ::-1]
-        x[1:-1] -= rhs[1:-1]
+        x[1:-1] -= interior
         x *= k
         return x
 
@@ -474,17 +486,21 @@ def _residual_rows(sys: TridiagonalSystem, x: np.ndarray, i0: int, out: np.ndarr
     # differently, and the rows must round as over the built diagonals.
     # Sums are exact-rounded either way.
     np.multiply(s.d, x[i0:i1], out=out)
-    out -= sys.rhs[i0:i1]
     inner = out[first - i0:last - i0]
+    b = sys.interior[first - 1:last - 1]
+    # A float64 b stands for b + 0j, whose zero leaves every imaginary
+    # part bitwise as it is: only the real parts take the difference.
+    diff = inner if b.dtype.kind == "c" else inner.real
+    diff -= b
     t = scratch[:last - first]
     inner += np.multiply(s.c, x[first - 1:last - 1], out=t)
     inner += np.multiply(s.c, x[first + 1:last + 1], out=t)
     if i0 == 0 or i1 == m:
         d0x0, u0x1, lnxm, dnxn = (np.array(s[2:]) * x[_END_INDEX]).tolist()
         if i0 == 0:
-            out[0] = (d0x0 - complex(sys.rhs[0])) + u0x1
+            out[0] = (d0x0 - sys.r0) + u0x1
         if i1 == m:
-            out[-1] = (dnxn - complex(sys.rhs[-1])) + lnxm
+            out[-1] = (dnxn - sys.r_last) + lnxm
     return out
 
 

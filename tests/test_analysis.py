@@ -386,12 +386,10 @@ class TestErrorEquation:
         u_h = solve_scheme(p, n, SchemeKind.BPF)
         ref = sample(exact.u, u_h.grid)
         e = u_h.values - ref.values
-        sys = assemble(p, n, SchemeKind.BPF)
         tau = _tau_oracle(exact, k, u_h.grid)
         b0, bL = _beta_oracle(exact, k, u_h.grid.h, 1.0)
-        sys.rhs[1:-1] = -tau
-        sys.rhs[0] = -b0
-        sys.rhs[-1] = -bL
+        sys = TridiagonalSystem(assemble(p, n, SchemeKind.BPF).stencil,
+                                np.concatenate(([-b0], -tau, [-bL])))
         scale = float(np.max(np.abs(sys.rhs))) + 1.0
         assert residual_inf_norm(sys, e) <= 1e-9 * scale
 

@@ -74,6 +74,15 @@ class TestConvergence:
         assert err == ("numerical guard: kh = 2.446179350106597e+148 is too large to place "
                        "against pi*Z (float spacing 2.84e+132 exceeds pi)\n")
 
+    @pytest.mark.parametrize("k", ["3.3e20", "7.7e40", "1e100"])
+    def test_guard_rejects_every_kh_floats_cannot_place(self, capsys, k):
+        # above kh = 2^54 floats are more than pi apart, so the distance to
+        # the rounded m*pi (above GUARD_TOL*pi at 7.7e40) says nothing
+        code = main(["exactness", "--k", k, "--n", "8"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and "too large to place against pi*Z" in err
+
     def test_floored_footer(self, tmp_path):
         code, text = _run(tmp_path, [
             "convergence", "--k", "128", "--n-list", "8,16",
@@ -549,6 +558,14 @@ class TestParser:
                              ids=lambda args: args[0])
     def test_seed_accepted(self, args):
         assert build_parser().parse_args(args + ["--seed", "3"]).seed == 3
+
+    def test_main_builds_its_parser_once(self, capsys):
+        # one parser per process for main, whose parses leave no state in
+        # it; build_parser still hands out a new one
+        assert main(["exactness", "--k", "128", "--n", "8", "--seed", "3"]) == 2
+        assert main(["exactness", "--k", "128", "--n", "8"]) == 0
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
 
     def test_module_entry_point(self, child_env):
         import subprocess

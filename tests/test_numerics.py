@@ -217,6 +217,17 @@ class TestStabilityConstant:
             stability_constant_a0(1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [lambda: theta(1e300),
+                                  lambda: stability_constant_a0(1e300, 4.0, 1.0)],
+                         ids=["theta", "stability_constant_a0"])
+def test_guard_message_at_huge_argument_is_short(call):
+    # floats near 1e300 are 1.5e284 apart: the message says so instead of
+    # naming a 300-digit multiple of 2*pi
+    with pytest.raises(SingularParameter, match="too large to place against 2[*]pi[*]Z") as exc:
+        call()
+    assert len(str(exc.value)) < 100
+
+
 class TestNyquistGuard:
     def test_high_wavenumber_coarse_grid_passes(self):
         nyquist_guard(2.0**7, 2.0**-3)  # kh = 16
@@ -234,6 +245,12 @@ class TestNyquistGuard:
         assert exc.value.multiple == round(kh / math.pi)
         assert (f"of {exc.value.multiple}*pi" in str(exc.value)) == placed
         assert ("too large to place against pi*Z" in str(exc.value)) != placed
+
+    @pytest.mark.parametrize("kh", [2.0**54, 7.7e40 / 8])
+    def test_rejects_every_kh_floats_cannot_place(self, kh):
+        # the distance to pi*Z of 7.7e40 / 8 rounds to more than GUARD_TOL*pi
+        with pytest.raises(NearNyquist, match="too large to place against pi"):
+            nyquist_guard(kh, 1.0)
 
     def test_near_multiple_rejected_at_default_tol(self):
         with pytest.raises(NearNyquist) as exc:

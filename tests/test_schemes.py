@@ -4,15 +4,17 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bpfhelm import schemes
+from bpfhelm import grid, schemes, trisolve
 from bpfhelm.errors import NearNyquist, NonFiniteSample, SingularParameter, SolveQualityWarning
 from bpfhelm.grid import (
     GridFunction,
     make_grid,
+    nodal_values,
     norm_l2h,
     norm_linf,
     sample,
@@ -439,6 +441,65 @@ class TestSolveScheme:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 16 * (n + 1)
+
+    @pytest.mark.parametrize("name, k, n", [("sine2", 2.0**6, 2**18), ("box", 2.0**5, 3**12)],
+                             ids=["sine2-fine", "box-fine"])
+    @pytest.mark.parametrize("call, arrays", [(assemble, 0.65), (solve_scheme, 1.75)],
+                             ids=["assemble", "solve_scheme"])
+    def test_real_source_peak_memory(self, name, k, n, call, arrays):
+        # peak traced memory in complex arrays of length n + 1: a real
+        # source samples to float64, half an array, and no complex
+        # right-hand side is ever built; solve_scheme adds x
+        p, _ = make_benchmark(name, k)
+        call(p, n, SchemeKind.BPF)
+        tracemalloc.start()
+        try:
+            call(p, n, SchemeKind.BPF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 16 * (n + 1)
+
+    @pytest.mark.parametrize("kind, n, kh", [
+        (SchemeKind.BPF, 181, 1.5),                # one-block kernel path
+        (SchemeKind.BPF, 2**14, 2.0**6 / 2**14),   # streamed, one cumulative sum
+        (SchemeKind.CLASSICAL_FD, 181, 2.5),       # root path
+    ], ids=["one-block", "streamed", "root"])
+    def test_real_source_solves_as_its_complex_twin(self, kind, n, kh):
+        # a float64 interior enters every product and difference as b + 0j,
+        # which is what the twin's complex samples hold
+        p, _ = sine_squared_problem(kh * n)
+        twin = replace(p, f=lambda x: p.f(x).astype(complex))
+        systems = assemble(p, n, kind), assemble(twin, n, kind)
+        assert [s.interior.dtype for s in systems] == [float, complex]
+        assert systems[0].rhs.tobytes() == systems[1].rhs.tobytes()
+        u, u_twin = solve_scheme(p, n, kind), solve_scheme(twin, n, kind)
+        assert u.values.tobytes() == u_twin.values.tobytes()
+
+    def test_source_that_turns_complex_on_a_later_block(self, monkeypatch):
+        # blocks of 16 nodes: real on x < 0.5, complex from node 32 on; the
+        # samples upcast once, and the streamed solve of the complex
+        # interior carries both sums
+        monkeypatch.setattr(grid, "BLOCK", 16)
+        monkeypatch.setattr(trisolve, "BLOCK", 16)
+
+        def f(x):
+            y = np.sin(3.0 * x)
+            return y if x[0] < 0.5 else y + 1j * x
+
+        n = 64
+        nodes = make_grid(1.0, n).nodes()
+        vals = nodal_values(f, make_grid(1.0, n))
+        expected = np.concatenate([np.asarray(f(nodes[i:i + 16]), dtype=complex)
+                                   for i in range(0, n + 1, 16)])
+        assert vals.dtype == complex and vals.tobytes() == expected.tobytes()
+        assert not vals[:32].imag.any() and vals[32:].imag.all()
+        p = HelmholtzProblem(20.0, 1.0, f, 2.0 + 0.0j, 1j)
+        sys = assemble(p, n, SchemeKind.BPF)
+        dense = np.diag(sys.diag) + np.diag(sys.lower, -1) + np.diag(sys.upper, 1)
+        x_dense = np.linalg.solve(dense, sys.rhs)
+        u = solve_scheme(p, n, SchemeKind.BPF).values
+        assert np.max(np.abs(u - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
     @pytest.mark.parametrize("kind", ["bpf", "fd", None, 3])
     def test_rejects_kind_that_is_not_a_scheme_kind(self, kind):

@@ -511,24 +511,27 @@ class TestStreamedSolve:
                                                            real_c, correct):
         # The straight-line path of a system that fits one block against the
         # streamed path, which takes that system once BLOCK is smaller than
-        # it; the residual and the max-abs reductions as well. A real
+        # it; the residual and the max-abs reductions as well. A float64
         # interior takes one cumulative sum in the streamed path, the
-        # one-block path two; the correction step's residual is complex. At
-        # m = 21 the streamed solve's last block holds one unknown. tobytes,
-        # not array_equal, which takes -0.0 for +0.0.
+        # one-block path two; a complex one, and the correction step's
+        # residual, take two. At m = 21 the streamed solve's last block
+        # holds one unknown. tobytes, not array_equal, which takes -0.0 for
+        # +0.0.
         rng = np.random.default_rng([m, len(interior), real_c])
         theta = float(rng.uniform(1e-3, 3.1))
         c = complex(rng.standard_normal()) if real_c else complex(*rng.standard_normal(2))
         ends = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rhs = rng.standard_normal(m) + 0j
+        rhs = rng.standard_normal(m)
         if interior == "complex":
-            rhs += 1j * rng.standard_normal(m)
+            rhs = rhs + 1j * rng.standard_normal(m)
         elif interior == "real-but-one":
             # past the first block of the streamed solve, whose blocks hold
             # 6 and 8 unknowns at m = 9 and 10 and about sqrt(m) from 17 on
+            rhs = rhs + 0j
             rhs[m // 2 if m >= 17 else m - 2] += 1j * rng.standard_normal()
-        rhs[[0, -1]] = ends[:2]
-        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta)
+        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta,
+                                ends[:2])
+        assert sys.interior.dtype == (float if interior == "real" else complex)
         outputs, last_blocks = [], []
         for block in (trisolve.BLOCK, 8):
             monkeypatch.setattr(trisolve, "BLOCK", block)
@@ -539,10 +542,11 @@ class TestStreamedSolve:
         assert last_blocks[0] == m > last_blocks[1] and (last_blocks[1] == 1) == (m == 21)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("complex_at", [None, 2 * trisolve.BLOCK + 7])
-    def test_real_interior_accumulates_one_sum(self, monkeypatch, complex_at):
-        # rows of each cumulative sum in a streamed bare solve: one while the
-        # interior read so far is real, two from the first complex block on
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_real_interior_accumulates_one_sum(self, monkeypatch, dtype):
+        # rows of each cumulative sum in a streamed bare solve: one for a
+        # float64 interior, two in every block for a complex one, even one
+        # whose imaginary parts are all zero
         rows = []
 
         def accumulate(a, axis, out):
@@ -556,16 +560,13 @@ class TestStreamedSolve:
                 return getattr(np, name)
 
         m = 3 * trisolve.BLOCK + 5
-        rhs = np.random.default_rng(5).standard_normal(m) + 0j
-        rhs[[0, -1]] = 1j
-        if complex_at is not None:
-            rhs[complex_at] = 1j
-        sys = TridiagonalSystem(Stencil(1.0, -2.0 * math.cos(0.3), 1, 2, 3, 4), rhs, 0.3)
+        rhs = np.random.default_rng(5).standard_normal(m).astype(dtype)
+        sys = TridiagonalSystem(Stencil(1.0, -2.0 * math.cos(0.3), 1, 2, 3, 4), rhs, 0.3,
+                                (1j, 1j))
         monkeypatch.setattr(trisolve, "np", NumpySpy())
         _kernel_solve(sys, 0)
         n_blocks = -(-m // _block_length(m))
-        first = n_blocks if complex_at is None else complex_at // _block_length(m)
-        assert n_blocks > 1 and rows == [1] * first + [2] * (n_blocks - first)
+        assert n_blocks > 1 and rows == [1 if dtype is float else 2] * n_blocks
 
     @pytest.mark.parametrize("at", [0, 1, trisolve.BLOCK - 1, trisolve.BLOCK,
                                     2 * trisolve.BLOCK + 7, 3 * trisolve.BLOCK + 4])
