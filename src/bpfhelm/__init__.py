@@ -36,8 +36,6 @@ from .grid import (
     forward_diff,
     make_grid,
     norm_l2h,
-    norm_linf,
-    norm_v,
     restrict,
     sample,
     seminorm_h1h,

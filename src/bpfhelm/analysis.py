@@ -335,13 +335,14 @@ def error_report(u_h: GridFunction, ref: GridFunction, k: float) -> ErrorReport:
     """Errors of u_h against a reference on the same grid, in all four norms.
 
     Each norm of the error and of the reference takes the operations of
-    norm_linf, norm_l2h and seminorm_h1h, so every field is bitwise what
-    those give on the two arrays apart. The two are taken together: the
-    magnitudes |u_i| and |(u_{i+1} - u_i)/h| of both are the two rows of
-    one real array each, so that each reduction runs once for both and sees
-    a whole row, which rounds as a 1-D array does. The complex error and
-    differences exist one block of BLOCK nodes at a time only, because on a
-    fine grid fresh pages cost more than the arithmetic.
+    max |v| over all nodes, norm_l2h, seminorm_h1h and hypot(k l2h, h1)
+    (tests/conftest.py holds the max and V norm oracles), so every field is
+    bitwise what those give on the two arrays apart. The two are taken
+    together: the magnitudes |u_i| and |(u_{i+1} - u_i)/h| of both are the
+    two rows of one real array each, so that each reduction runs once for
+    both and sees a whole row, which rounds as a 1-D array does. The complex
+    error and differences exist one block of BLOCK nodes at a time only,
+    because on a fine grid fresh pages cost more than the arithmetic.
     """
     if u_h.grid != ref.grid:
         raise ValueError("solution and reference live on different grids")
@@ -382,7 +383,7 @@ def error_report(u_h: GridFunction, ref: GridFunction, k: float) -> ErrorReport:
         l2 *= scale[:, 0]
         h1 *= scale[:, 0]
     (a_l2, r_l2), (a_h1, r_h1) = l2.tolist(), h1.tolist()
-    # the V norms from the parts above, as norm_v computes them
+    # the V norms from the parts above, as the V norm oracle of the tests does
     a_v, r_v = float(np.hypot(k * a_l2, a_h1)), float(np.hypot(k * r_l2, r_h1))
     return ErrorReport(
         abs_linf=a_linf, rel_linf=_ratio(a_linf, r_linf),

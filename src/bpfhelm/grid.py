@@ -2,8 +2,7 @@
 
 Grid functions are immutable complex nodal vectors on n+1 equispaced nodes.
 The discrete L2 norm deliberately sums interior nodes only (i = 1..n-1);
-boundary values enter through the max norm and the H1 seminorm. The V-norm
-is the wavenumber-weighted energy norm used to report errors.
+boundary values enter through the H1 seminorm.
 """
 
 from __future__ import annotations
@@ -145,16 +144,6 @@ def seminorm_h1h(v: GridFunction) -> float:
     """Discrete H1 seminorm from forward differences over all n cells."""
     d = forward_diff(v)
     return float(np.sqrt(v.grid.h * np.sum(np.abs(d) ** 2)))
-
-
-def norm_v(v: GridFunction, k: float) -> float:
-    """Energy norm sqrt(k^2 ||v||_{0,h}^2 + |v|_{1,h}^2)."""
-    return float(np.hypot(k * norm_l2h(v), seminorm_h1h(v)))
-
-
-def norm_linf(v: GridFunction) -> float:
-    """Max nodal magnitude over all n+1 nodes."""
-    return float(np.max(np.abs(v.values)))
 
 
 def check_nested(fine: UniformGrid, coarse: UniformGrid) -> None:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import NonFiniteSample, ResonantSource
 from .grid import GridFunction
@@ -89,9 +88,9 @@ def plane_wave_problem(k: float, alpha: complex,
 
 def _polyval(coef, x):
     """The polynomial with coefficients coef (lowest degree first) at x, by
-    Horner's rule in place: `numpy.polynomial.polynomial.polyval`'s
-    operations in its order (c[-1] + x*0, then c[i] + c0*x), so its bits,
-    without the cost of Polynomial.__call__. A scalar x gives a scalar."""
+    Horner's rule in place: the operations of numpy's power-series `polyval`
+    in its order (c[-1] + x*0, then c[i] + c0*x), so its bits. A scalar x
+    gives a scalar."""
     x = np.asarray(x)
     c0 = x * 0.0
     c0 += coef[-1]
@@ -101,24 +100,30 @@ def _polyval(coef, x):
     return c0[()]
 
 
+def _deriv(coef: np.ndarray) -> np.ndarray:
+    """The derivative's coefficients j * c_j of coef (lowest degree first):
+    the products of numpy's power-series `polyder`, so its bits."""
+    return np.arange(1, coef.size) * coef[1:]
+
+
 # Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis, and its first two
 # derivatives, which do not depend on k.
-_R_POLY = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
-_R1_POLY = _R_POLY.deriv(1)
-_R2_POLY = _R_POLY.deriv(2)
-_BUMP = tuple(functools.partial(_polyval, r.coef) for r in (_R_POLY, _R1_POLY, _R2_POLY))
-_R_PEAK = float(np.max(np.abs(_R_POLY.coef)))
+_R = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
+_R1 = _deriv(_R)
+_R2 = _deriv(_R1)
+_BUMP = tuple(functools.partial(_polyval, r) for r in (_R, _R1, _R2))
+_R_PEAK = float(np.max(np.abs(_R)))
 
 
 def _smooth_source(k: float) -> np.ndarray:
     """Coefficients of the manufactured source f = r'' + k^2 r: k*k*r_i +
-    r''_i, the float operations of `_R2_POLY + k * k * _R_POLY` without the
-    cost of Polynomial arithmetic. Raises NonFiniteSample when one of them
-    overflows, as k^2 times the largest |r_i| does from about k = 5.5e153."""
+    r''_i, the float operations of numpy's power-series r'' + k * k * r.
+    Raises NonFiniteSample when one of them overflows, as k^2 times the
+    largest |r_i| does from about k = 5.5e153."""
     if not math.isfinite(_R_PEAK * (k * k)):
         raise NonFiniteSample(f"smooth source coefficients overflow at k = {k!r}")
-    coef = _R_POLY.coef * (k * k)
-    coef[:_R2_POLY.coef.size] += _R2_POLY.coef
+    coef = _R * (k * k)
+    coef[:_R2.size] += _R2
     return coef
 
 
@@ -138,8 +143,9 @@ def smooth_manufactured_problem(k: float) -> tuple[HelmholtzProblem, ExactSoluti
 
 def smooth_source_derivatives(k: float) -> tuple[Callable, Callable, Callable]:
     """First three derivatives of the manufactured polynomial source."""
-    f_poly = Polynomial(_smooth_source(k))
-    return tuple(functools.partial(_polyval, f_poly.deriv(j).coef) for j in (1, 2, 3))
+    f1 = _deriv(_smooth_source(k))
+    f2 = _deriv(f1)
+    return tuple(functools.partial(_polyval, c) for c in (f1, f2, _deriv(f2)))
 
 
 def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:

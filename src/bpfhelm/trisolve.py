@@ -21,8 +21,8 @@ and at a simple root a recurrence summed by doubling. Two paths, chosen by
 what the system records about its kernel:
 
 * The kernel angle theta, for assembled systems whose kernel oscillates
-  (bpf and fd-dc, and fd while kh < 2): v and w are e^{+-i theta j}, and
-  p comes from variation of parameters. The phases come from theta itself,
+  (bpf and fd-dc, and fd while kh < 2): v_j = e^{i theta j}, w = conj(v),
+  and p comes from variation of parameters. The phases come from theta itself,
   not from the stored diagonal, whose rounding drifts the phase by about
   eps * n / theta over n steps at small theta. A system that fits one
   block of about BLOCK unknowns (every coarse grid) is solved in one
@@ -97,7 +97,6 @@ SECOND_CORRECTION_MAX_GAP = 1e-5
 BLOCK = 2**13
 
 _EPS = float(np.finfo(float).eps)
-_SIGNS = np.array([[1j], [-1j]])
 # Unknowns the boundary coefficients d0, u0, ln, dn multiply.
 _END_INDEX = np.array([0, 1, -2, -1])
 
@@ -313,52 +312,55 @@ def _kernel_solver(sys: TridiagonalSystem):
     solution, written into out (a new array if None), which may hold
     interior itself.
 
-    The kernel vectors are v_j = e^{i theta j} and w_j = e^{-i theta j},
-    with kappa = 1 / (2i c sin theta) in _variation_particular. The phases,
+    The kernel vectors are v_j = e^{i theta j} and w = conj(v), with
+    kappa = 1 / (2i c sin theta) in _variation_particular. The phases v_j,
     j = q * width + r, are products of two tables of about sqrt(m) entries.
-    A system that fits one block builds them once and solves through
-    _basis_solver. A larger one builds them for one block of whole rows q at
-    a time: pass 1 writes p block by block, carrying the sums from block to
-    block in accumulate's sequential order; pass 2 rebuilds each block's
-    phases and adds the homogeneous part a v + b w.
+    One loop builds a block of whole rows q at a time, v's row and w's as
+    its conjugate: bitwise e^{-i theta j} built from -theta, as exp and the
+    complex multiply are conjugate-symmetric, but for the sign of w_0's zero
+    imaginary part. A system that fits one block solves through
+    _basis_solver on the loop's one block. A larger one runs the loop twice:
+    pass 1 writes p block by block, carrying the sums from block to block in
+    accumulate's sequential order; pass 2 adds a v + b w.
 
     When interior is a float64 array (a real source; not a correction
     step's residual), w_l b_l = conj(v_l b_l), so Sv = conj(Sw) and
     v Sw - w Sv = 2i Im(v Sw), bit for bit but for the sign of a zero part,
-    as exp and the complex multiply are conjugate-symmetric. Pass 1 then
-    accumulates Sw alone and writes p = Im(v Sw) (2i kappa), which rounds
-    as (2i Im(v Sw)) kappa does. A complex interior carries both sums.
+    by the same symmetry. Pass 1 then accumulates Sw alone and writes
+    p = Im(v Sw) (2i kappa), which rounds as (2i Im(v Sw)) kappa does. A
+    complex interior carries both sums.
     """
     m = sys.size
     width = math.isqrt(m - 1) + 1
-    angles = _SIGNS * (sys.theta * np.arange(width))
-    coarse = np.exp(angles[:, :-(-m // width), None] * width)
-    fine = np.exp(angles[:, None, :])
-    n_rows = coarse.shape[1]
+    angles = 1j * (sys.theta * np.arange(width))
+    coarse = np.exp(angles[:-(-m // width), None] * width)
+    fine = np.exp(angles)
+    n_rows = coarse.shape[0]
     rows = min(max(1, BLOCK // width), n_rows)
     kappa = 1.0 / (2j * math.sin(sys.theta) * sys.stencil.c)
     two_i_kappa = 2j * kappa
+    # Reused by every block: a fresh block-sized array per block would cost
+    # more in page faults than the block's arithmetic.
+    table = np.empty((2, rows, width), dtype=complex)
+
+    def blocks():
+        """(first unknown, phases v and w) of each block, built in table."""
+        for q0 in range(0, n_rows, rows):
+            q1 = min(q0 + rows, n_rows)
+            np.conjugate(np.multiply(coarse[q0:q1], fine, out=table[0, :q1 - q0]),
+                         out=table[1, :q1 - q0])
+            yield q0 * width, table[:, :q1 - q0].reshape(2, -1)[:, :m - q0 * width]
 
     if rows == n_rows:
-        ph = np.multiply(coarse, fine).reshape(2, -1)[:, :m]
+        ph = next(blocks())[1]
         return _basis_solver(sys, ph[0], ph[1], _variation_particular(ph, kappa))
 
     q, r = divmod(_END_INDEX % m, width)
-    weights = _boundary_solver(sys.stencil, *(coarse[:, q, 0] * fine[:, 0, r]).tolist())
-    # Buffers reused by every block: a fresh block-sized array per block
-    # would cost more in page faults than the block's arithmetic.
-    table = np.empty((2, rows, width), dtype=complex)
+    v_ends = coarse[q, 0] * fine[r]
+    weights = _boundary_solver(sys.stencil, v_ends.tolist(), v_ends.conj().tolist())
     # Column 0 carries S-+ over from the previous block; column 1 + l holds
     # the block's l-th term, then its running sum.
     sums = np.empty((2, rows * width + 1), dtype=complex)
-
-    def blocks():
-        """(first unknown, phases e^{i theta j} and e^{-i theta j}) of each
-        block, the phases built in table."""
-        for q0 in range(0, n_rows, rows):
-            q1 = min(q0 + rows, n_rows)
-            block = np.multiply(coarse[:, q0:q1], fine, out=table[:, :q1 - q0])
-            yield q0 * width, block.reshape(2, -1)[:, :m - q0 * width]
 
     def solve(interior: np.ndarray, r0: complex, r_last: complex,
               out: np.ndarray | None = None) -> np.ndarray:

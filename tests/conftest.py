@@ -3,10 +3,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bpfhelm
 from bpfhelm import trisolve
+from bpfhelm.grid import norm_l2h, seminorm_h1h
 
 
 @pytest.fixture
@@ -16,6 +18,19 @@ def child_env():
     src = str(Path(bpfhelm.__file__).resolve().parents[1])
     rest = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
+@pytest.fixture(scope="session")
+def norm_linf():
+    """Oracle: the max nodal magnitude of a GridFunction over all n+1 nodes."""
+    return lambda v: float(np.max(np.abs(v.values)))
+
+
+@pytest.fixture(scope="session")
+def norm_v():
+    """Oracle: the energy norm sqrt(k^2 ||v||_{0,h}^2 + |v|_{1,h}^2) of a
+    GridFunction, as norm_v(v, k)."""
+    return lambda v, k: float(np.hypot(k * norm_l2h(v), seminorm_h1h(v)))
 
 
 @pytest.fixture

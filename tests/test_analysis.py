@@ -30,8 +30,7 @@ from bpfhelm.analysis import (
     verify_stability,
 )
 from bpfhelm.errors import InvalidGrid, NearNyquist, NearResonantFrequency
-from bpfhelm.grid import (GridFunction, make_grid, norm_l2h, norm_linf, norm_v, sample,
-                          seminorm_h1h)
+from bpfhelm.grid import GridFunction, make_grid, norm_l2h, sample, seminorm_h1h
 from bpfhelm.numerics import stability_constant_a0, theta
 from bpfhelm.reference import (
     ExactSolution,
@@ -146,7 +145,7 @@ class TestConsistencyResiduals:
     @pytest.mark.parametrize("name, k, n", [("planewave", 2.0**6, 24), ("planewave", 2.0**6, 128),
                                             ("planewave", 2.0**8, 3**5), ("smooth", 2.0**5, 3**7),
                                             ("smooth", 2.0**8, 3**5), ("smooth", 2.0**4, 3**8)])
-    def test_matches_paper_formulas(self, name, k, n):
+    def test_matches_paper_formulas(self, name, k, n, norm_linf):
         # The assembled rows and the paper's formulas round differently; each
         # side is a sum of a few terms no larger than the row's coefficients
         # times max|u| (or the data), so they agree to 16 eps of that scale.
@@ -530,11 +529,11 @@ class TestErrorReport:
         assert rep.rel("v") == rep.rel_v
         assert rep.rel_linf == pytest.approx(0.1, rel=1e-12)
 
-    def test_v_norms_match_norm_v(self):
-        # every field is bitwise the grid norm of the error, or its ratio to
-        # the same norm of the reference, although error_report takes the
-        # error and the reference together, block by block
-        # (2^14 + 3 spans three blocks)
+    def test_v_norms_match_norm_v(self, norm_linf, norm_v):
+        # every field is bitwise the grid norm of the error (the max and V
+        # norms from the oracles in conftest), or its ratio to the same norm
+        # of the reference, although error_report takes the error and the
+        # reference together, block by block (2^14 + 3 spans three blocks)
         rng = np.random.default_rng(31)
         for n, k in ((2, 1.0), (17, 8.0), (181, 40.0), (256, 300.0), (2**14 + 3, 900.0)):
             g = make_grid(1.0, n)

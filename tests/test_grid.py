@@ -12,8 +12,6 @@ from bpfhelm.grid import (
     make_grid,
     nodal_values,
     norm_l2h,
-    norm_linf,
-    norm_v,
     restrict,
     sample,
     seminorm_h1h,
@@ -197,19 +195,6 @@ class TestNorms:
         v = sample(lambda x: np.full(np.asarray(x).shape, 2.0 - 1.0j), g)
         assert seminorm_h1h(v) == 0.0
 
-    def test_v_norm_definition(self):
-        rng = np.random.default_rng(0)
-        v = _random_gf(rng, make_grid(1.0, 32))
-        k = 2.0
-        assert norm_v(v, k) ** 2 == pytest.approx(
-            4.0 * norm_l2h(v) ** 2 + seminorm_h1h(v) ** 2, rel=1e-13)
-
-    def test_linf_includes_boundary(self):
-        g = make_grid(1.0, 4)
-        vals = np.array([5.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
-        assert norm_linf(GridFunction(g, vals)) == 5.0
-        assert norm_l2h(GridFunction(g, vals)) == 0.0
-
     def test_homogeneity_and_triangle(self):
         rng = np.random.default_rng(1)
         g = make_grid(1.0, 48)
@@ -219,7 +204,7 @@ class TestNorms:
             c = complex(rng.standard_normal(), rng.standard_normal())
             vw = GridFunction(g, v.values + w.values)
             cv = GridFunction(g, c * v.values)
-            for norm in (norm_l2h, seminorm_h1h, norm_linf, lambda u: norm_v(u, 3.0)):
+            for norm in (norm_l2h, seminorm_h1h):
                 assert norm(cv) == pytest.approx(abs(c) * norm(v), rel=1e-12, abs=1e-12)
                 assert norm(vw) <= norm(v) + norm(w) + 1e-12
 

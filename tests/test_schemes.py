@@ -16,7 +16,6 @@ from bpfhelm.grid import (
     make_grid,
     nodal_values,
     norm_l2h,
-    norm_linf,
     sample,
     seminorm_h1h,
 )
@@ -52,13 +51,13 @@ def _laplacian(v):
 
 
 class TestOneWayOperators:
-    def test_plus_annihilates_outgoing(self):
+    def test_plus_annihilates_outgoing(self, norm_linf):
         k = 7.3
         g = make_grid(1.0, 32)
         v = sample(lambda x: np.exp(1j * k * np.asarray(x)), g)
         assert np.max(np.abs(apply_one_way_plus(v, k))) <= 1e-13 * norm_linf(v) * k
 
-    def test_minus_annihilates_incoming(self):
+    def test_minus_annihilates_incoming(self, norm_linf):
         k = 7.3
         g = make_grid(1.0, 32)
         v = sample(lambda x: np.exp(-1j * k * np.asarray(x)), g)
@@ -279,7 +278,7 @@ class TestHelmholtzProblem:
 
 
 class TestSolveScheme:
-    def test_zero_data_zero_solution(self):
+    def test_zero_data_zero_solution(self, norm_linf):
         p = HelmholtzProblem(12.0, 1.0, lambda x: np.zeros_like(np.asarray(x)),
                              0.0 + 0.0j, 0.0 + 0.0j)
         for kind in SchemeKind:

@@ -1,7 +1,8 @@
 """Test tooling: the pytest configuration, the CLI run recorder and its
 committed record, the library-path cell digests, the benchmark pair runner's
-verdict, the check that every tool reads the tree it is given, and the rule
-that no package module imports another's private names."""
+verdict, the check that every tool reads the tree it is given, and the rules
+that no package module imports another's private names and that the package
+does not import numpy.polynomial."""
 
 import ast
 import importlib.util
@@ -163,7 +164,11 @@ def test_bench_pairs_reject_a_tree_without_the_package(tmp_path):
 
 
 def test_bench_pairs_verdict_on_canned_runs():
-    verdict = _load_tool("bench_pairs").pair_verdict
+    pair_verdict = _load_tool("bench_pairs").pair_verdict
+
+    def verdict(parent, change, better, bound):
+        return pair_verdict(parent, change, better, bound, {"parent": 0.0, "change": 0.0})
+
     parent = [100.0, 104, 98, 102, 110, 101, 99, 103, 97, 105]  # quartiles 99.25, 103.75
     faster = [p - 12 for p in parent]
     met = verdict(parent, faster, "lower", 0.25)
@@ -183,6 +188,20 @@ def test_bench_pairs_verdict_on_canned_runs():
     assert not verdict(parent, [1.2 * p for p in parent], "lower", 0.25)["worse_than_bound"]
     # the rule asks for ten pairs: nine clear wins in nine pairs are not enough
     assert not verdict(parent[:9], faster[:9], "lower", 0.25)["met"]
+    # a gain does not count when a larger share of the change's ops fails
+    assert pair_verdict(parent, faster, "lower", 0.25, {"parent": 0.01, "change": 0.01})["met"]
+    more_failed = pair_verdict(parent, faster, "lower", 0.25, {"parent": 0.01, "change": 0.02})
+    assert not more_failed["met"] and more_failed["change_better_pairs"] == 10
+
+
+def test_package_does_not_import_numpy_polynomial(child_env):
+    # the package evaluates and differentiates its polynomials itself, so
+    # no process pays for importing numpy.polynomial
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import bpfhelm, sys; assert 'numpy.polynomial' not in sys.modules"],
+        capture_output=True, text=True, timeout=60, env=child_env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_module_imports_another_modules_private_name():

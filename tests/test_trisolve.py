@@ -450,6 +450,36 @@ def _unblocked_kernel_solve(sys, correct):
     return x
 
 
+# The kernel angles kh of the four bpf fine references of the `table` and
+# box `convergence` commands: sine2 on 2^18 subintervals at k = 32, 64, 128,
+# and box on 3^12 at k = 32.
+FINE_REFERENCE_THETAS = [(k / 2**18, 2**18 + 1) for k in (32.0, 64.0, 128.0)] + [
+    (32.0 / 3**12, 3**12 + 1)]
+
+
+def test_conjugate_phases_are_the_phases_of_minus_theta():
+    # The kernel solve builds the phases e^{i theta j} only and takes w as
+    # their conjugate, which is bitwise the table the two-sign construction
+    # builds from -theta, because exp and the complex multiply are
+    # conjugate-symmetric. A platform where they are not fails here. Only
+    # w_0 differs, 1 - 0j against 1 + 0j: a product with it differs at most
+    # in the sign of a zero part.
+    rng = np.random.default_rng(29)
+    cases = FINE_REFERENCE_THETAS + list(zip(rng.uniform(0.0, math.pi, 1000).tolist(),
+                                             rng.integers(3, 20_000, 1000).tolist()))
+    for theta, m in cases:
+        width = math.isqrt(m - 1) + 1
+        rows = -(-m // width)
+        angles = 1j * (theta * np.arange(width))
+        v = (np.exp(angles[:rows, None] * width) * np.exp(angles)).reshape(-1)[:m]
+        angles = np.array([[1j], [-1j]]) * (theta * np.arange(width))
+        both = (np.exp(angles[:, :rows, None] * width)
+                * np.exp(angles[:, None, :])).reshape(2, -1)[:, :m]
+        assert v.tobytes() == both[0].tobytes(), theta
+        assert np.conjugate(v[1:]).tobytes() == both[1, 1:].tobytes(), theta
+        assert v[0] == both[1, 0] == 1.0
+
+
 def _block_length(m):
     """Unknowns per block of the streamed solve of m unknowns."""
     width = math.isqrt(m - 1) + 1

@@ -14,8 +14,11 @@ receives each side's quartiles (`statistics.quantiles`, inclusive) and every
 run, the pairs the change wins, the parent's IQR, the median gap (the change
 ahead of the parent by it, in the metric's better direction), the relative
 change of the median, whether that is worse than the metric's bound, and
-`met`: at least ten pairs ran, the change wins at least nine in ten of them
-and the median gap exceeds the parent's IQR. OUT keeps the workloads it already holds and replaces W,
+`met`: at least ten pairs ran, the change wins at least nine in ten of them,
+the median gap exceeds the parent's IQR, and the change's failed share
+(failed over attempted ops, summed over its runs, as OUT records per side)
+is no larger than the parent's, since a gain does not count when more
+operations fail. OUT keeps the workloads it already holds and replaces W,
 so one file can hold both workloads. Both roots must hold src/bpfhelm (exit
 2 otherwise), so that no run measures another tree than the one named.
 """
@@ -43,8 +46,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def pair_verdict(parent: list[float], change: list[float], better: str,
-                 bound: float) -> dict:
-    """The pair rule on one metric, from runs paired by index."""
+                 bound: float, failed_share: dict[str, float]) -> dict:
+    """The pair rule on one metric, from runs paired by index; failed_share
+    maps each side to its share of failed ops."""
     sign = -1.0 if better == "lower" else 1.0
     quarts = {"parent": quartiles(parent), "change": quartiles(change)}
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -55,7 +59,8 @@ def pair_verdict(parent: list[float], change: list[float], better: str,
             "median_gap": gap, "relative_change": relative,
             "worse_than_bound": -sign * relative > bound,
             "met": (len(parent) >= 10 and wins >= math.ceil(0.9 * len(parent))
-                    and gap > parent_iqr),
+                    and gap > parent_iqr
+                    and failed_share["change"] <= failed_share["parent"]),
             "runs": {"parent": parent, "change": change}}
 
 
@@ -94,13 +99,17 @@ def main(argv: list[str] | None = None) -> int:
             value = reports[side][-1]["metrics"]["op_p50_ms"]["value"]
             print(f"seed {seed} {side}: op_p50_ms {value:.4g}", file=sys.stderr)
 
+    attempted = {side: sum(r["attempted"] for r in reports[side]) for side in SIDES}
+    failed = {side: sum(r["failed"] for r in reports[side]) for side in SIDES}
+    failed_share = {side: failed[side] / attempted[side] for side in SIDES}
     metrics = {}
     for metric in declared["end_to_end"]:
         runs = {side: [r["metrics"][metric["name"]]["value"] for r in reports[side]]
                 for side in SIDES}
         metrics[metric["name"]] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-            **pair_verdict(runs["parent"], runs["change"], metric["better"], metric["bound"])}
+            **pair_verdict(runs["parent"], runs["change"], metric["better"], metric["bound"],
+                           failed_share)}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["what"] = (
         "Alternating parent/change pairs of `python3 perfbench/run.py --workload W "
@@ -112,8 +121,7 @@ def main(argv: list[str] | None = None) -> int:
                     "machine": platform.machine()}
     data.setdefault("final", {})[args.workload] = {
         "pairs": args.pairs, "seeds": seeds,
-        "attempted": {side: sum(r["attempted"] for r in reports[side]) for side in SIDES},
-        "failed": {side: sum(r["failed"] for r in reports[side]) for side in SIDES},
+        "attempted": attempted, "failed": failed, "failed_share": failed_share,
         "metrics": metrics}
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     return 0
