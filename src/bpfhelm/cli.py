@@ -229,11 +229,12 @@ def cmd_table(args) -> int:
 
 def cmd_compare(args) -> int:
     """All three schemes on paired (k, n) lists; one CSV row per scheme and
-    pair, reporting the relative error in the selected norm. A benchmark
-    without a closed form is measured against one fine-grid BPF reference
-    per pair at the registry's resolution, shared by the three schemes; every
-    n must be a proper divisor of that resolution, which is checked before
-    anything is solved."""
+    pair, reporting the relative error in the selected norm. Each pair's
+    reference is built once and shared by the three schemes: the closed form
+    sampled on the pair's grid, or, for a benchmark without one, a fine-grid
+    BPF reference at the registry's resolution restricted to it; every n
+    must then be a proper divisor of that resolution, which is checked
+    before anything is solved."""
     k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args)
     if len(k_list) != len(n_list):
@@ -246,15 +247,13 @@ def cmd_compare(args) -> int:
         if exact is None:
             check_nested(make_grid(problem.L, n_ref), make_grid(problem.L, n))
     for k, n, problem, exact in pairs:
+        grid = make_grid(problem.L, n)
         if exact is None:
-            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF)
+            ref = restrict(fine_grid_reference(problem, n_ref, SchemeKind.BPF), grid)
+        else:
+            ref = sample(exact.u, grid)
         for kind in kinds:
-            u_h = solve_scheme(problem, n, kind)
-            if exact is None:
-                ref = restrict(fine, u_h.grid)
-            else:
-                ref = sample(exact.u, u_h.grid)
-            err = error_report(u_h, ref, k).rel(args.norm)
+            err = error_report(solve_scheme(problem, n, kind), ref, k).rel(args.norm)
             h = 1.0 / n
             rows[kind].append(f"{kind.value},{_fmt(k)},{_fmt(h)},{_fmt(k * h)},{_fmt(err)}")
     lines = [f"scheme,k,h,kh,err_{args.norm}_rel"]

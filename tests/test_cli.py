@@ -290,6 +290,21 @@ class TestCompare:
         assert refs == [(8.0, n_ref, cli.SchemeKind.BPF), (16.0, n_ref, cli.SchemeKind.BPF)]
         assert all(0.0 < float(ln.split(",")[4]) < 1e-2 for ln in body)
 
+    def test_closed_form_sampled_once_per_pair(self, tmp_path, monkeypatch):
+        # the closed form used to be sampled once per scheme: three times a pair
+        sampled, real_sample = [], cli.sample
+
+        def sample_spy(fn, grid):
+            sampled.append(grid.n)
+            return real_sample(fn, grid)
+
+        monkeypatch.setattr(cli, "sample", sample_spy)
+        code, text = _run(tmp_path, ["compare", "--k-list", "8,16", "--n-list", "32,64",
+                                     "--benchmark", "sine2"])
+        assert code == 0
+        assert len(text.strip().splitlines()) == 1 + 6
+        assert sampled == [32, 64]
+
     def test_box_mesh_must_divide_fine_reference(self, tmp_path, monkeypatch, capsys):
         factory, _ = BENCHMARKS["box"]
         monkeypatch.setitem(BENCHMARKS, "box", (factory, 81))

@@ -1,11 +1,12 @@
-"""Test tooling: the pytest configuration, the CLI run recorder and its
-committed record, the library-path cell digests, the benchmark pair runner's
-verdict, the check that every tool reads the tree it is given, and the rules
-that no package module imports another's private names and that the package
-does not import numpy.polynomial."""
+"""Test tooling: the pytest configuration, the recorder's CLI runs and
+their committed record, its library-path cell digests, the benchmark pair
+runner's verdict, the check that every tool reads the tree it is given, and
+the rules that no package module imports another's private names and that
+the package does not import numpy.polynomial."""
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,10 +26,6 @@ def _load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _load_cli_runs():
-    return _load_tool("cli_runs")
 
 
 def test_failing_given_test_does_not_abort_the_run(tmp_path):
@@ -51,7 +48,7 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
 
 
 def test_cli_runs_cover_every_subcommand_and_parse():
-    runs = _load_cli_runs().RUNS
+    runs = _load_tool("record").RUNS
     assert len(runs) == 30
     assert {argv[0] for argv in runs.values()} == {
         "exactness", "convergence", "table", "compare", "verify"}
@@ -60,7 +57,7 @@ def test_cli_runs_cover_every_subcommand_and_parse():
 
 
 def test_cli_run_record():
-    module = _load_cli_runs()
+    module = _load_tool("record")
     text = module.run(ROOT, ["table", "--k-list", "4", "--n-list", "3"])
     lines = text.splitlines()
     assert lines[:4] == ["argv: table --k-list 4 --n-list 3", "exit: 2", "--- stdout",
@@ -69,9 +66,10 @@ def test_cli_run_record():
 
 
 def test_cli_runs_match_the_golden_record():
-    # the record was written from the runs' fresh processes; in-process
-    # runs through cli.main must reproduce it byte for byte
-    module = _load_cli_runs()
+    # `--update` writes the record from in-process runs through cli.main,
+    # and the recorder's fresh-process runs of this tree equal it; the same
+    # in-process runs here must reproduce it byte for byte
+    module = _load_tool("record")
     assert sorted(path.stem for path in module.GOLDEN.glob("*.txt")) == sorted(module.RUNS)
     differ = []
     for name, argv in module.RUNS.items():
@@ -83,12 +81,12 @@ def test_cli_runs_match_the_golden_record():
                 "text outside the numbers differs" if moves is None else
                 f"{moves[0]} numeric fields moved, largest relative change {moves[1]:.3e}"))
     assert not differ, ("outputs differ from tests/golden (after an intended change, run "
-                        "`python tools/cli_runs.py --update` and state what moved):\n"
+                        "`python tools/record.py --update` and state what moved):\n"
                         + "\n".join(differ))
 
 
 def test_numeric_moves_counts_fields_and_largest_change():
-    module = _load_cli_runs()
+    module = _load_tool("record")
     before = "argv: x\nk,err\n8.0000e+00,1.0000000000000000e-03,2.0\n"
     after = "argv: x\nk,err\n8.0000e+00,1.0000000000000002e-03,2.5\n"
     count, worst = module.numeric_moves(before, after)
@@ -98,7 +96,7 @@ def test_numeric_moves_counts_fields_and_largest_change():
 
 
 def test_cell_digests_smoke(tmp_path):
-    module = _load_tool("cell_digests")
+    module = _load_tool("record")
     cells = module.cells()
     assert len(cells) >= 3000 and cells == module.cells()
     assert {c[:2] for c in cells} == {(b, s) for b in module.BENCHMARKS for s in module.SCHEMES}
@@ -127,7 +125,7 @@ def test_cell_digests_smoke(tmp_path):
 
 
 def test_cell_digests_branch_cells_take_their_listed_paths(solve_routes):
-    module = _load_tool("cell_digests")
+    module = _load_tool("record")
     assert len(module.BRANCH_CELLS) == 6
     for cell, route in module.BRANCH_CELLS.items():
         solve_routes.clear()
@@ -135,23 +133,52 @@ def test_cell_digests_branch_cells_take_their_listed_paths(solve_routes):
         assert solve_routes == [route], cell
 
 
-def test_cell_digests_reject_a_tree_without_the_package(tmp_path, child_env):
-    # with this tree's package on the path, a wrong SRC_ROOT used to digest
-    # this tree, so that a parent-vs-change diff compared a tree with itself
-    out = tmp_path / "digests.txt"
+def test_record_rejects_a_tree_without_the_package(tmp_path, monkeypatch, capsys):
+    # a wrong SRC_ROOT used to write one ModuleNotFoundError record per run
+    # and digest this tree's package, already imported here
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "out"
+    assert _load_tool("record").main([str(tmp_path / "no-tree"), str(out)]) == 2
+    assert "not " + str(tmp_path / "no-tree" / "src") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_record_rejects_a_shadowed_package(tmp_path, child_env):
+    # with this tree's package first on PYTHONPATH, a wrong SRC_ROOT used to
+    # digest this tree, so that a parent-vs-change diff compared a tree with
+    # itself
+    out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "cell_digests.py"), str(tmp_path / "no-tree"),
+        [sys.executable, str(ROOT / "tools" / "record.py"), str(tmp_path / "no-tree"),
          str(out)], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 2, proc.stderr
     assert "not " + str(tmp_path / "no-tree" / "src") in proc.stderr
     assert not out.exists()
 
 
-def test_cli_runs_reject_a_tree_without_the_package(tmp_path):
-    # a wrong SRC_ROOT used to write one ModuleNotFoundError record per run
-    out = tmp_path / "runs"
-    assert _load_cli_runs().main([str(tmp_path / "no-tree"), str(out)]) == 2
+def test_record_rejects_a_package_without_init(tmp_path):
+    # src/bpfhelm without __init__.py imports as a namespace package whose
+    # __file__ is None; the guard used to end in a TypeError, exit 1
+    tree, out = tmp_path / "bare-tree", tmp_path / "out"
+    (tree / "src" / "bpfhelm").mkdir(parents=True)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "record.py"), str(tree),
+                           str(out)], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "not " + str(tree / "src") in proc.stderr
     assert not out.exists()
+
+
+def test_record_runs_import_the_named_tree_from_any_directory(tmp_path, monkeypatch):
+    # `python -m` puts the working directory first on the path, where this
+    # tree's src/ used to shadow SRC_ROOT/src
+    package = tmp_path / "tree" / "src" / "bpfhelm"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("print('the named tree')\n")
+    monkeypatch.chdir(ROOT / "src")
+    text = _load_tool("record").run(tmp_path / "tree", ["exactness"])
+    assert text.splitlines()[1:4] == ["exit: 0", "--- stdout", "the named tree"]
 
 
 def test_bench_pairs_reject_a_tree_without_the_package(tmp_path):
