@@ -66,17 +66,6 @@ ERROR_FLOOR = 1e-11  # below this, rate fitting is meaningless and skipped
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    """Consistency residuals of an exact solution plus their proved bounds."""
-
-    tau_norm: float
-    beta0: complex
-    betaL: complex
-    tau_bound: float
-    beta_bound: float
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     """Absolute and relative errors in all four reported norms."""
 
@@ -109,25 +98,6 @@ class ConvergenceTable:
 
     rows: list[ConvergenceRow]
     rates: dict[str, float]
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Both sides of the wavenumber-explicit a-priori bounds for one solve."""
-
-    lhs_l2: float
-    lhs_h1: float
-    rhs: float
-
-
-@dataclass(frozen=True)
-class FluxReport:
-    """Flux estimate and auxiliary energy bound for a homogeneous-data solve."""
-
-    flux_lhs: float
-    flux_rhs: float
-    aux_lhs: float
-    aux_rhs: float
 
 
 @dataclass(frozen=True)
@@ -178,9 +148,10 @@ def consistency_residuals(p: HelmholtzProblem, exact: ExactSolution,
 
 
 def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp,
-                    fppp) -> ResidualReport:
-    """Residuals of p's exact solution together with the second-order
-    bounds driven by ||f''|| and ||f'''||."""
+                    fppp) -> tuple[CheckResult, CheckResult]:
+    """Residuals of p's exact solution against the second-order bounds
+    driven by ||f''|| and ||f'''||: ("tau", ||tau||_{0,h}, its bound) and
+    ("beta", |beta0| + |betaL|, its bound)."""
     grid = make_grid(p.L, n)
     tau, beta0, betaL = consistency_residuals(p, exact, n)
     tau_norm = float(math.sqrt(grid.h * np.sum(np.abs(tau) ** 2)))
@@ -190,7 +161,8 @@ def residual_report(p: HelmholtzProblem, exact: ExactSolution, n: int, fpp,
     f3 = l2_norm_quad(fppp, p.L)
     tau_bound = p.L * th * grid.h**2 / 12.0 * f3
     beta_bound = 2.0 * math.sqrt(p.L * th) * abs(1.0 / math.cos(0.5 * s)) * grid.h**2 / 6.0 * f2
-    return ResidualReport(tau_norm, beta0, betaL, tau_bound, beta_bound)
+    return (CheckResult("tau", tau_norm, tau_bound),
+            CheckResult("beta", abs(beta0) + abs(betaL), beta_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +231,30 @@ def boundary_multiplier_bound(xi, h: float, k: float, L: float):
 # stability and flux inequalities
 
 
-def stability_bound_check(p: HelmholtzProblem, u_h: GridFunction) -> StabilityReport:
-    """Evaluate k ||u||_{0,h} and sqrt(Theta) |u|_{1,h} against
-    A0(kh, kL) ||f||_{0,h} + sqrt(L)/2 (|g0| + |gL|)."""
+def stability_bound_check(p: HelmholtzProblem,
+                          u_h: GridFunction) -> tuple[CheckResult, CheckResult]:
+    """("l2", k ||u||_{0,h}, rhs) and ("h1", sqrt(Theta) |u|_{1,h}, rhs),
+    where rhs = A0(kh, kL) ||f||_{0,h} + sqrt(L)/2 (|g0| + |gL|)."""
     grid = u_h.grid
     s = p.k * grid.h
     t = p.k * p.L
     a0 = stability_constant_a0(s, t, p.L)
     rhs = a0 * norm_l2h(sample(p.f, grid)) + 0.5 * math.sqrt(p.L) * (abs(p.g0) + abs(p.gL))
-    lhs_l2 = p.k * norm_l2h(u_h)
-    lhs_h1 = math.sqrt(theta(s)) * seminorm_h1h(u_h)
-    return StabilityReport(lhs_l2, lhs_h1, rhs)
+    return (CheckResult("l2", p.k * norm_l2h(u_h), rhs),
+            CheckResult("h1", math.sqrt(theta(s)) * seminorm_h1h(u_h), rhs))
 
 
-def flux_estimate_check(p: HelmholtzProblem, u_h: GridFunction) -> FluxReport:
-    """Flux bound ||D+ u||^2 + ||D- u||^2 <= (L^2/Theta) ||f||^2 and the
-    auxiliary energy bound, both requiring homogeneous radiation data."""
+def flux_estimate_check(p: HelmholtzProblem,
+                        u_h: GridFunction) -> tuple[CheckResult, CheckResult]:
+    """("flux", h (||D+ u||^2 + ||D- u||^2), (L^2/Theta) ||f||^2) and the
+    auxiliary energy bound ("aux", energy, (L^2/(2 Theta)) ||f||^2), both
+    requiring homogeneous radiation data."""
     if abs(p.g0) != 0.0 or abs(p.gL) != 0.0:
         raise ValueError("flux estimate applies to homogeneous radiation data only")
     th, flux_lhs, aux_lhs = _flux_and_energy(u_h, p.k)
     fnorm2 = norm_l2h(sample(p.f, u_h.grid)) ** 2
-    return FluxReport(flux_lhs, p.L**2 / th * fnorm2, aux_lhs, p.L**2 / (2.0 * th) * fnorm2)
+    return (CheckResult("flux", flux_lhs, p.L**2 / th * fnorm2),
+            CheckResult("aux", aux_lhs, p.L**2 / (2.0 * th) * fnorm2))
 
 
 def _flux_and_energy(v: GridFunction, k: float) -> tuple[float, float, float]:
@@ -308,16 +283,16 @@ def energy_identity_mismatch(p: HelmholtzProblem, u_h: GridFunction) -> float:
     if abs(p.g0) != 0.0 or abs(p.gL) != 0.0:
         raise ValueError("energy identity applies to homogeneous radiation data only")
     grid = u_h.grid
-    s = p.k * grid.h
-    th = theta(s)
     u = u_h.values
-    lhs = (th * seminorm_h1h(u_h) ** 2
+    grad = theta(p.k * grid.h) * seminorm_h1h(u_h) ** 2
+    lhs = (grad
            - 0.5 * p.k**2 * grid.h * (abs(u[0]) ** 2 + abs(u[-1]) ** 2)
            - p.k**2 * norm_l2h(u_h) ** 2)
     fv = sample(p.f, grid).values[1:-1]
     rhs = -float(np.real(grid.h * np.sum(fv * np.conj(u[1:-1]))))
-    scale = max(abs(lhs), abs(rhs), th * seminorm_h1h(u_h) ** 2)
-    return abs(lhs - rhs) / scale if scale > 0 else 0.0
+    # terms that overflow leave lhs inf - inf = NaN, which _ratio reports
+    # as inf rather than as a perfect 0
+    return _ratio(abs(lhs - rhs), max(abs(lhs), abs(rhs), grad))
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +559,9 @@ def verify_residuals() -> list[CheckResult]:
         p, exact = smooth_manufactured_problem(k)
         _, fpp, fppp = smooth_source_derivatives(k)
         for ne in (5, 6, 7, 8):
-            n = 3**ne
-            rep = residual_report(p, exact, n, fpp, fppp)
-            tau_ratio = rep.tau_norm / rep.tau_bound
-            beta_ratio = (abs(rep.beta0) + abs(rep.betaL)) / rep.beta_bound
-            tag = f"k=2^{ke} n=3^{ne}"
-            checks.append(CheckResult(f"tau_bound_k{ke}_n{ne}", tau_ratio, 1.0,
-                                      detail=tag))
-            checks.append(CheckResult(f"beta_bound_k{ke}_n{ne}", beta_ratio, 1.0,
-                                      detail=tag))
+            for c in residual_report(p, exact, 3**ne, fpp, fppp):
+                checks.append(CheckResult(f"{c.name}_bound_k{ke}_n{ne}", _ratio(c.value, c.bound),
+                                          1.0, detail=f"k=2^{ke} n=3^{ne}"))
     return checks
 
 
@@ -606,15 +575,12 @@ def verify_stability() -> list[CheckResult]:
             k = float(2**ke)
             p, _ = make_benchmark(bench, k)
             p_hom = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
-            ratios = {"l2": [], "h1": [], "flux": [], "aux": []}
+            ratios: dict[str, list[float]] = {}  # keyed l2, h1, flux, aux in that order
             for ne in (7, 8, 9, 10):
                 n = 2**ne
-                st = stability_bound_check(p, solve_scheme(p, n, SchemeKind.BPF))
-                ratios["l2"].append(_ratio(st.lhs_l2, st.rhs))
-                ratios["h1"].append(_ratio(st.lhs_h1, st.rhs))
-                fx = flux_estimate_check(p_hom, solve_scheme(p_hom, n, SchemeKind.BPF))
-                ratios["flux"].append(_ratio(fx.flux_lhs, fx.flux_rhs))
-                ratios["aux"].append(_ratio(fx.aux_lhs, fx.aux_rhs))
+                for c in (*stability_bound_check(p, solve_scheme(p, n, SchemeKind.BPF)),
+                          *flux_estimate_check(p_hom, solve_scheme(p_hom, n, SchemeKind.BPF))):
+                    ratios.setdefault(c.name, []).append(_ratio(c.value, c.bound))
             slack = 1.0 + 1e-12
             for label, vals in ratios.items():
                 checks.append(CheckResult(f"stability_{label}_{bench}_k{ke}", float(np.max(vals)),

@@ -89,7 +89,7 @@ def _parse_list(text: str, cast):
 
 def _n_from_h(h: float) -> int:
     """Subinterval count for mesh size h, which must divide L = 1."""
-    n = round(1.0 / h) if math.isfinite(h) and h > 0 else 0
+    n = round(1.0 / h) if h > 0 and math.isfinite(1.0 / h) else 0
     if n < 1 or not math.isclose(n * h, 1.0, rel_tol=1e-9):
         raise UsageError(f"mesh size {h!r} does not divide L = 1")
     return n
@@ -277,8 +277,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if n_failed == 0 else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser of every subcommand."""
+    """The parser of every subcommand, built on the first call: parsing
+    leaves no state in it, and the cmd_* functions it dispatches to look up
+    the package's names when they run."""
     parser = _Parser(
         prog="bpfhelm",
         description="Phase-fitted finite differences for the 1D Helmholtz "
@@ -338,17 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main reads, built on its first call: parsing leaves no
-    state in it, and the cmd_* functions it dispatches to look up the
-    package's names when they run."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         _check_out(args.out)
         return args.func(args)
     except SystemExit as exc:  # --help

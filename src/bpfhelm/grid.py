@@ -8,6 +8,7 @@ boundary values enter through the H1 seminorm.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,7 +43,8 @@ def _scaled(i: np.ndarray, grid: UniformGrid) -> np.ndarray:
 
 
 def make_grid(L: float, n: int) -> UniformGrid:
-    """Validated grid constructor; requires L > 0 and a whole n >= 2."""
+    """Validated grid constructor; requires L > 0 and a whole n >= 2 whose
+    n + 1 complex nodal values fit in one numpy array."""
     if not (L > 0) or not np.isfinite(L):
         raise InvalidGrid(f"domain length must be positive and finite, got {L!r}")
     try:
@@ -51,6 +53,9 @@ def make_grid(L: float, n: int) -> UniformGrid:
         whole = False
     if not whole or n < 2:
         raise InvalidGrid(f"need an integer subinterval count >= 2, got {n!r}")
+    limit = sys.maxsize // 16  # entries of the largest complex128 array numpy allows
+    if n >= limit:
+        raise InvalidGrid(f"need fewer than {limit} subintervals for an array to hold the nodes")
     return UniformGrid(float(L), int(n))
 
 

@@ -193,11 +193,11 @@ class TestChecksReadAssembledRows:
         p, _ = sine_squared_problem(2.0**5)
         p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
-        aux = flux_estimate_check(p, u_h).aux_lhs
+        aux = flux_estimate_check(p, u_h)[1].value
         monkeypatch.setattr(analysis, "_flux_and_energy", scaled)
         failed = [c.name for c in verify_identities(0) if not c.passed]
         assert failed == ["flux_energy_relation"]
-        assert flux_estimate_check(p, u_h).aux_lhs == aux * (1.0 + 1e-9)
+        assert flux_estimate_check(p, u_h)[1].value == aux * (1.0 + 1e-9)
 
 
 class TestResidualReport:
@@ -205,9 +205,10 @@ class TestResidualReport:
         k = 2.0**6
         p, exact = smooth_manufactured_problem(k)
         _, fpp, fppp = smooth_source_derivatives(k)
-        rep = residual_report(p, exact, 3**6, fpp, fppp)
-        assert rep.tau_norm <= rep.tau_bound
-        assert abs(rep.beta0) + abs(rep.betaL) <= rep.beta_bound
+        tau, beta = residual_report(p, exact, 3**6, fpp, fppp)
+        assert (tau.name, beta.name) == ("tau", "beta")
+        assert tau.value <= tau.bound
+        assert beta.value <= beta.bound
 
 
 class TestInteriorMultiplier:
@@ -324,34 +325,36 @@ class TestStabilityChecks:
     def test_zero_problem(self):
         p, _ = plane_wave_problem(4.0, 0.0, 0.0)
         u_h = solve_scheme(p, 64, SchemeKind.BPF)
-        st = stability_bound_check(p, u_h)
-        assert st.lhs_l2 <= st.rhs * (1.0 + 1e-12) and st.lhs_h1 <= st.rhs * (1.0 + 1e-12)
-        assert st.lhs_l2 == 0.0 and st.rhs == 0.0
+        l2, h1 = stability_bound_check(p, u_h)
+        assert l2.value <= l2.bound * (1.0 + 1e-12) and h1.value <= h1.bound * (1.0 + 1e-12)
+        assert l2.value == 0.0 and l2.bound == 0.0
 
     def test_plane_wave_lifting_bound(self):
         # with f == 0 the bound reduces to sqrt(L)/2 (|g0| + |gL|)
         k = 2.0**6
         p, _ = plane_wave_problem(k, 2.0, 1.0)
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
-        st = stability_bound_check(p, u_h)
-        assert st.rhs == pytest.approx(0.5 * (abs(p.g0) + abs(p.gL)))
-        assert st.lhs_l2 <= st.rhs * (1.0 + 1e-12) and st.lhs_h1 <= st.rhs * (1.0 + 1e-12)
+        l2, h1 = stability_bound_check(p, u_h)
+        assert l2.bound == h1.bound == pytest.approx(0.5 * (abs(p.g0) + abs(p.gL)))
+        assert l2.value <= l2.bound * (1.0 + 1e-12) and h1.value <= h1.bound * (1.0 + 1e-12)
 
     def test_benchmark_sweep_sample(self):
         for name_k in ((2.0**5), (2.0**7)):
             p, _ = sine_squared_problem(name_k)
             u_h = solve_scheme(p, 2**9, SchemeKind.BPF)
-            st = stability_bound_check(p, u_h)
-            assert st.lhs_l2 <= st.rhs * (1.0 + 1e-12) and st.lhs_h1 <= st.rhs * (1.0 + 1e-12)
+            l2, h1 = stability_bound_check(p, u_h)
+            assert (l2.name, h1.name) == ("l2", "h1")
+            assert l2.value <= l2.bound * (1.0 + 1e-12) and h1.value <= h1.bound * (1.0 + 1e-12)
 
     def test_flux_estimate_homogeneous(self):
         k = 2.0**5
         p, _ = sine_squared_problem(k)
         p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
-        fx = flux_estimate_check(p, u_h)
-        assert fx.aux_lhs <= fx.aux_rhs * (1.0 + 1e-12)
-        assert fx.flux_lhs <= fx.flux_rhs
+        flux, aux = flux_estimate_check(p, u_h)
+        assert (flux.name, aux.name) == ("flux", "aux")
+        assert aux.value <= aux.bound * (1.0 + 1e-12)
+        assert flux.value <= flux.bound
 
     def test_flux_estimate_rejects_inhomogeneous(self):
         p, _ = sine_squared_problem(2.0**5)
@@ -365,6 +368,16 @@ class TestStabilityChecks:
         p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
         u_h = solve_scheme(p, 2**8, SchemeKind.BPF)
         assert energy_identity_mismatch(p, u_h) <= 1e-10
+
+    def test_energy_identity_overflow_is_not_a_perfect_identity(self):
+        # at 1e160 the squared norms overflow and lhs is inf - inf = NaN,
+        # which must read as a failed identity, not as a mismatch of 0
+        p, _ = sine_squared_problem(2.0**5)
+        p = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
+        v = np.random.default_rng(0).standard_normal(2**8 + 1) + 0j
+        with np.errstate(over="ignore", invalid="ignore"):
+            mismatch = energy_identity_mismatch(p, GridFunction(make_grid(p.L, 2**8), 1e160 * v))
+        assert mismatch == math.inf
 
     def test_energy_identity_requires_homogeneous_data(self):
         p, _ = sine_squared_problem(2.0**5)
@@ -645,6 +658,21 @@ class TestVerifySuites:
         assert math.isnan(checks["discrete_energy_identity"].value)
         assert not checks["discrete_energy_identity"].passed
 
+    def test_nan_residual_fails_its_check(self, monkeypatch):
+        # the second report of the first k reports a NaN residual norm
+        original = analysis.residual_report
+        calls = []
+
+        def nan_on_second_call(p, exact, n, fpp, fppp):
+            calls.append(None)
+            tau, beta = original(p, exact, n, fpp, fppp)
+            return (replace(tau, value=math.nan), beta) if len(calls) == 2 else (tau, beta)
+
+        monkeypatch.setattr(analysis, "residual_report", nan_on_second_call)
+        failed = [c for c in verify_residuals() if not c.passed]
+        assert [c.name for c in failed] == ["tau_bound_k4_n6"]
+        assert math.isnan(failed[0].value)
+
     def test_nan_stability_ratio_fails_its_check(self, monkeypatch):
         # the second solve of the first (benchmark, k) cell reports a NaN lhs
         original = analysis.stability_bound_check
@@ -652,8 +680,8 @@ class TestVerifySuites:
 
         def nan_on_second_call(p, u_h):
             calls.append(None)
-            report = original(p, u_h)
-            return replace(report, lhs_l2=math.nan) if len(calls) == 2 else report
+            l2, h1 = original(p, u_h)
+            return (replace(l2, value=math.nan), h1) if len(calls) == 2 else (l2, h1)
 
         monkeypatch.setattr(analysis, "stability_bound_check", nan_on_second_call)
         failed = [c for c in verify_stability() if not c.passed]

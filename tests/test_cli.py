@@ -2,8 +2,11 @@
 
 import argparse
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bpfhelm import analysis, cli, reference
 from bpfhelm.analysis import verify_stability
@@ -351,10 +354,13 @@ class TestUsageErrors:
         ["table", "--k-list", "4", "--n-list", "4,4"],
         ["table", "--k-list", "4,4", "--n-list", "4"],
         ["compare", "--k-list", ",", "--n-list", ","],
+        ["convergence", "--k", "1", "--h-list", "0.5,5e-324", "--scheme", "fd"],
+        ["convergence", "--k", "1", "--h-list", "0.5,1e-300", "--scheme", "fd"],
     ], ids=["n-1", "n-0", "single-h", "h-not-dividing", "repeated-n", "not-nested",
             "convergence-no-list", "table-no-list", "table-h-not-dividing",
             "table-fine-n-0", "box-fine-n-0", "compare-unpaired", "compare-nan-k",
-            "table-empty-k", "table-repeated-n", "table-repeated-k", "compare-empty-lists"])
+            "table-empty-k", "table-repeated-n", "table-repeated-k", "compare-empty-lists",
+            "h-inverse-overflows", "n-beyond-any-array"])
     def test_exit_2_with_one_line_reason(self, tmp_path, capsys, argv):
         code = main(argv + ["--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
@@ -575,12 +581,10 @@ class TestParser:
         assert build_parser().parse_args(args + ["--seed", "3"]).seed == 3
 
     def test_main_builds_its_parser_once(self, capsys):
-        # one parser per process for main, whose parses leave no state in
-        # it; build_parser still hands out a new one
+        # one parser per process, whose parses leave no state in it
         assert main(["exactness", "--k", "128", "--n", "8", "--seed", "3"]) == 2
         assert main(["exactness", "--k", "128", "--n", "8"]) == 0
-        assert cli._parser() is cli._parser()
-        assert build_parser() is not build_parser()
+        assert build_parser() is build_parser()
 
     def test_module_entry_point(self, child_env):
         import subprocess
@@ -655,3 +659,90 @@ class TestExtremeWavenumbers:
         assert main(argv) in (0, 2, 3)
         err = capsys.readouterr().err.splitlines()
         assert len(err) <= 1
+
+
+# Values of the CLI contract test: finite, tiny, huge, NaN, inf, zero,
+# negative, not a number at all, and kh = k/n within or just outside the
+# guard's 1e-8 pi of a multiple of pi on the meshes drawn below. Valid
+# values are drawn more often than the others, so that every subcommand
+# also gets as far as solving.
+_NUMBERS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-2.5", "5e-324", "1e-160", "1e154",
+                     "1.35e154", "1e300", "x", ""]),
+    st.builds(lambda j, n, rel: repr(j * math.pi * n * (1.0 + rel)),
+              st.integers(1, 3), st.sampled_from([8, 27, 64, 81, 1000]),
+              st.sampled_from([0.0, 1e-12, -1e-9, 2e-8, -1e-6, 4e-6])),
+)
+_MESHES = st.sampled_from([8, 16, 32, 64, 128, 256, 512, 27, 81, 243])
+_COUNTS = st.one_of(_MESHES, _MESHES, st.integers(-2, 1024))
+_COUNT_TOKENS = st.one_of(_COUNTS.map(str), _COUNTS.map(str), _COUNTS.map(str),
+                          st.sampled_from(["x", "2.5", "1e3", "nan", str(10**400)]))
+_H_TOKENS = st.one_of(_COUNTS.filter(lambda n: n != 0).map(lambda n: repr(1.0 / n)),
+                      st.sampled_from(["0.3", "0", "-0.5", "nan", "inf", "1e-300", "5e-324",
+                                       "x"]))
+
+
+@st.composite
+def _cli_argv(draw):
+    """One run of any subcommand; every run solves on at most 1024 cells and
+    no run needs box's 3^12 reference."""
+    command = draw(st.sampled_from(["exactness", "convergence", "table", "compare", "verify"]))
+    if command == "verify":
+        argv = ["verify", draw(st.sampled_from(sorted(analysis.VERIFY_SUITES) + ["all"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.one_of(st.integers(-3, 2**70).map(str), st.just("x")))]
+        return argv
+    if command == "exactness":
+        return ["exactness", "--k", draw(_NUMBERS), "--n", draw(_COUNT_TOKENS)]
+    argv = [command]
+    size = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+    unique = draw(st.integers(0, 3)) > 0  # a repeated value is a usage error in most lists
+    if command == "convergence":
+        benchmark = draw(st.sampled_from(tuple(BENCHMARKS)))
+        argv += ["--k", draw(_NUMBERS), "--benchmark", benchmark,
+                 "--scheme", draw(st.sampled_from(_option_choices("convergence", "scheme")))]
+        if benchmark == "box" or draw(st.integers(0, 4)) == 0:
+            argv += ["--n", draw(st.sampled_from(["729", "729", "1024", "0"]))]
+    else:
+        size = min(size, 3)
+        argv += ["--k-list", ",".join(draw(st.lists(_NUMBERS, min_size=size, max_size=size,
+                                                    unique=unique))),
+                 "--norm", draw(st.sampled_from(_option_choices(command, "norm")))]
+        if command == "table":
+            argv += ["--n", draw(st.sampled_from(["1024", "1024", "1024", "729", "100", "1"]))]
+        else:
+            argv += ["--benchmark", draw(st.sampled_from(
+                [name for name in BENCHMARKS if name != "box"]))]
+            size = draw(st.sampled_from([size, size, size, 4 - size]))
+    mesh = draw(st.sampled_from(["n", "n", "h", "none", "both"]))
+    if mesh in ("n", "both"):
+        argv += ["--n-list", ",".join(draw(st.lists(_COUNT_TOKENS, min_size=size,
+                                                    max_size=size, unique=unique)))]
+    if mesh in ("h", "both"):
+        argv += ["--h-list", ",".join(draw(st.lists(_H_TOKENS, min_size=size, max_size=size,
+                                                    unique=unique)))]
+    return argv
+
+
+class TestContract:
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_cli_argv())
+    def test_exit_code_and_output(self, capsys, argv):
+        # exit 0 to 3, nothing raised out of main, a one-line reason on
+        # stderr for exits 2 and 3, finite numbers on exit 0, and exit 1 only
+        # for a failed exactness or verify check
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+        else:
+            assert err == ""
+        if code == 0:
+            assert re.search(r"(?i)\b(nan|inf)\b", out) is None
+        if code == 1:
+            assert argv[0] == "exactness" or (argv[0] == "verify" and "\nFAIL," in out)

@@ -1,6 +1,7 @@
 """Grids, grid functions, difference operators and discrete norms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ class TestMakeGrid:
         # int(n) overflows on inf and raises a plain ValueError on NaN
         with pytest.raises(InvalidGrid, match="integer subinterval count"):
             make_grid(1.0, n)
+
+    def test_count_beyond_any_array(self):
+        # numpy raised a plain ValueError when the nodes were first sampled
+        limit = sys.maxsize // 16  # complex nodal values in one array
+        assert make_grid(1.0, limit - 1).n == limit - 1
+        for n in (limit, 1e300, 10**400):
+            with pytest.raises(InvalidGrid, match=f"need fewer than {limit} subintervals"):
+                make_grid(1.0, n)
 
     def test_whole_float_count(self):
         assert make_grid(1.0, 8.0) == make_grid(1.0, 8)
