@@ -9,9 +9,10 @@ compare      scheme comparison at paired (k, n) lists
 verify       run one of the named verification suites
 
 All numeric output is CSV with 17-significant-digit scientific notation so
-runs diff cleanly. Exit codes: 0 success, 1 check failure, 2 usage error,
-3 numerical guard (near-Nyquist or resonant parameters, a singular system,
-a source that overflows at the grid nodes).
+runs diff cleanly. Exit codes: 0 success, 1 check failure, 2 usage error
+(a mesh too large for the host's memory included), 3 numerical guard
+(near-Nyquist or resonant parameters, a singular system, a source that
+overflows at the grid nodes).
 """
 
 from __future__ import annotations
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except (UsageError, InvalidGrid, NonNestedGrids) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a mesh count an array can hold but this host cannot
+        print(f"usage error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return EXIT_USAGE
 
 

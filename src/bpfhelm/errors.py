@@ -6,39 +6,24 @@ resonant frequency. They are recoverable in the sense that the caller can
 pick different parameters; the CLI maps them to a dedicated exit code.
 """
 
-import math
-
 
 class NumericalGuardError(Exception):
-    """Base class for parameter-guard failures (singular or resonant setups)."""
+    """Base class for parameter-guard failures (singular or resonant setups).
+    `multiple` is the nearest multiple of the singular set's period, set by
+    the guards of `numerics` and None elsewhere."""
+
+    def __init__(self, message: str, multiple: int | None = None):
+        super().__init__(message)
+        self.multiple = multiple
 
 
 class SingularParameter(NumericalGuardError):
     """Argument sits within guard tolerance of a pole of a special function."""
 
 
-def unplaceable(s: float, period: float, name: str) -> str | None:
-    """Why s cannot be placed against the multiples of period (written name)
-    when the spacing of floats near s exceeds the period, and None when it
-    does not. A guard message then says so instead of naming a multiple of
-    a hundred or more digits."""
-    spacing = math.ulp(s)
-    if spacing <= period:
-        return None
-    return f"too large to place against {name}*Z (float spacing {spacing:.3g} exceeds {name})"
-
-
 class NearNyquist(NumericalGuardError):
     """kh is within guard tolerance of an integer multiple of pi, or (from
-    kh = 2^54 on) so large that the floats near it are more than pi apart,
-    which the message says instead of naming the multiple."""
-
-    def __init__(self, kh: float, multiple: int, tol: float):
-        self.kh = kh
-        self.multiple = multiple
-        self.tol = tol
-        super().__init__(f"kh = {kh!r} is " + (unplaceable(kh, math.pi, "pi")
-                                               or f"within tolerance {tol:g} of {multiple}*pi"))
+    kh = 2^54 on) so large that the floats near it are more than pi apart."""
 
 
 class ResonantSource(NumericalGuardError):
@@ -50,7 +35,8 @@ class NearResonantFrequency(NumericalGuardError):
 
 
 class InvalidGrid(ValueError):
-    """Grid construction parameters are inconsistent (L <= 0 or n < 2)."""
+    """Grid construction parameters are inconsistent: L not positive and
+    finite, n not an integer >= 2, or more nodes than an array can hold."""
 
 
 class NonFiniteSample(ValueError):

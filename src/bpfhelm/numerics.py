@@ -6,9 +6,12 @@ everywhere as the one formula z/expm1(z) with B(0) = 1, the phase-fitted
 stencil weight Theta(s) = s^2 / (4 sin^2(s/2)), the boundary correction
 factor m(s) = e^{-is/2} cos(s/2), the shifted wavenumber (2/h) sin(kh/2),
 and the stability envelope constant A0. B and m work elementwise on arrays;
-the rest, on the solve path, take scalars. Guards convert
-near-singular parameter choices (kh near pi*Z, s near 2*pi*Z) into typed
-exceptions instead of silently returning huge numbers.
+the rest, on the solve path, take scalars. One guard rule, `_guard`,
+covers the singular sets: kh in pi*Z, the poles 2*pi*Z minus 0 of Theta and
+the odd multiples of pi where sec(s/2) in A0 blows up. NaN or inf raises
+ValueError; an argument whose floats are more than a period apart, or that
+lies within GUARD_TOL*pi of a singular multiple, raises a typed guard error
+that carries the nearest multiple as `multiple`.
 """
 
 from __future__ import annotations
@@ -17,20 +20,30 @@ import math
 
 import numpy as np
 
-from .errors import NearNyquist, SingularParameter, unplaceable
+from .errors import NearNyquist, SingularParameter
 
 # The guard tolerance, relative to pi, for distances from the singular sets
 # pi*Z and 2*pi*Z: the one place it is set, read by every guard. Keeps
 # assembled condition numbers below ~1e8.
 GUARD_TOL = 1e-8
+# Which multiples m of its period each guard rejects, built once per process.
+_NONZERO, _ODD, _EVERY = (lambda m: m != 0), (lambda m: m % 2 == 1), (lambda m: True)
 
 
-def _distance_to_multiples(s: float, period: float) -> tuple[float, int]:
-    """Distance from s to the nearest multiple of `period`, and that multiple."""
+def _guard(label: str, s: float, period: float, name: str, singular, error) -> None:
+    """The guard rule of the module docstring for s against the multiples
+    of `period`, written `name`; a message starts with label.format(s)."""
     if not math.isfinite(s):
         raise ValueError(f"argument must be finite, got {s!r}")
     m = round(s / period)
-    return abs(s - m * period), m
+    spacing = math.ulp(s)
+    if spacing > period:
+        why = f"too large to place against {name}*Z (float spacing {spacing:.3g} exceeds {name})"
+    elif singular(m) and abs(s - m * period) / math.pi <= GUARD_TOL:
+        why = f"within tolerance {GUARD_TOL:g} of {m}*{name}"
+    else:
+        return
+    raise error(f"{label.format(s)} {why}", multiple=m)
 
 
 def bernoulli(z):
@@ -52,14 +65,10 @@ def theta(s: float) -> float:
     """Phase-fitted stencil weight Theta(s) = s^2 / (4 sin^2(s/2)).
 
     Theta(0) = 1 by continuity; on [0, pi] the value lies in [1, pi^2/4].
-    Raises SingularParameter when s is within GUARD_TOL*pi of a nonzero
-    multiple of 2*pi, where Theta blows up.
+    Guarded against the nonzero multiples of 2*pi, where Theta blows up:
+    raises SingularParameter there, and from |s| = 2^55 on.
     """
-    dist, m = _distance_to_multiples(s, 2.0 * math.pi)
-    if m != 0 and dist / math.pi <= GUARD_TOL:
-        raise SingularParameter(f"theta({s!r}): " + (
-            unplaceable(s, 2.0 * math.pi, "2*pi")
-            or f"within tolerance {GUARD_TOL:g} of {m}*2*pi"))
+    _guard("theta({!r}):", s, 2.0 * math.pi, "2*pi", _NONZERO, SingularParameter)
     if abs(s) < 1e-100:
         return 1.0
     half_sin = math.sin(0.5 * s)
@@ -87,15 +96,12 @@ def stability_constant_a0(s: float, t: float, L: float) -> float:
 
     Monotone increasing in s on (0, pi) and decreasing in t, so on
     {s <= s0 < pi, t >= pi} it is bounded by its value at (s0, pi).
-    Raises SingularParameter when sec(s/2) is singular, i.e. s within
-    guard tolerance of an odd multiple of pi.
+    Guarded against the odd multiples of pi, where sec(s/2) blows up:
+    raises SingularParameter there, and from |s| = 2^54 on.
     """
     if t <= 0:
         raise ValueError("t = k*L must be positive")
-    dist, m = _distance_to_multiples(s, math.pi)
-    if m % 2 == 1 and dist / math.pi <= GUARD_TOL:
-        raise SingularParameter(f"stability_constant_a0({s!r}): " + (
-            unplaceable(s, math.pi, "pi") or f"sec(s/2) singular near {m}*pi"))
+    _guard("stability_constant_a0({!r}):", s, math.pi, "pi", _ODD, SingularParameter)
     sec = 1.0 / math.cos(0.5 * s)
     th = theta(s)
     return L / math.sqrt(2.0 * th) * abs(sec) + L / (2.0 * t) * sec * sec
@@ -109,10 +115,7 @@ def nyquist_guard(k: float, h: float) -> None:
     kh = 2^54 on, floats are more than pi apart, so that distance is an
     artefact of rounding m*pi; every such kh is rejected.
     """
-    s = k * h
-    dist, m = _distance_to_multiples(s, math.pi)
-    if dist / math.pi <= GUARD_TOL or math.ulp(s) > math.pi:
-        raise NearNyquist(s, m, GUARD_TOL)
+    _guard("kh = {!r} is", k * h, math.pi, "pi", _EVERY, NearNyquist)
 
 
 def _envelope_g(t: np.ndarray) -> np.ndarray:

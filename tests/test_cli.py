@@ -367,6 +367,26 @@ class TestUsageErrors:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("message, reason", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000000001,) "
+         "and data type float64", "Unable to allocate 7.28 TiB"),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                message, reason):
+        # a mesh count that an array can hold but the host cannot allocate;
+        # the solve is stubbed so that no real allocation is made
+        def solve(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "convergence_study", solve)
+        code = main(["convergence", "--k", "1", "--scheme", "fd", "--benchmark", "planewave",
+                     "--h-list", "0.5,1e-12", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: out of memory: " + reason)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--k-list", "8", "--n-list", "64", "--benchmark", "box"],
         ["convergence", "--k", "8", "--n-list", "27,64", "--benchmark", "box"],

@@ -125,8 +125,9 @@ class TestTheta:
     def test_singular_at_two_pi(self):
         with pytest.raises(SingularParameter):
             theta(2.0 * math.pi)
-        with pytest.raises(SingularParameter):
+        with pytest.raises(SingularParameter) as exc:
             theta(4.0 * math.pi + 1e-12)
+        assert exc.value.multiple == 2
 
     def test_zero_not_singular(self):
         assert theta(1e-9) == pytest.approx(1.0)
@@ -217,13 +218,13 @@ class TestStabilityConstant:
             stability_constant_a0(1.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("call", [lambda: theta(1e300),
-                                  lambda: stability_constant_a0(1e300, 4.0, 1.0)],
+@pytest.mark.parametrize("call, period", [(lambda: theta(1e300), "2[*]pi"),
+                                          (lambda: stability_constant_a0(1e300, 4.0, 1.0), "pi")],
                          ids=["theta", "stability_constant_a0"])
-def test_guard_message_at_huge_argument_is_short(call):
+def test_guard_message_at_huge_argument_is_short(call, period):
     # floats near 1e300 are 1.5e284 apart: the message says so instead of
-    # naming a 300-digit multiple of 2*pi
-    with pytest.raises(SingularParameter, match="too large to place against 2[*]pi[*]Z") as exc:
+    # naming a 300-digit multiple of the guard's period
+    with pytest.raises(SingularParameter, match=f"too large to place against {period}[*]Z") as exc:
         call()
     assert len(str(exc.value)) < 100
 
@@ -246,11 +247,19 @@ class TestNyquistGuard:
         assert (f"of {exc.value.multiple}*pi" in str(exc.value)) == placed
         assert ("too large to place against pi*Z" in str(exc.value)) != placed
 
-    @pytest.mark.parametrize("kh", [2.0**54, 7.7e40 / 8])
-    def test_rejects_every_kh_floats_cannot_place(self, kh):
-        # the distance to pi*Z of 7.7e40 / 8 rounds to more than GUARD_TOL*pi
-        with pytest.raises(NearNyquist, match="too large to place against pi"):
-            nyquist_guard(kh, 1.0)
+    @pytest.mark.parametrize("call, error, first", [
+        (lambda s: nyquist_guard(s, 1.0), NearNyquist, 2.0**54),
+        (theta, SingularParameter, 2.0**55),
+        (lambda s: stability_constant_a0(s, 4.0, 1.0), SingularParameter, 2.0**54),
+    ], ids=["nyquist_guard", "theta", "stability_constant_a0"])
+    def test_rejects_every_kh_floats_cannot_place(self, call, error, first):
+        # from `first` on, floats are more than the guard's period (pi or
+        # 2*pi) apart; the distance of 7.7e40 / 8 to pi*Z rounds to more
+        # than GUARD_TOL*pi
+        for s in (first, 1e18, 7.7e40 / 8, 1e100, 1e300):
+            for arg in (s, -s):
+                with pytest.raises(error, match="too large to place against"):
+                    call(arg)
 
     def test_near_multiple_rejected_at_default_tol(self):
         with pytest.raises(NearNyquist) as exc:
