@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NearResonantFrequency
+from .errors import InvalidGrid, NearResonantFrequency
 from .grid import (
     GridFunction,
     UniformGrid,
@@ -382,25 +382,26 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     """Solve one benchmark over a strictly increasing list of at least two
     subinterval counts and fit log-log rates of the relative max and V errors.
 
-    The reference follows the benchmark: a benchmark with a closed form is
-    compared against it, and passing n_ref for one raises ValueError. Any
-    other benchmark is compared against a cached fine-grid solve of the same
-    scheme on n_ref subintervals (default: the registry's resolution), which
-    every entry of n_list must divide and be less than; that is checked
-    before anything is solved, as are n_list's length and order and each
-    count (make_grid: a whole number >= 2, else InvalidGrid). Cells run in
+    The reference follows the benchmark: its closed form if it has one, else
+    a cached fine-grid solve of the same scheme on n_ref subintervals
+    (default: the registry's resolution), which every count must divide and
+    be less than (else NonNestedGrids). Before any solve, InvalidGrid is
+    raised for fewer than two counts or counts not strictly increasing
+    (checked first, ahead of the benchmark's guards), for n_ref given with
+    a closed form, and for a count that make_grid rejects. Cells run in
     n_list order.
     """
+    n_list = list(n_list)
+    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise InvalidGrid("a convergence study needs at least two subinterval counts, "
+                          f"strictly increasing, got {n_list!r}")
     problem, exact = make_benchmark(benchmark, k)
+    if exact is not None and n_ref is not None:
+        raise InvalidGrid(f"fine resolution n_ref (--n) = {n_ref!r} given, but benchmark "
+                          f"{benchmark!r} is compared against its closed form")
     grids = [make_grid(problem.L, n) for n in n_list]
-    if len(grids) < 2 or any(b.n <= a.n for a, b in zip(grids, grids[1:])):
-        raise ValueError("n_list must be strictly increasing with at least two counts")
-    if exact is not None:
-        if n_ref is not None:
-            raise ValueError(f"n_ref sets a fine reference, but benchmark {benchmark!r} "
-                             "is compared against its closed form")
-        fine = None
-    else:
+    fine = None
+    if exact is None:
         n_ref = BENCHMARKS[benchmark][1] if n_ref is None else n_ref
         fine_grid = make_grid(problem.L, n_ref)
         for grid in grids:

@@ -150,16 +150,10 @@ def cmd_exactness(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    """Refinement study; rates are appended as comment footer lines."""
-    k = args.k
-    n_list = sorted(_resolve_n_list(args))
-    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
-        raise UsageError("convergence needs at least two mesh sizes, each given once")
-    kind = _SCHEMES[args.scheme]
-    if args.n is not None and make_benchmark(args.benchmark, k)[1] is not None:
-        raise UsageError(f"--n sets a fine reference, but {args.benchmark} is compared "
-                         "against its closed form")
-    table = convergence_study(args.benchmark, kind, k, n_list, n_ref=args.n)
+    """Refinement study; rates are appended as comment footer lines. The
+    mesh sizes are sorted here and checked by convergence_study."""
+    table = convergence_study(args.benchmark, _SCHEMES[args.scheme], args.k,
+                              sorted(_resolve_n_list(args)), n_ref=args.n)
     lines = ["k,h,err_linf_rel,err_v_rel"]
     for row in table.rows:
         lines.append(f"{_fmt(row.k)},{_fmt(row.h)},"

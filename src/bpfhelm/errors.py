@@ -35,8 +35,9 @@ class NearResonantFrequency(NumericalGuardError):
 
 
 class InvalidGrid(ValueError):
-    """Grid construction parameters are inconsistent: L not positive and
-    finite, n not an integer >= 2, or more nodes than an array can hold."""
+    """Grid parameters are inconsistent: L not positive and finite, n not an
+    integer >= 2 or more nodes than an array can hold, or counts and a fine
+    resolution that break the rules of analysis.convergence_study."""
 
 
 class NonFiniteSample(ValueError):

@@ -130,8 +130,8 @@ def _holding(vals: np.ndarray | None, m: int, fx: np.ndarray) -> np.ndarray:
 
 
 def sample(fn: Callable, grid: UniformGrid) -> GridFunction:
-    """Evaluate fn at the grid nodes (see nodal_values), as complex values."""
-    return GridFunction(grid, nodal_values(fn, grid))
+    """fn at the grid nodes (see nodal_values), made complex block by block."""
+    return GridFunction(grid, nodal_values(lambda x: np.asarray(fn(x), dtype=complex), grid))
 
 
 def forward_diff(v: GridFunction) -> np.ndarray:

@@ -79,14 +79,18 @@ def _check_flux_weights(k: float, h: float) -> tuple[complex, complex]:
     return bernoulli(1j * s), bernoulli(-1j * s)
 
 
+def _flux(lead: complex, lag: complex, u: np.ndarray, h: float) -> np.ndarray:
+    """The one-way flux difference (lead u_{i+1} - lag u_i)/h, i = 0..len(u)-2."""
+    return (lead * u[1:] - lag * u[:-1]) / h
+
+
 def apply_one_way_plus(v: GridFunction, k: float) -> np.ndarray:
     """Forward one-way flux (B(ikh) v_{i+1} - B(-ikh) v_i)/h, i = 0..n-1.
 
     Annihilates sampled e^{ikx} exactly.
     """
     b_plus, b_minus = _check_flux_weights(k, v.grid.h)
-    u = v.values
-    return (b_plus * u[1:] - b_minus * u[:-1]) / v.grid.h
+    return _flux(b_plus, b_minus, v.values, v.grid.h)
 
 
 def apply_one_way_minus(v: GridFunction, k: float) -> np.ndarray:
@@ -95,8 +99,7 @@ def apply_one_way_minus(v: GridFunction, k: float) -> np.ndarray:
     Annihilates sampled e^{-ikx} exactly.
     """
     b_plus, b_minus = _check_flux_weights(k, v.grid.h)
-    u = v.values
-    return (b_minus * u[1:] - b_plus * u[:-1]) / v.grid.h
+    return _flux(b_minus, b_plus, v.values, v.grid.h)
 
 
 def apply_one_way_composition(v: GridFunction, k: float) -> np.ndarray:
@@ -106,8 +109,7 @@ def apply_one_way_composition(v: GridFunction, k: float) -> np.ndarray:
     Theta(kh) Delta_h v + k^2 v.
     """
     b_plus, b_minus = _check_flux_weights(k, v.grid.h)
-    w = apply_one_way_plus(v, k)
-    return (b_minus * w[1:] - b_plus * w[:-1]) / v.grid.h
+    return _flux(b_minus, b_plus, _flux(b_plus, b_minus, v.values, v.grid.h), v.grid.h)
 
 
 def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem:

@@ -29,7 +29,7 @@ from bpfhelm.analysis import (
     verify_residuals,
     verify_stability,
 )
-from bpfhelm.errors import InvalidGrid, NearNyquist, NearResonantFrequency
+from bpfhelm.errors import InvalidGrid, NearNyquist, NearResonantFrequency, NonNestedGrids
 from bpfhelm.grid import GridFunction, make_grid, norm_l2h, sample, seminorm_h1h
 from bpfhelm.numerics import stability_constant_a0, theta
 from bpfhelm.reference import (
@@ -428,13 +428,13 @@ class TestConvergenceStudy:
         assert tab.rows[0].errors.rel_v > tab.rows[1].errors.rel_v
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGrid):
             convergence_study("smooth", SchemeKind.BPF, 4.0, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGrid):
             convergence_study("smooth", SchemeKind.BPF, 4.0, [16, 8])
-        with pytest.raises(ValueError):
+        with pytest.raises(NonNestedGrids):
             convergence_study("box", SchemeKind.BPF, 4.0, [8, 16], n_ref=81)  # not nested
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGrid):
             convergence_study("smooth", SchemeKind.BPF, 4.0, [8, 16], n_ref=64)
 
     @pytest.mark.parametrize("n_list", [[8.5, 16.9], [8, float("nan")], [8, 16, 1.0]])
@@ -454,9 +454,20 @@ class TestConvergenceStudy:
         calls = []
         monkeypatch.setattr(analysis, "solve_scheme", lambda *args: calls.append(args))
         monkeypatch.setattr(analysis, "fine_grid_reference", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="at least two"):
+        with pytest.raises(InvalidGrid, match="at least two"):
             convergence_study(name, SchemeKind.BPF, 32.0, n_list)
         assert calls == []
+
+    @pytest.mark.parametrize("n_list", [[16], [16, 16], [32, 16]])
+    def test_count_list_checked_before_the_benchmark_is_built(self, monkeypatch, n_list):
+        # a bad list is a usage error even where the benchmark's guards
+        # would reject k, as the CLI has always reported it
+        def guarded(*args):
+            raise NearNyquist("kh near pi")
+
+        monkeypatch.setattr(analysis, "make_benchmark", guarded)
+        with pytest.raises(InvalidGrid, match="at least two"):
+            convergence_study("smooth", SchemeKind.BPF, 32.0, n_list)
 
     def test_whole_float_counts_accepted(self):
         tab = convergence_study("smooth", SchemeKind.BPF, 32.0, [16.0, 32.0])
@@ -466,7 +477,7 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("name", ["planewave", "smooth", "sine2"])
     def test_n_ref_rejected_for_closed_form(self, name):
         # the closed form is the reference; a fine resolution would be ignored
-        with pytest.raises(ValueError, match="closed form"):
+        with pytest.raises(InvalidGrid, match="closed form"):
             convergence_study(name, SchemeKind.BPF, 4.0, [8, 16], n_ref=64)
 
     @pytest.mark.parametrize("name", ["smooth", "box"])

@@ -356,11 +356,14 @@ class TestUsageErrors:
         ["compare", "--k-list", ",", "--n-list", ","],
         ["convergence", "--k", "1", "--h-list", "0.5,5e-324", "--scheme", "fd"],
         ["convergence", "--k", "1", "--h-list", "0.5,1e-300", "--scheme", "fd"],
+        ["convergence", "--k", "32", "--n-list", "8"],
+        ["convergence", "--k", "32", "--n-list", "8,16", "--n", "64"],
     ], ids=["n-1", "n-0", "single-h", "h-not-dividing", "repeated-n", "not-nested",
             "convergence-no-list", "table-no-list", "table-h-not-dividing",
             "table-fine-n-0", "box-fine-n-0", "compare-unpaired", "compare-nan-k",
             "table-empty-k", "table-repeated-n", "table-repeated-k", "compare-empty-lists",
-            "h-inverse-overflows", "n-beyond-any-array"])
+            "h-inverse-overflows", "n-beyond-any-array", "single-n",
+            "fine-n-for-closed-form"])
     def test_exit_2_with_one_line_reason(self, tmp_path, capsys, argv):
         code = main(argv + ["--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err

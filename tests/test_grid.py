@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,15 +93,40 @@ class TestSample:
         v = sample(lambda x: x, g)
         assert np.array_equal(v.values, np.array([0.0, 0.5, 1.0], dtype=complex))
 
-    def test_scalar_only_callable(self):
-        g = make_grid(1.0, 4)
-        v = sample(lambda x: 2.0 if x > 0.5 else 0.0, g)
-        assert np.array_equal(v.values.real, np.array([0.0, 0.0, 0.0, 2.0, 2.0]))
+    @pytest.mark.parametrize("fn, expected", [
+        (lambda x: 2.0 if x > 0.5 else 0.0, [0.0, 0.0, 0.0, 2.0, 2.0]),  # scalar only
+        (lambda x: 1.0, [1.0] * 5),                                     # scalar-returning
+    ], ids=["scalar-only", "scalar-returning"])
+    def test_scalar_callable(self, fn, expected):
+        v = sample(fn, make_grid(1.0, 4))
+        assert np.array_equal(v.values, np.array(expected, dtype=complex))
 
     def test_nonfinite_rejected(self):
         g = make_grid(1.0, 4)
         with pytest.raises(NonFiniteSample), np.errstate(divide="ignore"):
             sample(lambda x: 1.0 / np.asarray(x), g)
+
+    @pytest.mark.parametrize("name, n", [("sine2", 2**18), ("box", 3**12), ("smooth", 2**16)])
+    def test_real_source_equals_its_float64_samples(self, name, n):
+        p, _ = make_benchmark(name, 32.0)
+        g = make_grid(1.0, n)
+        expected = nodal_values(p.f, g).astype(complex)
+        assert sample(p.f, g).values.tobytes() == expected.tobytes()
+
+    def test_real_source_peak_memory(self):
+        # each block is converted to complex as it is sampled; a float64
+        # copy of the whole grid beside the complex values peaked at 1.56
+        # complex arrays of length n + 1
+        p, _ = make_benchmark("sine2", 2.0**6)
+        g = make_grid(1.0, 2**18)
+        sample(p.f, g)
+        tracemalloc.start()
+        try:
+            sample(p.f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * (g.n + 1)
 
 
 class TestBlockedSampling:

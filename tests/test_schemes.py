@@ -19,7 +19,7 @@ from bpfhelm.grid import (
     sample,
     seminorm_h1h,
 )
-from bpfhelm.numerics import phase_factor_m, shifted_wavenumber, theta
+from bpfhelm.numerics import bernoulli, phase_factor_m, shifted_wavenumber, theta
 from bpfhelm.reference import make_benchmark, plane_wave_problem, sine_squared_problem
 from bpfhelm.schemes import (
     HelmholtzProblem,
@@ -92,6 +92,24 @@ class TestOneWayOperators:
             direct = theta(k * g.h) * _laplacian(v) + k * k * v.values[1:-1]
             defect = math.sqrt(g.h * np.sum(np.abs(composed - direct) ** 2))
             assert defect <= 1e-12 * norm_l2h(v)
+
+    def test_composition_takes_its_weights_once(self, monkeypatch):
+        # the composition used to evaluate B(+-ikh) and the theta guard a
+        # second time inside apply_one_way_plus: 4 bernoulli and 2 theta calls
+        k, g = 12.5, make_grid(1.0, 24)
+        v = _random_gf(np.random.default_rng(5), g)
+        w = apply_one_way_plus(v, k)
+        s = k * g.h
+        b_plus, b_minus = bernoulli(1j * s), bernoulli(-1j * s)
+        expected = (b_minus * w[1:] - b_plus * w[:-1]) / g.h
+        calls = []
+        for name in ("bernoulli", "theta"):
+            real = getattr(schemes, name)
+            monkeypatch.setattr(schemes, name,
+                                lambda z, name=name, real=real: calls.append(name) or real(z))
+        composed = apply_one_way_composition(v, k)
+        assert sorted(calls) == ["bernoulli", "bernoulli", "theta"]
+        assert composed.tobytes() == expected.tobytes()
 
 
 class TestBpfAssembly:
