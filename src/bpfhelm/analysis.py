@@ -385,11 +385,11 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     The reference follows the benchmark: its closed form if it has one, else
     a cached fine-grid solve of the same scheme on n_ref subintervals
     (default: the registry's resolution), which every count must divide and
-    be less than (else NonNestedGrids). Before any solve, InvalidGrid is
-    raised for fewer than two counts or counts not strictly increasing
-    (checked first, ahead of the benchmark's guards), for n_ref given with
-    a closed form, and for a count that make_grid rejects. Cells run in
-    n_list order.
+    be less than (check_nested, the one nesting rule, names the first that
+    fails). Before any solve, InvalidGrid is raised for fewer than two counts
+    or counts not strictly increasing (checked first, ahead of the
+    benchmark's guards), for n_ref given with a closed form, and for a count
+    that make_grid rejects. Cells run in n_list order.
     """
     n_list = list(n_list)
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -403,9 +403,7 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     fine = None
     if exact is None:
         n_ref = BENCHMARKS[benchmark][1] if n_ref is None else n_ref
-        fine_grid = make_grid(problem.L, n_ref)
-        for grid in grids:
-            check_nested(fine_grid, grid)
+        check_nested(make_grid(problem.L, n_ref), *grids)
         fine = fine_grid_reference(problem, n_ref, kind)
 
     def run_cell(n: int) -> ConvergenceRow:

@@ -188,16 +188,15 @@ def cmd_table(args) -> int:
     """Relative error matrix (rows k_list, columns h = 1/n) for the sine2
     benchmark. Each cell is solved once and measured against both the
     closed form and a fine-grid BPF reference on --n subintervals (default:
-    the registry's resolution), which every n must divide and be less than;
-    that is checked before anything is solved. The diagonal summary reads
-    the closed-form matrix."""
+    the registry's resolution), which every n must divide and be less than:
+    one check_nested call, the one nesting rule, before anything is solved.
+    The diagonal summary reads the closed-form matrix."""
     k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args)
     if len(set(k_list)) < len(k_list) or len(set(n_list)) < len(n_list):
         raise UsageError("table needs each wavenumber and each mesh size given once")
     n_ref = BENCHMARKS["sine2"][1] if args.n is None else args.n
-    for n in n_list:
-        check_nested(make_grid(1.0, n_ref), make_grid(1.0, n))
+    check_nested(make_grid(1.0, n_ref), *(make_grid(1.0, n) for n in n_list))
     matrices = {"exact": [], "fine": []}
     for k in k_list:
         problem, exact = make_benchmark("sine2", k)
@@ -228,8 +227,8 @@ def cmd_compare(args) -> int:
     reference is built once and shared by the three schemes: the closed form
     sampled on the pair's grid, or, for a benchmark without one, a fine-grid
     BPF reference at the registry's resolution restricted to it; every n
-    must then be a proper divisor of that resolution, which is checked
-    before anything is solved."""
+    must then be a proper divisor of that resolution, which one check_nested
+    call, the one nesting rule, checks before anything is solved."""
     k_list = _parse_list(args.k_list, wavenumber)
     n_list = _resolve_n_list(args)
     if len(k_list) != len(n_list):
@@ -238,9 +237,9 @@ def cmd_compare(args) -> int:
     rows = {kind: [] for kind in kinds}
     n_ref = BENCHMARKS[args.benchmark][1]
     pairs = [(k, n, *make_benchmark(args.benchmark, k)) for k, n in zip(k_list, n_list)]
-    for _, n, problem, exact in pairs:
-        if exact is None:
-            check_nested(make_grid(problem.L, n_ref), make_grid(problem.L, n))
+    _, _, problem, exact = pairs[0]  # the pairs share one benchmark
+    if exact is None:
+        check_nested(make_grid(problem.L, n_ref), *(make_grid(problem.L, n) for n in n_list))
     for k, n, problem, exact in pairs:
         grid = make_grid(problem.L, n)
         if exact is None:

@@ -151,16 +151,17 @@ def seminorm_h1h(v: GridFunction) -> float:
     return float(np.sqrt(v.grid.h * np.sum(np.abs(d) ** 2)))
 
 
-def check_nested(fine: UniformGrid, coarse: UniformGrid) -> None:
-    """Raise NonNestedGrids unless every coarse node is a fine node and the
-    fine grid is finer: the same domain length and n_fine a multiple of
-    n_coarse other than n_coarse itself."""
-    if abs(fine.L - coarse.L) > 1e-14 * max(abs(coarse.L), 1.0):
-        raise NonNestedGrids(f"domain lengths differ: {fine.L!r} vs {coarse.L!r}")
-    if fine.n % coarse.n != 0:
-        raise NonNestedGrids(f"{fine.n} subintervals are not a multiple of {coarse.n}")
-    if fine.n == coarse.n:
-        raise NonNestedGrids(f"{fine.n} subintervals are not finer than {coarse.n}")
+def check_nested(fine: UniformGrid, *coarse: UniformGrid) -> None:
+    """The one nesting rule: raise NonNestedGrids for the first coarse grid,
+    in order, that fine does not refine. Fine refines a grid of the same
+    domain length whose n divides n_fine and is less than it."""
+    for grid in coarse:
+        if abs(fine.L - grid.L) > 1e-14 * max(abs(grid.L), 1.0):
+            raise NonNestedGrids(f"domain lengths differ: {fine.L!r} vs {grid.L!r}")
+        if fine.n % grid.n != 0:
+            raise NonNestedGrids(f"{fine.n} subintervals are not a multiple of {grid.n}")
+        if fine.n == grid.n:
+            raise NonNestedGrids(f"{fine.n} subintervals are not finer than {grid.n}")
 
 
 def restrict(fine: GridFunction, coarse: UniformGrid) -> GridFunction:

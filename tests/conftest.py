@@ -33,6 +33,20 @@ def norm_v():
     return lambda v, k: float(np.hypot(k * norm_l2h(v), seminorm_h1h(v)))
 
 
+@pytest.fixture(scope="session")
+def dense_matrix():
+    """Oracle: the dense matrix of a TridiagonalSystem, from its built
+    diagonals, as dense_matrix(sys)."""
+    return lambda sys: np.diag(sys.diag) + np.diag(sys.lower, -1) + np.diag(sys.upper, 1)
+
+
+@pytest.fixture(scope="session")
+def interior_rows():
+    """Oracle: the interior rows 1..m-2 of a TridiagonalSystem applied to
+    the vector u, from its built diagonals, as interior_rows(sys, u)."""
+    return lambda sys, u: sys.lower[:-1] * u[:-2] + sys.diag[1:-1] * u[1:-1] + sys.upper[1:] * u[2:]
+
+
 @pytest.fixture
 def solve_routes(monkeypatch):
     """The path and correction step count of each solve_tridiagonal call

@@ -188,7 +188,7 @@ def test_criterion_09_stability_inequalities():
             f"{len(checks)} checks over 4 benchmarks; worst lhs/rhs {worst:.4f}")
 
 
-def test_criterion_10_oracle_equivalence():
+def test_criterion_10_oracle_equivalence(dense_matrix):
     # Random stencils with a mild boost of the three diagonal entries. Every
     # other draw carries a kernel angle (its interior diagonal then follows
     # from c), which sends it to the kernel-angle path instead of the root
@@ -206,8 +206,7 @@ def test_criterion_10_oracle_equivalence():
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs, angle)
         x = solve_tridiagonal(sys)
-        dense = np.diag(sys.diag) + np.diag(sys.lower, -1) + np.diag(sys.upper, 1)
-        x_dense = np.linalg.solve(dense, sys.rhs)
+        x_dense = np.linalg.solve(dense_matrix(sys), sys.rhs)
         path = "root" if angle is None else "kernel"
         worst[path] = max(worst[path],
                           float(np.max(np.abs(x - x_dense)) / np.max(np.abs(x_dense))))

@@ -39,7 +39,7 @@ def test_bpf_reproduces_plane_waves(n, kh, alpha, beta):
 
 @PROPERTY_SETTINGS
 @given(n=grid_sizes, kh=kh_values)
-def test_dispersion_corrected_interior_rows_annihilate_plane_waves(n, kh):
+def test_dispersion_corrected_interior_rows_annihilate_plane_waves(interior_rows, n, kh):
     k = kh * n
     p, _ = plane_wave_problem(k, 1.0, 0.0)
     sys = assemble(p, n, SchemeKind.DISPERSION_CORRECTED_FD)
@@ -47,8 +47,7 @@ def test_dispersion_corrected_interior_rows_annihilate_plane_waves(n, kh):
     scale = float(np.max(np.abs(sys.diag)))
     for sign in (1.0, -1.0):
         u = np.exp(sign * 1j * k * x)
-        interior = sys.lower[:-1] * u[:-2] + sys.diag[1:-1] * u[1:-1] + sys.upper[1:] * u[2:]
-        assert float(np.max(np.abs(interior))) <= 1e-12 * scale
+        assert float(np.max(np.abs(interior_rows(sys, u)))) <= 1e-12 * scale
 
 
 @PROPERTY_SETTINGS

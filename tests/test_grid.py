@@ -10,6 +10,7 @@ import pytest
 from bpfhelm.errors import InvalidGrid, NonFiniteSample, NonNestedGrids
 from bpfhelm.grid import (
     GridFunction,
+    check_nested,
     forward_diff,
     make_grid,
     nodal_values,
@@ -298,6 +299,20 @@ class TestRestrict:
         v = sample(lambda x: np.asarray(x), make_grid(2.0, 8))
         with pytest.raises(NonNestedGrids):
             restrict(v, make_grid(1.0, 4))
+
+    def test_first_non_nested_grid_in_order_is_named(self):
+        fine = make_grid(1.0, 2**6 * 3)
+        nested = [make_grid(1.0, n) for n in (2, 3, 64, 96)]
+        check_nested(fine, *nested)
+        later = [make_grid(1.0, 7), make_grid(1.0, 128)]  # neither nests either
+        for bad, message in [
+            (make_grid(1.0, 5), "192 subintervals are not a multiple of 5"),
+            (make_grid(1.0, 192), "192 subintervals are not finer than 192"),
+            (make_grid(2.0, 3), "domain lengths differ: 1.0 vs 2.0"),
+        ]:
+            with pytest.raises(NonNestedGrids) as raised:
+                check_nested(fine, *nested[:2], bad, *later, *nested[2:])
+            assert str(raised.value) == message
 
 
 class TestGridFunction:

@@ -31,11 +31,6 @@ def _random_system(rng, m):
     return TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs)
 
 
-def _dense(sys):
-    """Dense matrix form of a system, from its built diagonals."""
-    return np.diag(sys.diag) + np.diag(sys.lower, -1) + np.diag(sys.upper, 1)
-
-
 def _kernel_solve(sys, steps):
     """The kernel-angle path followed by `steps` correction steps."""
     return trisolve._solve(sys, trisolve._kernel_solver(sys), steps)
@@ -73,13 +68,13 @@ class TestSolve:
         with pytest.raises(SingularSystem):
             solve_tridiagonal(sys)
 
-    def test_matches_dense_oracle(self):
+    def test_matches_dense_oracle(self, dense_matrix):
         rng = np.random.default_rng(11)
         for _ in range(30):
             m = int(rng.integers(3, 65))
             sys = _random_system(rng, m)
             x = solve_tridiagonal(sys)
-            x_dense = np.linalg.solve(_dense(sys), sys.rhs)
+            x_dense = np.linalg.solve(dense_matrix(sys), sys.rhs)
             scale = np.max(np.abs(x_dense))
             assert np.max(np.abs(x - x_dense)) <= 1e-11 * scale
 
@@ -118,7 +113,7 @@ class TestRouting:
         # theta within 6e-8 of pi, where the two kernel vectors coalesce
         (SchemeKind.CLASSICAL_FD, 2.0 - 1e-15),
     ])
-    def test_oscillating_kernel_takes_kernel_path(self, solve_routes, kind, kh):
+    def test_oscillating_kernel_takes_kernel_path(self, solve_routes, kind, kh, dense_matrix):
         n = 64  # h = 1/64 is exact, so the assembled kh is the drawn one
         p, _ = smooth_manufactured_problem(kh * n)
         sys = assemble(p, n, kind)
@@ -128,7 +123,7 @@ class TestRouting:
             assert sys.theta == kh
         x = solve_tridiagonal(sys)
         assert solve_routes == ["kernel-1"]
-        x_dense = np.linalg.solve(_dense(sys), sys.rhs)
+        x_dense = np.linalg.solve(dense_matrix(sys), sys.rhs)
         assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
     @pytest.mark.parametrize("kh, root, steps", [
@@ -138,7 +133,7 @@ class TestRouting:
         (2.5, -0.25, 0),
         (10.0, -0.01020514, 0),
     ], ids=["kh-2", "kh-2+2^-40", "kh-2.001", "kh-2.5", "kh-10"])
-    def test_decaying_fd_kernel_takes_root_path(self, solve_routes, kh, root, steps):
+    def test_decaying_fd_kernel_takes_root_path(self, solve_routes, kh, root, steps, dense_matrix):
         # fd at kh >= 2: lambda = -2 / (s + sqrt(s^2 - 4)), s = (kh)^2 - 2
         p, _ = smooth_manufactured_problem(kh * 64)
         sys = assemble(p, 64, SchemeKind.CLASSICAL_FD)
@@ -146,7 +141,7 @@ class TestRouting:
         assert sys.root.real == pytest.approx(root, rel=1e-6)
         x = solve_tridiagonal(sys)
         assert solve_routes == [f"root-{steps}"]
-        x_dense = np.linalg.solve(_dense(sys), sys.rhs)
+        x_dense = np.linalg.solve(dense_matrix(sys), sys.rhs)
         assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
     def test_hand_built_system_takes_root_path(self, solve_routes):
@@ -166,12 +161,12 @@ class TestRouting:
         (-1.0 + 0.5j, 2.0 - 1.0j, 300),       # double root lambda = +1, complex c
         (1.0, 2.0 + 1e-9, 1025),              # roots 6e-5 apart
     ])
-    def test_root_path_matches_dense_solve(self, c, d, m):
+    def test_root_path_matches_dense_solve(self, c, d, m, dense_matrix):
         rng = np.random.default_rng(m)
         d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs)
-        a = _dense(sys)
+        a = dense_matrix(sys)
         x_dense = np.linalg.solve(a, rhs)
         x = solve_tridiagonal(sys)
         assert np.max(np.abs(x - x_dense)) <= 8.0 * EPS * np.linalg.cond(a) * np.max(np.abs(x_dense))
@@ -195,7 +190,7 @@ class TestRouting:
                                                            + norm * np.max(np.abs(x)))
 
     @pytest.mark.parametrize("c, d", [(1.0, 4.25), (1.0, 1e6 - 2.0), (1.0 + 0.5j, 0.3 - 2.0j)])
-    def test_root_path_stays_finite_near_overflow(self, c, d):
+    def test_root_path_stays_finite_near_overflow(self, c, d, dense_matrix):
         # a right-hand side of 1e300 gives the solution of the scaled-back
         # one, scaled up, with no term on the way overflowing
         m = 300
@@ -203,7 +198,7 @@ class TestRouting:
         d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), 1e300 * rhs)
-        a = _dense(sys)
+        a = dense_matrix(sys)
         x_dense = np.linalg.solve(a, sys.rhs * 1e-300)
         x = solve_tridiagonal(sys)
         assert np.all(np.isfinite(x))
@@ -308,10 +303,10 @@ class TestMpmathOracle:
        name=st.sampled_from(["planewave", "smooth", "box"]),
        n=st.integers(min_value=2, max_value=64),
        kh=st.floats(min_value=0.05, max_value=3.0))
-def test_paths_match_dense_solve(kind, name, n, kh):
+def test_paths_match_dense_solve(dense_matrix, kind, name, n, kh):
     p, _ = make_benchmark(name, kh * n)
     sys = assemble(p, n, kind)
-    a = _dense(sys)
+    a = dense_matrix(sys)
     x_dense = np.linalg.solve(a, sys.rhs)
     # forward error of a backward-stable solve: a small multiple of eps * cond(A)
     bound = 8.0 * EPS * np.linalg.cond(a)
@@ -341,11 +336,11 @@ class TestResidual:
         # column 1 touches rows 0..2 with coefficients (-1, 2, -1)
         assert residual_inf_norm(sys, x_pert) == pytest.approx(2.0 * eps, rel=1e-10)
 
-    def test_against_dense_residual(self):
+    def test_against_dense_residual(self, dense_matrix):
         rng = np.random.default_rng(13)
         sys = _random_system(rng, 50)
         x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        dense_res = np.max(np.abs(_dense(sys) @ x - sys.rhs))
+        dense_res = np.max(np.abs(dense_matrix(sys) @ x - sys.rhs))
         assert residual_inf_norm(sys, x) == pytest.approx(dense_res, rel=1e-12)
 
     def test_shape_check(self):
@@ -362,7 +357,7 @@ def _random_stencil(rng):
 
 class TestStencilSystem:
     @pytest.mark.parametrize("m", [3, 4, 50])
-    def test_diagonals_follow_the_stencil(self, m):
+    def test_diagonals_follow_the_stencil(self, m, dense_matrix):
         s = _random_stencil(np.random.default_rng(m))
         sys = TridiagonalSystem(s, np.ones(m))
         dense = np.zeros((m, m), dtype=complex)
@@ -370,7 +365,7 @@ class TestStencilSystem:
             dense[i, i - 1:i + 2] = s.c, s.d, s.c
         dense[0, :2] = s.d0, s.u0
         dense[-1, -2:] = s.ln, s.dn
-        assert np.array_equal(_dense(sys), dense)
+        assert np.array_equal(dense_matrix(sys), dense)
         for a in (sys.lower, sys.diag, sys.upper):
             assert not a.flags.writeable
 
