@@ -13,7 +13,7 @@ Four benchmark problems on (0, 1):
 
 Each closed form is a particular solution u_p plus the two plane waves
 e^{+-ikx}, which span the kernel of u'' + k^2 u; `_plane_wave_solution`
-builds u, u' and u'' from u_p and the two amplitudes.
+builds u, the one field of an `ExactSolution`, from u_p and the amplitudes.
 """
 
 from __future__ import annotations
@@ -35,43 +35,28 @@ TWO_PI_SQ = 4.0 * math.pi**2
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form solution handles u, u' and u'' on [0, L]."""
+    """Closed-form solution handle u on [0, L]."""
 
     u: Callable
-    u_prime: Callable
-    u_doubleprime: Callable
 
 
 def _plane_wave_solution(k: float, alpha: complex, beta: complex,
-                         particular: tuple = (lambda x: 0.0,) * 3) -> ExactSolution:
-    """u = u_p + alpha e^{ikx} + beta e^{-ikx} and its first two derivatives,
-    where `particular` holds u_p, u_p' and u_p''. The two waves span the
-    kernel of u'' + k^2 u; each call evaluates e^{ikx} once and takes
-    e^{-ikx} as its conjugate."""
-    u_p, u_p1, u_p2 = particular
+                         u_p: Callable = lambda x: 0.0) -> ExactSolution:
+    """u = u_p + alpha e^{ikx} + beta e^{-ikx} for a particular solution u_p.
+    The two waves span the kernel of u'' + k^2 u; each call evaluates
+    e^{ikx} once and takes e^{-ikx} as its conjugate."""
 
-    def waves(x):
+    def u(x):
         x = np.asarray(x)
         e = np.exp(1j * k * x)
         # Both products take named arrays: numpy multiplies a temporary of
         # 256 KiB or more in place, which rounds a complex product
         # differently, so the bits would depend on how many nodes a call gets.
         conj = e.conjugate()
-        return x, alpha * e, beta * conj
-
-    def u(x):
-        x, a, b = waves(x)
+        a, b = alpha * e, beta * conj
         return u_p(x) + a + b
 
-    def u_prime(x):
-        x, a, b = waves(x)
-        return u_p1(x) + 1j * k * (a - b)
-
-    def u_doubleprime(x):
-        x, a, b = waves(x)
-        return u_p2(x) - k * k * (a + b)
-
-    return ExactSolution(u, u_prime, u_doubleprime)
+    return ExactSolution(u)
 
 
 def plane_wave_problem(k: float, alpha: complex,
@@ -106,12 +91,11 @@ def _deriv(coef: np.ndarray) -> np.ndarray:
     return np.arange(1, coef.size) * coef[1:]
 
 
-# Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis, and its first two
-# derivatives, which do not depend on k.
+# Bump r(x) = x^4 (1-x)^4 expanded in the monomial basis, and its second
+# derivative for the source, which does not depend on k.
 _R = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -4.0, 6.0, -4.0, 1.0])
-_R1 = _deriv(_R)
-_R2 = _deriv(_R1)
-_BUMP = tuple(functools.partial(_polyval, r) for r in (_R, _R1, _R2))
+_R2 = _deriv(_deriv(_R))
+_BUMP = functools.partial(_polyval, _R)
 _R_PEAK = float(np.max(np.abs(_R)))
 
 
@@ -176,13 +160,11 @@ def sine_squared_problem(k: float) -> tuple[HelmholtzProblem, ExactSolution]:
 
     c_mean = 1.0 / (2.0 * k * k)
     c_pole = 1.0 / (2.0 * denom)
-    particular = (lambda x: c_mean - np.cos(2.0 * math.pi * x) * c_pole,
-                  lambda x: math.pi * np.sin(2.0 * math.pi * x) * 2.0 * c_pole,
-                  lambda x: TWO_PI_SQ * np.cos(2.0 * math.pi * x) * c_pole)
     u_end = c_mean - c_pole
     alpha = (gL - 1j * k * u_end) / (2j * k * cmath.exp(1j * k))
     beta = -(g0 + 1j * k * u_end) / (2j * k)
-    return problem, _plane_wave_solution(k, alpha, beta, particular)
+    return problem, _plane_wave_solution(
+        k, alpha, beta, lambda x: c_mean - np.cos(2.0 * math.pi * x) * c_pole)
 
 
 def box_source_problem(k: float) -> HelmholtzProblem:

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from bpfhelm import analysis, numerics, schemes
 from bpfhelm.analysis import (
@@ -46,20 +48,21 @@ from bpfhelm.trisolve import TridiagonalSystem, residual_inf_norm
 EPS = float(np.finfo(float).eps)
 
 
-def _tau_oracle(exact, k, grid):
-    """The paper's interior residual tau_i = Theta(kh) (Delta_h u)(x_i) - u''(x_i)."""
-    u = sample(exact.u, grid).values
+def _tau_oracle(form, k, grid):
+    """The paper's interior residual tau_i = Theta(kh) (Delta_h u)(x_i) - u''(x_i)
+    of a ClosedForm."""
+    u = sample(form.u, grid).values
     lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h**2
-    return theta(k * grid.h) * lap - exact.u_doubleprime(grid.nodes()[1:-1])
+    return theta(k * grid.h) * lap - form.u_doubleprime(grid.nodes()[1:-1])
 
 
-def _beta_oracle(exact, k, h, L):
-    """The paper's closure residuals
+def _beta_oracle(form, k, h, L):
+    """The paper's closure residuals of a ClosedForm,
     beta0 = k/sin(kh) (u(h) - e^{ikh} u(0)) - (u'(0) - ik u(0)) and its mirror at L."""
     bfac, phase = k / math.sin(k * h), cmath.exp(1j * k * h)
-    u0, uh, uLh, uL = (complex(exact.u(x)) for x in (0.0, h, L - h, L))
-    return (bfac * (uh - phase * u0) - (complex(exact.u_prime(0.0)) - 1j * k * u0),
-            bfac * (phase * uL - uLh) - (complex(exact.u_prime(L)) + 1j * k * uL))
+    u0, uh, uLh, uL = (complex(form.u(x)) for x in (0.0, h, L - h, L))
+    return (bfac * (uh - phase * u0) - (complex(form.u_prime(0.0)) - 1j * k * u0),
+            bfac * (phase * uL - uLh) - (complex(form.u_prime(L)) + 1j * k * uL))
 
 
 def _tau_norm(tau, grid):
@@ -76,11 +79,7 @@ class TestInteriorResidual:
     def test_quadratic_low_wavenumber(self):
         # tau_i = Theta(kh)*2 - 2 exactly for u = x^2
         k = 0.5
-        exact = ExactSolution(
-            u=lambda x: np.asarray(x) ** 2,
-            u_prime=lambda x: 2.0 * np.asarray(x),
-            u_doubleprime=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-        )
+        exact = ExactSolution(u=lambda x: np.asarray(x) ** 2)
         p = HelmholtzProblem(k, 1.0, lambda x: 2.0 + k * k * np.asarray(x) ** 2,
                              0j, 2.0 + 1j * k)
         tau, _, _ = consistency_residuals(p, exact, 16)
@@ -114,10 +113,7 @@ class TestBoundaryResiduals:
         k, n = 3.0, 8
         c = 1.7 - 0.4j
         exact = ExactSolution(
-            u=lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=complex),
-            u_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
-            u_doubleprime=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
-        )
+            u=lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=complex))
         p = HelmholtzProblem(
             k, 1.0, lambda x: np.full_like(np.asarray(x, dtype=float), k * k * c, dtype=complex),
             -1j * k * c, 1j * k * c)
@@ -145,7 +141,7 @@ class TestConsistencyResiduals:
     @pytest.mark.parametrize("name, k, n", [("planewave", 2.0**6, 24), ("planewave", 2.0**6, 128),
                                             ("planewave", 2.0**8, 3**5), ("smooth", 2.0**5, 3**7),
                                             ("smooth", 2.0**8, 3**5), ("smooth", 2.0**4, 3**8)])
-    def test_matches_paper_formulas(self, name, k, n, norm_linf):
+    def test_matches_paper_formulas(self, closed_forms, name, k, n, norm_linf):
         # The assembled rows and the paper's formulas round differently; each
         # side is a sum of a few terms no larger than the row's coefficients
         # times max|u| (or the data), so they agree to 16 eps of that scale.
@@ -156,10 +152,11 @@ class TestConsistencyResiduals:
         f_max = norm_linf(sample(p.f, grid))
         th = theta(k * grid.h)
         interior = 16.0 * EPS * ((4.0 * th / grid.h**2 + k * k) * u_max + f_max)
-        assert np.max(np.abs(tau - _tau_oracle(exact, k, grid))) <= interior
+        form = closed_forms[name](k)
+        assert np.max(np.abs(tau - _tau_oracle(form, k, grid))) <= interior
         closure = 16.0 * EPS * ((2.0 * k / math.sin(k * grid.h) + k) * u_max
                                 + abs(p.g0) + abs(p.gL))
-        ob0, obL = _beta_oracle(exact, k, grid.h, p.L)
+        ob0, obL = _beta_oracle(form, k, grid.h, p.L)
         assert abs(b0 - ob0) <= closure
         assert abs(bL - obL) <= closure
 
@@ -209,6 +206,27 @@ class TestResidualReport:
         assert (tau.name, beta.name) == ("tau", "beta")
         assert tau.value <= tau.bound
         assert beta.value <= beta.bound
+
+    # Derandomized so the suite draws the same cells on every run. kh spans
+    # the principal range (0, pi), with draws 1e-8 to 1e-1 below pi, where
+    # the bound's sec(kh/2) grows; verify residuals stops at kh = 256/243.
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(n=st.integers(min_value=2, max_value=6561),
+           kh=st.one_of(st.floats(min_value=0.0, max_value=math.pi,
+                                  exclude_min=True, exclude_max=True),
+                        st.floats(min_value=1e-8, max_value=1e-1).map(lambda d: math.pi - d)))
+    def test_bounds_hold_over_the_principal_range(self, n, kh):
+        k = kh * n
+        if k < math.pi:  # kL >= pi, as the paper's range asks
+            reject()
+        p, exact = smooth_manufactured_problem(k)
+        _, fpp, fppp = smooth_source_derivatives(k)
+        try:
+            checks = residual_report(p, exact, n, fpp, fppp)
+        except NearNyquist:
+            reject()
+        for c in checks:
+            assert analysis._ratio(c.value, c.bound) <= 1.0, (c.name, k, n)
 
 
 class TestInteriorMultiplier:
@@ -338,6 +356,19 @@ class TestStabilityChecks:
         assert l2.bound == h1.bound == pytest.approx(0.5 * (abs(p.g0) + abs(p.gL)))
         assert l2.value <= l2.bound * (1.0 + 1e-12) and h1.value <= h1.bound * (1.0 + 1e-12)
 
+    # ROADMAP item 1: next to the Nyquist guard the h1 bound is sharp for a
+    # plane wave, so the solve's drift there decides the verdict. The
+    # sampled plane wave meets the bound: mpmath gives 1 - 2.7e-11 and
+    # 1 - 3.2e-10 at these cells.
+    @pytest.mark.xfail(raises=AssertionError,
+                       reason="the near-pi solve drift puts h1 at 1 + 2.6e-11 and 1 + 3.0e-11")
+    @pytest.mark.parametrize("k, n", [(1256.6370478321162, 400), (3141.5926069720977, 1000)],
+                             ids=["n400", "n1000"])
+    def test_plane_wave_bounds_hold_next_to_the_nyquist_guard(self, k, n):
+        p, _ = make_benchmark("planewave", k)
+        for c in stability_bound_check(p, solve_scheme(p, n, SchemeKind.BPF)):
+            assert analysis._ratio(c.value, c.bound) <= 1.0 + 1e-12, c.name
+
     def test_benchmark_sweep_sample(self):
         for name_k in ((2.0**5), (2.0**7)):
             p, _ = sine_squared_problem(name_k)
@@ -387,7 +418,7 @@ class TestStabilityChecks:
 
 
 class TestErrorEquation:
-    def test_grid_error_satisfies_residual_system(self):
+    def test_grid_error_satisfies_residual_system(self, closed_forms):
         # e = u_h - u satisfies the same tridiagonal rows with data
         # (-tau, -beta0, -betaL); the sign follows from the orientation
         # Theta Delta_h u + k^2 u = f paired with the explicit residual
@@ -398,8 +429,9 @@ class TestErrorEquation:
         u_h = solve_scheme(p, n, SchemeKind.BPF)
         ref = sample(exact.u, u_h.grid)
         e = u_h.values - ref.values
-        tau = _tau_oracle(exact, k, u_h.grid)
-        b0, bL = _beta_oracle(exact, k, u_h.grid.h, 1.0)
+        form = closed_forms["smooth"](k)
+        tau = _tau_oracle(form, k, u_h.grid)
+        b0, bL = _beta_oracle(form, k, u_h.grid.h, 1.0)
         sys = TridiagonalSystem(assemble(p, n, SchemeKind.BPF).stencil,
                                 np.concatenate(([-b0], -tau, [-bL])))
         scale = float(np.max(np.abs(sys.rhs))) + 1.0

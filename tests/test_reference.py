@@ -27,10 +27,10 @@ from bpfhelm.reference import (
 from bpfhelm.schemes import SchemeKind, solve_scheme
 
 
-def pde_residual_check(p, exact):
+def pde_residual_check(p, form):
     """Max |u'' + k^2 u - f| at 100 pseudo-random points, plus both boundary
-    condition residuals, for p and its closed-form solution."""
-    u, u1, u2 = exact.u, exact.u_prime, exact.u_doubleprime
+    condition residuals, for p and the ClosedForm of its solution."""
+    u, u1, u2 = form
     x = np.random.default_rng(0).uniform(0.0, p.L, 100)
     pde = np.abs(u2(x) + p.k**2 * np.asarray(u(x)) - np.asarray(p.f(x)))
     bc0 = abs(complex(u1(0.0)) - 1j * p.k * complex(u(0.0)) - complex(p.g0))
@@ -56,16 +56,20 @@ class TestPlaneWave:
         assert p.g0 == 0.0
 
     @pytest.mark.parametrize("k", [0.5, 3.7, 2.0**5, 100.0, 1234.5])
-    def test_matches_two_wave_formula_bitwise(self, k):
-        # oracle: both waves evaluated with np.exp, as the closed form reads
+    def test_matches_two_wave_formula_bitwise(self, closed_forms, k):
+        # oracle: both waves evaluated with np.exp, as the closed form reads;
+        # 2^15 nodes make 512 KiB arrays, above the size at which numpy
+        # multiplies a temporary in place
         alpha, beta = 2.0 + 0.5j, 1.0 - 0.25j
-        x = make_grid(1.0, 1000).nodes()
-        plus, minus = alpha * np.exp(1j * k * x), beta * np.exp(-1j * k * x)
-        expected = [plus + minus, 1j * k * (plus - minus), -k * k * (plus + minus)]
         _, exact = plane_wave_problem(k, alpha, beta)
-        got = [exact.u(x), exact.u_prime(x), exact.u_doubleprime(x)]
-        for a, b in zip(got, expected):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        form = closed_forms["planewave"](k, alpha, beta)
+        for n in (1000, 2**15 - 1):
+            x = make_grid(1.0, n).nodes()
+            plus, minus = alpha * np.exp(1j * k * x), beta * np.exp(-1j * k * x)
+            expected = [plus + minus, 1j * k * (plus - minus), -k * k * (plus + minus)]
+            got = [exact.u(x), form.u_prime(x), form.u_doubleprime(x)]
+            for a, b in zip(got, expected):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_conjugate_wave_is_the_backward_wave_bitwise(self):
         # the closed forms evaluate e^{ikx} once and take e^{-ikx} as its
@@ -79,9 +83,9 @@ class TestPlaneWave:
             assert wave.conjugate().tobytes() == np.exp(-1j * k * x).tobytes()
             assert np.exp(1j * k * 0.0).conjugate() == np.exp(-1j * k * 0.0)
 
-    def test_pde_and_bc_residuals(self):
-        p, exact = plane_wave_problem(2.0**6, 2.0, 1.0)
-        pde, bc0, bcL = pde_residual_check(p, exact)
+    def test_pde_and_bc_residuals(self, closed_forms):
+        p, _ = plane_wave_problem(2.0**6, 2.0, 1.0)
+        pde, bc0, bcL = pde_residual_check(p, closed_forms["planewave"](p.k, 2.0, 1.0))
         assert pde <= 1e-10 * (1.0 + p.k**2)
         assert bc0 <= 1e-12 * max(abs(p.g0), 1.0)
         assert bcL <= 1e-12 * max(abs(p.gL), 1.0)
@@ -108,23 +112,24 @@ class TestSmoothManufactured:
         assert p.g0 == 0.0
         assert p.gL == pytest.approx(2j * k * cmath.exp(1j * k))
 
-    def test_pde_residual(self):
+    def test_pde_residual(self, closed_forms):
         k = 2.0**5
-        p, exact = smooth_manufactured_problem(k)
-        pde, bc0, bcL = pde_residual_check(p, exact)
+        p, _ = smooth_manufactured_problem(k)
+        pde, bc0, bcL = pde_residual_check(p, closed_forms["smooth"](k))
         assert pde <= 1e-10 * (1.0 + k**2)
         assert bc0 <= 1e-12 * max(abs(p.g0), 1.0)
         assert bcL <= 1e-12 * abs(p.gL)
 
-    def test_second_derivative_handle_consistent(self):
+    def test_second_derivative_handle_consistent(self, closed_forms):
         # independent oracle: central differences of u against the handle
         k = 2.0**4
         _, exact = smooth_manufactured_problem(k)
+        form = closed_forms["smooth"](k)
         step = 1e-5
         for x in (0.21, 0.5, 0.82):
             fd = (complex(exact.u(x + step)) - 2.0 * complex(exact.u(x))
                   + complex(exact.u(x - step))) / step**2
-            assert abs(fd - complex(exact.u_doubleprime(x))) <= 1e-4 * (1.0 + k * k)
+            assert abs(fd - complex(form.u_doubleprime(x))) <= 1e-4 * (1.0 + k * k)
 
     def test_source_derivative_handles(self):
         # finite-difference cross-check of the polynomial derivatives
@@ -141,7 +146,7 @@ class TestSmoothManufactured:
             assert abs(fd3 - complex(f3(x))) <= 1e-1
 
     @pytest.mark.parametrize("k", [0.5, 3.7, 2.0**5, 100.0, 1234.5])
-    def test_matches_polynomial_arithmetic_bitwise(self, k):
+    def test_matches_polynomial_arithmetic_bitwise(self, closed_forms, k):
         # oracle: the source and derivatives built and evaluated by
         # Polynomial arithmetic, on the nodes of several grids and at a
         # scalar x
@@ -149,12 +154,13 @@ class TestSmoothManufactured:
         r1, r2 = r.deriv(1), r.deriv(2)
         f = r2 + k * k * r
         p, exact = smooth_manufactured_problem(k)
+        form = closed_forms["smooth"](k)
         derivatives = smooth_source_derivatives(k)
         for x in [make_grid(1.0, n).nodes() for n in (8, 181, 1000, 4096)] + [0.3183098861837907]:
             wave = np.exp(1j * k * np.asarray(x))
             expected = [f(x), wave + r(x), 1j * k * wave + r1(x), -k * k * wave + r2(x),
                         f.deriv(1)(x), f.deriv(2)(x), f.deriv(3)(x)]
-            got = [p.f(x), exact.u(x), exact.u_prime(x), exact.u_doubleprime(x),
+            got = [p.f(x), exact.u(x), form.u_prime(x), form.u_doubleprime(x),
                    *(d(x) for d in derivatives)]
             for a, b in zip(got, expected):
                 assert np.shape(a) == np.shape(b)
@@ -171,21 +177,22 @@ class TestSmoothManufactured:
 
 
 class TestSineSquared:
-    def test_pde_residual_random_points(self):
+    def test_pde_residual_random_points(self, closed_forms):
         k = 2.0**5
-        p, exact = sine_squared_problem(k)
+        p, _ = sine_squared_problem(k)
+        form = closed_forms["sine2"](k)
         rng = np.random.default_rng(31)
         x = rng.uniform(0, 1, 100)
-        res = np.abs(np.asarray(exact.u_doubleprime(x)) + k * k * np.asarray(exact.u(x))
+        res = np.abs(np.asarray(form.u_doubleprime(x)) + k * k * np.asarray(form.u(x))
                      - np.asarray(p.f(x)))
-        scale = np.max(np.abs(np.asarray(exact.u_doubleprime(x)))) + k * k
+        scale = np.max(np.abs(np.asarray(form.u_doubleprime(x)))) + k * k
         assert np.max(res) <= 1e-10 * scale
 
-    def test_impedance_conditions(self):
+    def test_impedance_conditions(self, closed_forms):
         k = 2.0**5
-        p, exact = sine_squared_problem(k)
-        bc0 = complex(exact.u_prime(0.0)) - 1j * k * complex(exact.u(0.0))
-        bcL = complex(exact.u_prime(1.0)) + 1j * k * complex(exact.u(1.0))
+        form = closed_forms["sine2"](k)
+        bc0 = complex(form.u_prime(0.0)) - 1j * k * complex(form.u(0.0))
+        bcL = complex(form.u_prime(1.0)) + 1j * k * complex(form.u(1.0))
         assert abs(bc0 - 2.0) <= 1e-12
         assert abs(bcL - 1j) <= 1e-12
 
@@ -431,10 +438,23 @@ class TestBenchmarkRegistry:
         with pytest.raises(ValueError, match="finite and positive"):
             make_benchmark(name, 2e154)
 
-    def test_every_exact_solution_validates(self):
+    def test_every_exact_solution_validates(self, closed_forms):
         for name in ("planewave", "smooth", "sine2"):
-            p, exact = make_benchmark(name, 2.0**6)
-            pde, bc0, bcL = pde_residual_check(p, exact)
+            p, _ = make_benchmark(name, 2.0**6)
+            pde, bc0, bcL = pde_residual_check(p, closed_forms[name](p.k))
             assert pde <= 1e-10 * (1.0 + p.k**2)
             assert bc0 <= 1e-12 * max(abs(p.g0), 1.0)
             assert bcL <= 1e-12 * max(abs(p.gL), 1.0)
+
+    @pytest.mark.parametrize("name", ["planewave", "smooth", "sine2"])
+    @pytest.mark.parametrize("k", [0.5, 3.7, 2.0**5, 100.0, 1234.5])
+    def test_closed_form_oracle_is_the_package_u_bitwise(self, closed_forms, name, k):
+        # the ODE and boundary checks above read the oracle's derivatives,
+        # so its u must be the package's, on grids below and above numpy's
+        # in-place threshold and at a scalar x
+        _, exact = make_benchmark(name, k)
+        form = closed_forms[name](k)
+        for x in [make_grid(1.0, n).nodes() for n in (8, 1000, 2**15 - 1)] + [0.3183098861837907]:
+            a, b = exact.u(x), form.u(x)
+            assert np.shape(a) == np.shape(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
