@@ -144,9 +144,9 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem
 
     The system keeps (w/h^2, kk - 2w/h^2) and the four boundary entries as
     its stencil; lower, diag and upper are built from them when read. The
-    source is sampled straight into the interior of the right-hand side,
-    float64 for a real source, and the right-hand sides of the boundary
-    rows, which carry the complex impedance data, are two complex scalars.
+    source is sampled at every node, float64 for a real source; the system
+    views rows 1..n-1 as its interior, and its ends, the boundary rows'
+    right-hand sides with the complex impedance data, are complex scalars.
     A kind that is not a SchemeKind (such as the string "bpf") raises
     TypeError.
     """
@@ -180,7 +180,7 @@ def assemble(p: HelmholtzProblem, n: int, kind: SchemeKind) -> TridiagonalSystem
         first, last = (corner, two_over_h2), (two_over_h2, corner)
         ends = complex(rhs[0]) + 2.0 / h * p.g0, complex(rhs[-1]) - 2.0 / h * p.gL
     stencil = Stencil(w / h**2, kk - 2.0 * w / h**2, *first, *last)
-    return TridiagonalSystem(stencil, rhs, kernel_angle, ends)
+    return TridiagonalSystem(stencil, rhs[1:-1], ends, kernel_angle)
 
 
 def solve_scheme(p: HelmholtzProblem, n: int,

@@ -1,13 +1,13 @@
 """Direct solution of complex tridiagonal systems.
 
-A system is its Stencil, the two coefficients of one constant three-point
-interior row and the four boundary entries, plus a right-hand side: the
-interior rows' entries as one array, float64 for a real source and complex
-otherwise, and the entries of rows 0 and m-1 as two complex scalars, the
-only rows that carry complex impedance data. It builds its diagonals and
-its full right-hand side only when something reads them (tests, benchmark
-checkers); the solver, the residual and the coefficient maxima work from
-the six scalars, the interior and the two boundary entries.
+A system is built from what it stores: its Stencil, the two coefficients
+of one constant three-point interior row and the four boundary entries,
+its interior, the entries of rows 1..m-2 as one array, float64 for a real
+source and complex otherwise, and its ends, the entries of rows 0 and m-1
+as two complex scalars, the only rows that carry complex impedance data.
+It builds its diagonals and its full right-hand side only when something
+reads them (tests, benchmark checkers); the solver, the residual and the
+coefficient maxima work from the six scalars, the interior and the ends.
 
 Every system is solved in the basis of its interior kernel. The interior
 rows c x_{j-1} + d x_j + c x_{j+1} = b_j are one constant recurrence whose
@@ -121,12 +121,12 @@ class TridiagonalSystem:
 
     Row i reads lower[i-1]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i],
     where lower and upper (length m-1), diag (length m) and the complex rhs
-    (length m) are built, read-only, on each read. The system holds rhs as
-    interior, rows 1..m-2 of the array it was given (a view, float64 when
-    that array is real and complex otherwise), and r0 and r_last, the
-    complex entries of rows 0 and m-1: those of the array, or ends when
-    given. The solver, the residual and max_abs_coefficients read these and
-    the six scalars of the stencil.
+    (length m) are built, read-only, on each read. The system holds what it
+    is built from: interior, the entries of rows 1..m-2 (at least one), not
+    copied when given as a float64 or complex array and made complex
+    otherwise, and ends, the pair (r0, r_last) of the complex entries of
+    rows 0 and m-1. The solver, the residual and max_abs_coefficients read
+    these and the six scalars of the stencil.
 
     theta, when set, is the real kernel angle of the interior rows: every
     row 0 < i < m-1 reads c x[i-1] - 2c cos(theta) x[i] + c x[i+1], and
@@ -135,15 +135,13 @@ class TridiagonalSystem:
     a diagonal interior, c = 0), and takes the root path.
     """
 
-    def __init__(self, stencil: Stencil, rhs, theta: float | None = None, ends=None):
+    def __init__(self, stencil: Stencil, interior, ends, theta: float | None = None):
         self.stencil = Stencil(*(complex(v) for v in stencil))
-        rhs = np.asarray(rhs)
-        rhs = np.asarray(rhs, dtype=complex if rhs.dtype.kind == "c" else float)
-        if rhs.ndim != 1 or rhs.shape[0] < 3:
-            raise ValueError(f"a system needs m >= 3 unknowns, got rhs {rhs.shape}")
-        self.interior = rhs[1:-1]
-        r0, r_last = (rhs[0], rhs[-1]) if ends is None else ends
-        self.r0, self.r_last = complex(r0), complex(r_last)
+        interior = np.asarray(interior)
+        self.interior = np.asarray(interior, dtype=float if interior.dtype == float else complex)
+        if interior.ndim != 1 or interior.shape[0] < 1:
+            raise ValueError(f"a system needs m >= 3 unknowns, got interior {interior.shape}")
+        self.r0, self.r_last = (complex(r) for r in ends)
         self.theta = theta
         if theta is not None and not (self.stencil.c != 0.0 and math.isfinite(theta)
                                       and math.sin(theta) != 0.0):

@@ -204,7 +204,8 @@ def test_criterion_10_oracle_equivalence(dense_matrix):
             angle = rng.uniform(0.05, 3.0)
             d = -2.0 * c * math.cos(angle)
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs, angle)
+        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs[1:-1], (rhs[0], rhs[-1]),
+                                angle)
         x = solve_tridiagonal(sys)
         x_dense = np.linalg.solve(dense_matrix(sys), sys.rhs)
         path = "root" if angle is None else "kernel"

@@ -42,14 +42,17 @@ class TestExactness:
         assert code == 3
 
     # ROADMAP item 1: a step against rows written from c and theta mends
-    # both, and xfail_strict then fails them until this mark goes
+    # them all, and xfail_strict then fails them until this mark goes
     @pytest.mark.xfail(raises=AssertionError,
                        reason="the correction step reads the rounded interior diagonal, "
-                              "whose kernel angle drifts by eps/|sin kh|")
+                              "whose kernel angle drifts by eps/|sin kh|, and the stored "
+                              "boundary rows, whose rounding 1/|sin kh| amplifies")
     @pytest.mark.parametrize("k, n", [
         ("1.2565113977297738e3", "400"),    # kh near pi: 1.06e-9
         ("0.055759719708555706", "1000"),   # kh = 5.6e-5: 7.2e-10
-    ], ids=["kh-near-pi", "kh-near-0"])
+        ("402.1238600616174", "8"),         # kh = 16 pi + 5e-8: 3.98e-9
+        ("0.001", "10"),                    # kh = 1e-4, the boundary rows: 8.2e-12
+    ], ids=["kh-near-pi", "kh-near-0", "kh-near-16pi", "kh-1e-4"])
     def test_plane_wave_exact_at_both_ends_of_the_guard_domain(self, tmp_path, k, n):
         code, text = _run(tmp_path, ["exactness", "--k", k, "--n", n])
         assert code == 0, text

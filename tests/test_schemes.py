@@ -372,7 +372,7 @@ class TestSolveScheme:
         # while the scale max|b| + 4 * 2 + 1 is 11. b is A x, but for
         # `error` in row 1, which makes res = error.
         x = np.array([2, 1, 2, 1, 0], dtype=complex)
-        sys = TridiagonalSystem(Stencil(1, -2, 1, 0, 0, 1), [2, 2 + error, -2, 0, 0])
+        sys = TridiagonalSystem(Stencil(1, -2, 1, 0, 0, 1), [2 + error, -2, 0], (2, 0))
         assert residual_inf_norm(sys, x) == pytest.approx(error, rel=1e-5)
         scale_passes = []
         monkeypatch.setattr(schemes, "assemble", lambda p, n, kind: sys)

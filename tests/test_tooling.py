@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bpfhelm.analysis import error_report
 from bpfhelm.cli import build_parser
 from bpfhelm.grid import sample
@@ -203,11 +205,24 @@ def test_bench_pairs_verdict_on_canned_runs():
     assert (met["change_better_pairs"], met["parent_iqr"], met["median_gap"]) == (10, 4.5, 12)
     assert met["met"] and not met["worse_than_bound"]
     assert met["runs"] == {"parent": parent, "change": faster}
+    # each pair's ratio change/parent, and their quartiles, whatever the
+    # better direction
+    assert met["pair_ratios"] == [c / p for p, c in zip(parent, faster)]
+    assert met["pair_ratio"] == pytest.approx(
+        {"q1": 0.879090909090909, "median": 0.8817705299941758, "q3": 0.8843353248693054},
+        rel=1e-12)
+    halved = verdict(parent, [p / 2 for p in parent], "higher", 0.25)
+    assert halved["pair_ratios"] == [0.5] * 10
+    assert halved["pair_ratio"] == {"q1": 0.5, "median": 0.5, "q3": 0.5}
     # a gap inside the parent's IQR, or two lost pairs and a tie, fails the rule
     assert not verdict(parent, [p - 3 for p in parent], "lower", 0.25)["met"]
     lost_two = [101, 92, 86, 90, 111, 89, 87, 91, 85, 105]
     lost = verdict(parent, lost_two, "lower", 0.25)
     assert lost["change_better_pairs"] == 7 and lost["median_gap"] > 4.5 and not lost["met"]
+    # the three lost pairs widen the ratios' upper quartile to 0.971
+    assert lost["pair_ratio"] == pytest.approx(
+        {"q1": 0.8793879387938793, "median": 0.8829240434037693, "q3": 0.9711538461538461},
+        rel=1e-12)
     # the better direction decides wins, gap and the bound
     assert verdict(parent, [p + 12 for p in parent], "higher", 0.25)["met"]
     slower = verdict(parent, [1.3 * p for p in parent], "lower", 0.25)

@@ -28,7 +28,7 @@ def _random_system(rng, m):
     c, d, d0, u0, ln, dn = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     d, d0, dn = np.array([d, d0, dn]) + 3.0 * np.exp(2j * np.pi * rng.uniform(size=3))
     rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs)
+    return TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs[1:-1], (rhs[0], rhs[-1]))
 
 
 def _kernel_solve(sys, steps):
@@ -48,23 +48,25 @@ PATHS = {
 class TestSolve:
     def test_identity(self):
         rhs = np.array([1.0 + 2j, -3.0, 0.5j])
-        sys = TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), rhs)
+        sys = TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), rhs[1:-1],
+                                (rhs[0], rhs[-1]))
         assert np.array_equal(solve_tridiagonal(sys), rhs)
 
     def test_three_by_three(self):
         # oracle: hand elimination of diag(2) with -1 off-diagonals, rhs (1,0,1)
-        sys = TridiagonalSystem(Stencil(-1.0, 2.0, 2.0, -1.0, -1.0, 2.0), [1.0, 0.0, 1.0])
+        sys = TridiagonalSystem(Stencil(-1.0, 2.0, 2.0, -1.0, -1.0, 2.0), [0.0], (1.0, 1.0))
         assert np.allclose(solve_tridiagonal(sys), [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_zero_diagonal_breaks(self):
         # an exactly zero pivot, and one below PIVOT_REL_TOL times the scale
         for pivot in (0.0, 1e-20):
-            sys = TridiagonalSystem(Stencil(0.0, 1.0, pivot, 0.0, 0.0, 1.0), np.ones(3))
+            sys = TridiagonalSystem(Stencil(0.0, 1.0, pivot, 0.0, 0.0, 1.0), np.ones(1),
+                                    (1.0, 1.0))
             with pytest.raises(SingularSystem):
                 solve_tridiagonal(sys)
 
     def test_all_zero_matrix(self):
-        sys = TridiagonalSystem(Stencil(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.ones(3))
+        sys = TridiagonalSystem(Stencil(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.ones(1), (1.0, 1.0))
         with pytest.raises(SingularSystem):
             solve_tridiagonal(sys)
 
@@ -80,24 +82,26 @@ class TestSolve:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), np.ones((3, 3)))
+            TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), np.ones((1, 3)), (1.0, 1.0))
 
     @pytest.mark.parametrize("m, theta, c", [(2, 0.5, 1.0), (3, 0.0, 1.0), (3, 0.5, 0.0),
                                              (3, math.nan, 1.0), (3, math.inf, 1.0)])
     def test_kernel_angle_validation(self, m, theta, c):
         with pytest.raises(ValueError):
-            TridiagonalSystem(Stencil(c, 1.0, 1.0, c, c, 1.0), np.ones(m), theta)
+            TridiagonalSystem(Stencil(c, 1.0, 1.0, c, c, 1.0), np.ones(m - 2), (1.0, 1.0), theta)
 
     def test_singular_boundary_system(self):
         # boundary rows that read x_0 = 0 and x_n = 0 with theta = pi/2 on
         # n = 2 subintervals: sin(theta n) = 0 is a Dirichlet eigenvalue
-        sys = TridiagonalSystem(Stencil(1.0, 0.0, 1.0, 0.0, 0.0, 1.0), np.ones(3), math.pi / 2)
+        sys = TridiagonalSystem(Stencil(1.0, 0.0, 1.0, 0.0, 0.0, 1.0), np.ones(1), (1.0, 1.0),
+                                math.pi / 2)
         with pytest.raises(SingularSystem):
             solve_tridiagonal(sys)
 
     def test_degenerate_kernel_basis(self):
         # at theta = pi the two kernel vectors coincide, (-1)^j
-        sys = TridiagonalSystem(Stencil(1.0, 2.0, 1.0, 1.0, 1.0, 1.0), np.ones(3), math.pi)
+        sys = TridiagonalSystem(Stencil(1.0, 2.0, 1.0, 1.0, 1.0, 1.0), np.ones(1), (1.0, 1.0),
+                                math.pi)
         with pytest.raises(SingularSystem):
             solve_tridiagonal(sys)
 
@@ -165,7 +169,7 @@ class TestRouting:
         rng = np.random.default_rng(m)
         d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs)
+        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), rhs[1:-1], (rhs[0], rhs[-1]))
         a = dense_matrix(sys)
         x_dense = np.linalg.solve(a, rhs)
         x = solve_tridiagonal(sys)
@@ -182,7 +186,7 @@ class TestRouting:
         rng = np.random.default_rng(m)
         d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sys = TridiagonalSystem(Stencil(1.0, d, d0, u0, ln, dn), rhs)
+        sys = TridiagonalSystem(Stencil(1.0, d, d0, u0, ln, dn), rhs[1:-1], (rhs[0], rhs[-1]))
         x = trisolve._solve(sys, trisolve._root_solver(sys), 0)
         norm = max(abs(d0) + abs(u0), 2.0 + abs(d), abs(ln) + abs(dn))  # ||A||_inf
         r = trisolve.residual(sys, x)
@@ -197,7 +201,8 @@ class TestRouting:
         rng = np.random.default_rng(m)
         d0, u0, ln, dn = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3.0
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), 1e300 * rhs)
+        b = 1e300 * rhs
+        sys = TridiagonalSystem(Stencil(c, d, d0, u0, ln, dn), b[1:-1], (b[0], b[-1]))
         a = dense_matrix(sys)
         x_dense = np.linalg.solve(a, sys.rhs * 1e-300)
         x = solve_tridiagonal(sys)
@@ -209,7 +214,7 @@ class TestRouting:
                                             (1.0, 2.0, -1.0), (1j, 0.5, -0.7807764j)])
     def test_root_of_the_interior_row(self, c, d, root):
         # c = 0 is a diagonal interior; d = -+2c a double root
-        sys = TridiagonalSystem(Stencil(c, d, 1.0, 0.0, 0.0, 1.0), np.ones(3))
+        sys = TridiagonalSystem(Stencil(c, d, 1.0, 0.0, 0.0, 1.0), np.ones(1), (1.0, 1.0))
         assert sys.root == pytest.approx(root, rel=1e-6, abs=0.0)
         assert c * sys.root**2 + d * sys.root + c == pytest.approx(0.0, abs=1e-15)
 
@@ -328,7 +333,7 @@ class TestResidual:
     def test_perturbation_scaling(self):
         # perturbing x by eps*e_j moves the residual by |eps| times the
         # column-j coefficient magnitudes
-        sys = TridiagonalSystem(Stencil(-1.0, 2.0, 2.0, -1.0, -1.0, 2.0), [1.0, 0.0, 1.0])
+        sys = TridiagonalSystem(Stencil(-1.0, 2.0, 2.0, -1.0, -1.0, 2.0), [0.0], (1.0, 1.0))
         x = solve_tridiagonal(sys)
         eps = 1e-3
         x_pert = x.copy()
@@ -344,7 +349,7 @@ class TestResidual:
         assert residual_inf_norm(sys, x) == pytest.approx(dense_res, rel=1e-12)
 
     def test_shape_check(self):
-        sys = TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), np.ones(3))
+        sys = TridiagonalSystem(Stencil(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), np.ones(1), (1.0, 1.0))
         with pytest.raises(ValueError):
             residual_inf_norm(sys, np.ones(4, dtype=complex))
         with pytest.raises(ValueError):
@@ -359,7 +364,7 @@ class TestStencilSystem:
     @pytest.mark.parametrize("m", [3, 4, 50])
     def test_diagonals_follow_the_stencil(self, m, dense_matrix):
         s = _random_stencil(np.random.default_rng(m))
-        sys = TridiagonalSystem(s, np.ones(m))
+        sys = TridiagonalSystem(s, np.ones(m - 2), (1.0, 1.0))
         dense = np.zeros((m, m), dtype=complex)
         for i in range(1, m - 1):
             dense[i, i - 1:i + 2] = s.c, s.d, s.c
@@ -371,17 +376,29 @@ class TestStencilSystem:
 
     @pytest.mark.parametrize("m", [3, 50])
     def test_coefficient_maxima_match_diagonals(self, m):
-        sys = TridiagonalSystem(_random_stencil(np.random.default_rng(m)), np.ones(m))
+        sys = TridiagonalSystem(_random_stencil(np.random.default_rng(m)), np.ones(m - 2),
+                                (1.0, 1.0))
         assert sys.max_abs_coefficients() == tuple(float(np.max(np.abs(a)))
                                                    for a in (sys.diag, sys.lower, sys.upper))
 
     def test_needs_interior_rows(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem(Stencil(1, 1, 1, 1, 1, 1), np.ones(2))
+            TridiagonalSystem(Stencil(1, 1, 1, 1, 1, 1), np.ones(0), (1.0, 1.0))
 
     def test_kernel_angle_validation(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem(Stencil(0, 1, 1, 1, 1, 1), np.ones(5), 0.5)
+            TridiagonalSystem(Stencil(0, 1, 1, 1, 1, 1), np.ones(3), (1.0, 1.0), 0.5)
+
+    def test_holds_what_it_is_built_from(self):
+        # a float64 or complex interior is held as given, not copied (assemble
+        # passes a view of its sampled array); anything else becomes complex
+        s = Stencil(1, 1, 1, 1, 1, 1)
+        for a in (np.arange(5.0)[1:-1], np.arange(5.0)[1:-1] + 1j):
+            sys = TridiagonalSystem(s, a, (2, 3j))
+            assert sys.interior is a and (sys.r0, sys.r_last) == (2, 3j)
+            assert sys.rhs.tolist() == [2, *a.tolist(), 3j]
+        for a in ([1, 2], np.arange(2), np.ones(2, dtype=np.float32)):
+            assert TridiagonalSystem(s, a, (0, 0)).interior.dtype == complex
 
 
 coefficient_parts = st.floats(min_value=-1e3, max_value=1e3)
@@ -394,7 +411,7 @@ coefficient_parts = st.floats(min_value=-1e3, max_value=1e3)
 def test_stencil_residual_matches_diagonals_bitwise(coefficients, m, seed):
     rng = np.random.default_rng(seed)
     rhs, x = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
-    sys = TridiagonalSystem(Stencil(*coefficients), rhs)
+    sys = TridiagonalSystem(Stencil(*coefficients), rhs[1:-1], (rhs[0], rhs[-1]))
     assert trisolve.residual(sys, x).tobytes() == _unblocked_residual(sys, x).tobytes()
 
 
@@ -503,7 +520,8 @@ class TestStreamedSolve:
         c = complex(*rng.standard_normal(2))
         ends = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta)
+        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs[1:-1],
+                                (rhs[0], rhs[-1]), theta)
         x = _kernel_solve(sys, int(correct))
         assert x.tobytes() == _unblocked_kernel_solve(sys, correct).tobytes()
         assert np.array_equal(sys.rhs, rhs)
@@ -521,8 +539,8 @@ class TestStreamedSolve:
                                    3 * trisolve.BLOCK + 5])
     def test_residual_norm_is_max_over_full_residual(self, m):
         rng = np.random.default_rng(m)
-        sys = TridiagonalSystem(_random_stencil(rng),
-                                rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sys = TridiagonalSystem(_random_stencil(rng), rhs[1:-1], (rhs[0], rhs[-1]))
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         full = _unblocked_residual(sys, x)
         assert trisolve.residual(sys, x).tobytes() == full.tobytes()
@@ -554,8 +572,8 @@ class TestStreamedSolve:
             # 6 and 8 unknowns at m = 9 and 10 and about sqrt(m) from 17 on
             rhs = rhs + 0j
             rhs[m // 2 if m >= 17 else m - 2] += 1j * rng.standard_normal()
-        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs, theta,
-                                ends[:2])
+        sys = TridiagonalSystem(Stencil(c, -2.0 * c * math.cos(theta), *ends), rhs[1:-1],
+                                ends[:2], theta)
         assert sys.interior.dtype == (float if interior == "real" else complex)
         outputs, last_blocks = [], []
         for block in (trisolve.BLOCK, 8):
@@ -586,8 +604,8 @@ class TestStreamedSolve:
 
         m = 3 * trisolve.BLOCK + 5
         rhs = np.random.default_rng(5).standard_normal(m).astype(dtype)
-        sys = TridiagonalSystem(Stencil(1.0, -2.0 * math.cos(0.3), 1, 2, 3, 4), rhs, 0.3,
-                                (1j, 1j))
+        sys = TridiagonalSystem(Stencil(1.0, -2.0 * math.cos(0.3), 1, 2, 3, 4), rhs[1:-1],
+                                (1j, 1j), 0.3)
         monkeypatch.setattr(trisolve, "np", NumpySpy())
         _kernel_solve(sys, 0)
         n_blocks = -(-m // _block_length(m))
@@ -599,7 +617,7 @@ class TestStreamedSolve:
         # Python's max keeps or drops a NaN depending on where it stands
         m = 3 * trisolve.BLOCK + 5
         rng = np.random.default_rng(7)
-        sys = TridiagonalSystem(_random_stencil(rng), np.ones(m))
+        sys = TridiagonalSystem(_random_stencil(rng), np.ones(m - 2), (1.0, 1.0))
         x = np.ones(m, dtype=complex)
         x[at] = math.nan
         assert math.isnan(residual_inf_norm(sys, x))

@@ -11,7 +11,9 @@ commit unpacked with `git archive` and the working tree). Pair i (seeds 1 to
 CHANGE_ROOT/BENCHMARK.json, each in a fresh process with that root as its
 working directory; odd pairs run the parent first, even pairs the change. For each end-to-end metric of CHANGE_ROOT/BENCHMARK.json, OUT
 receives each side's quartiles (`statistics.quantiles`, inclusive) and every
-run, the pairs the change wins, the parent's IQR, the median gap (the change
+run, each pair's ratio change/parent and the quartiles of those ratios (the
+spread a claimed gain has to clear, whichever way the metric is better),
+the pairs the change wins, the parent's IQR, the median gap (the change
 ahead of the parent by it, in the metric's better direction), the relative
 change of the median, whether that is worse than the metric's bound, and
 `met`: at least ten pairs ran, the change wins at least nine in ten of them,
@@ -55,8 +57,10 @@ def pair_verdict(parent: list[float], change: list[float], better: str,
     parent_iqr = quarts["parent"]["q3"] - quarts["parent"]["q1"]
     gap = sign * (quarts["change"]["median"] - quarts["parent"]["median"])
     relative = quarts["change"]["median"] / quarts["parent"]["median"] - 1.0
+    ratios = [c / p for p, c in zip(parent, change)]
     return {**quarts, "change_better_pairs": wins, "parent_iqr": parent_iqr,
             "median_gap": gap, "relative_change": relative,
+            "pair_ratios": ratios, "pair_ratio": quartiles(ratios),
             "worse_than_bound": -sign * relative > bound,
             "met": (len(parent) >= 10 and wins >= math.ceil(0.9 * len(parent))
                     and gap > parent_iqr
