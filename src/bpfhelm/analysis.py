@@ -383,9 +383,10 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     subinterval counts and fit log-log rates of the relative max and V errors.
 
     The reference follows the benchmark: its closed form if it has one, else
-    a cached fine-grid solve of the same scheme on n_ref subintervals
-    (default: the registry's resolution), which every count must divide and
-    be less than (check_nested, the one nesting rule, names the first that
+    the cached fine-grid BPF solve on n_ref subintervals (default: the
+    registry's resolution), whatever the scheme, so that every scheme is
+    measured against one reference; every count must divide n_ref and be
+    less than it (check_nested, the one nesting rule, names the first that
     fails). Before any solve, InvalidGrid is raised for fewer than two counts
     or counts not strictly increasing (checked first, ahead of the
     benchmark's guards), for n_ref given with a closed form, and for a count
@@ -404,7 +405,7 @@ def convergence_study(benchmark: str, kind: SchemeKind, k: float, n_list,
     if exact is None:
         n_ref = BENCHMARKS[benchmark][1] if n_ref is None else n_ref
         check_nested(make_grid(problem.L, n_ref), *grids)
-        fine = fine_grid_reference(problem, n_ref, kind)
+        fine = fine_grid_reference(problem, n_ref)
 
     def run_cell(n: int) -> ConvergenceRow:
         u_h = solve_scheme(problem, n, kind)

@@ -201,7 +201,7 @@ def cmd_table(args) -> int:
         exact_row, fine_row = [], []
         for n in n_list:
             u_h = solve_scheme(problem, n, SchemeKind.BPF)
-            fine = fine_grid_reference(problem, n_ref, SchemeKind.BPF)
+            fine = fine_grid_reference(problem, n_ref)
             exact_row.append(error_report(u_h, sample(exact.u, u_h.grid), k).rel(args.norm))
             fine_row.append(error_report(u_h, restrict(fine, u_h.grid), k).rel(args.norm))
         matrices["exact"].append(exact_row)
@@ -241,7 +241,7 @@ def cmd_compare(args) -> int:
     for k, n, problem, exact in pairs:
         grid = make_grid(problem.L, n)
         if exact is None:
-            ref = restrict(fine_grid_reference(problem, n_ref, SchemeKind.BPF), grid)
+            ref = restrict(fine_grid_reference(problem, n_ref), grid)
         else:
             ref = sample(exact.u, grid)
         for kind in kinds:

@@ -7,7 +7,6 @@ boundary values enter through the H1 seminorm.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -83,37 +82,24 @@ def nodal_values(fn: Callable, grid: UniformGrid) -> np.ndarray:
     float64 while fn's values are real, complex from the first block on
     which they are complex, which converts the blocks before it once.
 
-    fn must be pointwise: each value depends on its own node only. It is
-    called once per block of trisolve.BLOCK nodes, on that block's nodes
-    (bitwise those of grid.nodes()), and each block's values go straight
-    into the result, so a fine grid never holds fn's full-length
-    temporaries; a grid of at most BLOCK nodes (every coarse grid) is one
-    call. A callable that fails on a block's nodes (ValueError or
-    TypeError, or a result of the wrong shape), as a scalar-only one does
-    on the first, is evaluated node by node from that block on; there a
-    block whose values are not all real numbers is complex. The result
-    never shares memory with what fn returned, so the caller may write to
-    it or freeze it.
+    fn must be pointwise and take arrays: each value depends on its own
+    node only. It is called once per block of trisolve.BLOCK nodes, on that
+    block's nodes (bitwise those of grid.nodes()), and each block's values
+    go straight into the result, so a fine grid never holds fn's
+    full-length temporaries; a grid of at most BLOCK nodes (every coarse
+    grid) is one call. A 0-d result stands for every node of its block; any
+    other shape than the block's raises ValueError, and what fn raises
+    propagates. The result never shares memory with what fn returned, so
+    the caller may write to it or freeze it.
     """
     m = grid.n + 1
     vals = None
-    per_node = False
     for i0 in range(0, m, BLOCK):
         i1 = min(i0 + BLOCK, m)
         x = _scaled(np.arange(i0, i1, dtype=float), grid)
-        if not per_node:
-            try:
-                fx = np.asarray(fn(x))
-                if fx.shape != x.shape:
-                    raise ValueError
-                vals = _holding(vals, m, fx)
-                vals[i0:i1] = fx
-                continue
-            except (ValueError, TypeError):
-                per_node = True
-        ys = [fn(xi) for xi in x]
-        real = all(isinstance(y, numbers.Real) for y in ys)
-        fx = np.array([float(y) if real else complex(y) for y in ys])
+        fx = np.asarray(fn(x))
+        if fx.ndim and fx.shape != x.shape:
+            raise ValueError(f"fn gave shape {fx.shape} on {x.size} nodes")
         vals = _holding(vals, m, fx)
         vals[i0:i1] = fx
     return vals
@@ -130,7 +116,9 @@ def _holding(vals: np.ndarray | None, m: int, fx: np.ndarray) -> np.ndarray:
 
 
 def sample(fn: Callable, grid: UniformGrid) -> GridFunction:
-    """fn at the grid nodes (see nodal_values), made complex block by block."""
+    """fn at the grid nodes, made complex block by block; fn takes each
+    block's node array and returns an array of its shape or a 0-d value
+    (see nodal_values)."""
     return GridFunction(grid, nodal_values(lambda x: np.asarray(fn(x), dtype=complex), grid))
 
 

@@ -9,7 +9,8 @@ Four benchmark problems on (0, 1):
 * ``sine2`` -- source sin^2(pi x) with data g0 = 2, gL = i; particular part
   by undetermined coefficients, wave amplitudes from the impedance data.
 * ``box`` -- piecewise-constant source 50 * 1_{|x-1/2| <= 1/9}; no closed
-  form, compared against a fine-grid solve cached for its last arguments.
+  form, compared against a fine-grid BPF solve cached for its last
+  arguments.
 
 Each closed form is a particular solution u_p plus the two plane waves
 e^{+-ikx}, which span the kernel of u'' + k^2 u; `_plane_wave_solution`
@@ -197,18 +198,18 @@ def make_benchmark(name: str, k: float) -> tuple[HelmholtzProblem, ExactSolution
 
 
 @functools.lru_cache(maxsize=1)
-def fine_grid_reference(p: HelmholtzProblem, n_ref: int,
-                        kind: SchemeKind = SchemeKind.BPF) -> GridFunction:
-    """Fine-grid solve used as a surrogate exact solution.
+def fine_grid_reference(p: HelmholtzProblem, n_ref: int) -> GridFunction:
+    """BPF solve on n_ref subintervals, the one surrogate exact solution
+    that every scheme is measured against.
 
-    Cached for its last arguments (the frozen problem, n_ref and the scheme;
-    the guard tolerance is the constant GUARD_TOL), with a keyword call keyed
-    apart from a positional one: every caller asks for one
-    reference many times in a row (`table` per k, `convergence` per study), and
-    a rebuilt problem carries a new source callable, so an older entry would
-    never be hit again.
+    Cached for its last arguments (the frozen problem and n_ref; the guard
+    tolerance is the constant GUARD_TOL), with a keyword call keyed apart
+    from a positional one: every caller asks for one reference many times
+    in a row (`table` per k, `convergence` per study), and a rebuilt problem
+    carries a new source callable, so an older entry would never be hit
+    again.
     """
-    return solve_scheme(p, n_ref, kind)
+    return solve_scheme(p, n_ref, SchemeKind.BPF)
 
 
 # Bound at import: a tracer may rebind fine_grid_reference to a plain function.

@@ -50,10 +50,10 @@ class HelmholtzProblem:
     """u'' + k^2 u = f on (0, L) with impedance data at both endpoints.
 
     Boundary conditions: u'(0) - i k u(0) = g0 and u'(L) + i k u(L) = gL.
-    The source f must be pointwise: grid.nodal_values calls it on one block
-    of nodes at a time. Frozen, so that a problem can key the fine-reference
-    cache. A k whose square overflows (above about 1.34e154) counts as not
-    finite.
+    The source f must be pointwise and take arrays: grid.nodal_values calls
+    it on one block's nodes at a time, and a 0-d result stands for every
+    node. Frozen, so that a problem can key the fine-reference cache. A k
+    whose square overflows (above about 1.34e154) counts as not finite.
     """
 
     k: float

@@ -57,9 +57,9 @@ measures against the matrix scale as well, and raises when the interior
 pivot, which vanishes only when both c and d are negligible, is not above
 PIVOT_REL_TOL times that scale: an all-zero matrix fails this one test.
 
-residual_inf_norm and max_abs reduce a system that fits one block
-directly, and a larger one block by block; either gives NaN if the array
-holds one.
+residual_inf_norm reduces a system that fits one block directly, and a
+larger one block by block; max_abs reduces any array block by block. Either
+gives NaN if the array holds one.
 """
 
 from __future__ import annotations
@@ -515,10 +515,7 @@ def _max_abs(blocks) -> float:
 
 
 def max_abs(a: np.ndarray) -> float:
-    """max |a| of a nonempty array, reduced directly when it fits one block
-    and one block at a time otherwise."""
-    if a.shape[0] <= BLOCK:
-        return float(np.abs(a).max())
+    """max |a| of a nonempty array, reduced one block at a time."""
     return _max_abs(a[i:i + BLOCK] for i in range(0, a.shape[0], BLOCK))
 
 

@@ -215,7 +215,7 @@ def test_criterion_10_oracle_equivalence(dense_matrix):
 
     k = 2.0**5
     p, exact = sine_squared_problem(k)
-    fine = fine_grid_reference(p, 2**18, SchemeKind.BPF)
+    fine = fine_grid_reference(p, 2**18)
     ref = sample(exact.u, fine.grid)
     rel_v = error_report(fine, ref, k).rel_v
 

@@ -3,7 +3,7 @@
 import cmath
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from bpfhelm.errors import (
     NonNestedGrids,
     NumericalGuardError,
 )
-from bpfhelm.grid import GridFunction, make_grid, norm_l2h, sample, seminorm_h1h
+from bpfhelm.grid import GridFunction, make_grid, norm_l2h, restrict, sample, seminorm_h1h
 from bpfhelm.numerics import stability_constant_a0, theta
 from bpfhelm.reference import (
     BENCHMARKS,
@@ -488,6 +488,21 @@ class TestConvergenceStudy:
         assert len(tab.rows) == 2
         assert tab.rows[0].errors.rel_v > tab.rows[1].errors.rel_v
 
+    @pytest.mark.parametrize("kind", [SchemeKind.CLASSICAL_FD,
+                                      SchemeKind.DISPERSION_CORRECTED_FD])
+    def test_every_scheme_measured_against_the_bpf_reference(self, kind):
+        # every scheme against BPF's fine solve, so that schemes rank on one reference
+        from bpfhelm.reference import clear_reference_cache
+        clear_reference_cache()
+        k, n_ref = 8.0, 3**7
+        tab = convergence_study("box", kind, k, [27, 81], n_ref=n_ref)
+        p, _ = make_benchmark("box", k)
+        fine = solve_scheme(p, n_ref, SchemeKind.BPF)
+        for row in tab.rows:
+            grid = make_grid(1.0, row.n)
+            expected = error_report(solve_scheme(p, row.n, kind), restrict(fine, grid), k)
+            assert [v.hex() for v in astuple(row.errors)] == [v.hex() for v in astuple(expected)]
+
     def test_validation(self):
         with pytest.raises(InvalidGrid):
             convergence_study("smooth", SchemeKind.BPF, 4.0, [])
@@ -556,9 +571,9 @@ class TestConvergenceStudy:
         seen = []
         real = analysis.fine_grid_reference
 
-        def spy(p, n_ref, *args):
+        def spy(p, n_ref):
             seen.append(n_ref)
-            return real(p, n_ref, *args)
+            return real(p, n_ref)
 
         monkeypatch.setattr(analysis, "fine_grid_reference", spy)
         tab = convergence_study("box", SchemeKind.BPF, 2.0**3, [9, 27])

@@ -292,9 +292,9 @@ class TestCompare:
             built.append(k)
             return real_benchmark(name, k)
 
-        def reference_spy(p, n_ref, kind):
-            refs.append((p.k, n_ref, kind))
-            return real_reference(p, n_ref, kind)
+        def reference_spy(p, n_ref):
+            refs.append((p.k, n_ref))
+            return real_reference(p, n_ref)
 
         monkeypatch.setattr(cli, "make_benchmark", benchmark_spy)
         monkeypatch.setattr(cli, "fine_grid_reference", reference_spy)
@@ -306,7 +306,7 @@ class TestCompare:
         assert [ln.split(",")[0] for ln in body] == ["bpf", "bpf", "fd-dc", "fd-dc", "fd", "fd"]
         assert built == [8.0, 16.0]
         n_ref = BENCHMARKS["box"][1]
-        assert refs == [(8.0, n_ref, cli.SchemeKind.BPF), (16.0, n_ref, cli.SchemeKind.BPF)]
+        assert refs == [(8.0, n_ref), (16.0, n_ref)]
         assert all(0.0 < float(ln.split(",")[4]) < 1e-2 for ln in body)
 
     def test_closed_form_sampled_once_per_pair(self, tmp_path, monkeypatch):
@@ -675,9 +675,9 @@ class TestBenchmarkRegistry:
         seen = []
         real = cli.fine_grid_reference
 
-        def spy(p, n, *args):
+        def spy(p, n):
             seen.append(n)
-            return real(p, n, *args)
+            return real(p, n)
 
         monkeypatch.setattr(cli, "fine_grid_reference", spy)
         code, _ = _run(tmp_path, ["table", "--k-list", "4", "--h-list", "0.25,0.125"])

@@ -95,9 +95,8 @@ class TestSample:
         assert np.array_equal(v.values, np.array([0.0, 0.5, 1.0], dtype=complex))
 
     @pytest.mark.parametrize("fn, expected", [
-        (lambda x: 2.0 if x > 0.5 else 0.0, [0.0, 0.0, 0.0, 2.0, 2.0]),  # scalar only
-        (lambda x: 1.0, [1.0] * 5),                                     # scalar-returning
-    ], ids=["scalar-only", "scalar-returning"])
+        (lambda x: 1.0, [1.0] * 5),  # a 0-d result stands for every node
+    ], ids=["scalar-returning"])
     def test_scalar_callable(self, fn, expected):
         v = sample(fn, make_grid(1.0, 4))
         assert np.array_equal(v.values, np.array(expected, dtype=complex))
@@ -168,19 +167,26 @@ class TestBlockedSampling:
         vals[:] = 1.0
         assert not store.any()
 
-    def test_scalar_only_callable_falls_back_per_node(self):
-        # math.sin rejects an array, so every node is evaluated alone
+    def test_callable_must_take_arrays(self):
+        # math.sin rejects an array; its error leaves after the first
+        # block's call, with no evaluation node by node
         g = make_grid(1.0, BLOCK)
         calls = []
 
-        def fn(x):
+        def scalar_only(x):
             calls.append(x)
-            return complex(math.sin(3.0 * x), x)
+            return math.sin(3.0 * x)
 
-        vals = nodal_values(fn, g)
-        expected = np.array([complex(math.sin(3.0 * xi), xi) for xi in g.nodes()])
-        assert vals.tobytes() == expected.tobytes()
-        assert len(calls) == 1 + (BLOCK + 1)
+        with pytest.raises(TypeError):
+            sample(scalar_only, g)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(TypeError):
+            assemble(HelmholtzProblem(4.0, 1.0, scalar_only, 0j, 0j), g.n, SchemeKind.BPF)
+        assert len(calls) == 1
+        for wrong in (lambda x: x[:-1], lambda x: np.ones(1), lambda x: x[:, None]):
+            with pytest.raises(ValueError, match="shape"):
+                sample(wrong, g)
 
     @pytest.mark.parametrize("m", [BLOCK + 1, 2 * BLOCK + 1])
     def test_nan_in_last_block_rejected(self, m):

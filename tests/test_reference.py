@@ -200,7 +200,7 @@ class TestSineSquared:
         k = 2.0**5
         p, exact = sine_squared_problem(k)
         clear_reference_cache()
-        fine = fine_grid_reference(p, 2**14, SchemeKind.BPF)
+        fine = fine_grid_reference(p, 2**14)
         ref = sample(exact.u, fine.grid)
         err = np.max(np.abs(fine.values - ref.values)) / np.max(np.abs(ref.values))
         assert err <= 1e-7  # h^2 floor of the discrete solve at n = 2^14
@@ -332,25 +332,24 @@ class TestFineGridReference:
     def test_cache_returns_same_object(self):
         clear_reference_cache()
         p, _ = sine_squared_problem(2.0**5)
-        a = fine_grid_reference(p, 256, SchemeKind.BPF)
-        b = fine_grid_reference(p, 256, SchemeKind.BPF)
+        a = fine_grid_reference(p, 256)
+        b = fine_grid_reference(p, 256)
         assert a is b
 
-    def test_cache_key_includes_resolution_and_scheme(self):
+    def test_cache_key_includes_resolution(self):
         clear_reference_cache()
         p, _ = sine_squared_problem(2.0**5)
-        a = fine_grid_reference(p, 256, SchemeKind.BPF)
-        b = fine_grid_reference(p, 512, SchemeKind.BPF)
-        c = fine_grid_reference(p, 256, SchemeKind.CLASSICAL_FD)
-        assert a is not b and a is not c
+        a = fine_grid_reference(p, 256)
+        b = fine_grid_reference(p, 512)
+        assert a is not b
 
     def test_cache_key_includes_boundary_data(self):
         # same name, k, L and n_ref; only the plane-wave amplitude differs
         clear_reference_cache()
         p2, _ = plane_wave_problem(2.0**5, 2.0, 1.0)
         p5, exact5 = plane_wave_problem(2.0**5, 5.0, 1.0)
-        fine_grid_reference(p2, 256, SchemeKind.BPF)
-        fine = fine_grid_reference(p5, 256, SchemeKind.BPF)
+        fine_grid_reference(p2, 256)
+        fine = fine_grid_reference(p5, 256)
         ref = sample(exact5.u, make_grid(1.0, 256))
         assert np.max(np.abs(fine.values - ref.values)) <= 1e-11
 
@@ -358,10 +357,10 @@ class TestFineGridReference:
         from dataclasses import replace
         clear_reference_cache()
         p, _ = sine_squared_problem(2.0**5)
-        a = fine_grid_reference(p, 256, SchemeKind.BPF)
+        a = fine_grid_reference(p, 256)
         for other in (replace(p, g0=0j), replace(p, gL=0j),
                       replace(p, f=lambda x: 2.0 * p.f(x))):
-            assert not np.allclose(fine_grid_reference(other, 256, SchemeKind.BPF).values,
+            assert not np.allclose(fine_grid_reference(other, 256).values,
                                    a.values)
 
     def test_problem_is_frozen_and_keys_by_value(self):
@@ -371,14 +370,14 @@ class TestFineGridReference:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(p, field.name, getattr(p, field.name))
         clear_reference_cache()
-        fine = fine_grid_reference(p, 256, SchemeKind.BPF)
-        assert fine_grid_reference(dataclasses.replace(p), 256, SchemeKind.BPF) is fine
+        fine = fine_grid_reference(p, 256)
+        assert fine_grid_reference(dataclasses.replace(p), 256) is fine
 
     def test_plane_wave_reference_matches_exact(self):
         clear_reference_cache()
         p, exact = plane_wave_problem(2.0**5, 2.0, 1.0)
         for n_ref in (64, 243):
-            fine = fine_grid_reference(p, n_ref, SchemeKind.BPF)
+            fine = fine_grid_reference(p, n_ref)
             ref = sample(exact.u, make_grid(1.0, n_ref))
             assert np.max(np.abs(fine.values - ref.values)) <= 1e-11
 
@@ -388,9 +387,9 @@ class TestFineGridReference:
         clear_reference_cache()
         for _ in range(6):
             p, _ = make_benchmark("box", 8.0)
-            fine = fine_grid_reference(p, 3**7, SchemeKind.BPF)
+            fine = fine_grid_reference(p, 3**7)
         assert fine_grid_reference.cache_info().currsize == 1
-        assert fine_grid_reference(p, 3**7, SchemeKind.BPF) is fine
+        assert fine_grid_reference(p, 3**7) is fine
 
     def test_concurrent_requests_agree(self):
         # concurrent callers may duplicate the solve but must agree with
@@ -400,8 +399,8 @@ class TestFineGridReference:
         p, _ = sine_squared_problem(2.0**5)
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda _: fine_grid_reference(p, 512, SchemeKind.BPF), range(16)))
-        final = fine_grid_reference(p, 512, SchemeKind.BPF)
+                lambda _: fine_grid_reference(p, 512), range(16)))
+        final = fine_grid_reference(p, 512)
         for r in results:
             assert np.array_equal(r.values, final.values)
 

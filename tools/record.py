@@ -68,9 +68,12 @@ _TINY_K = ["convergence", "--k", "1e-160", "--n-list", "8,16", "--scheme", "fd"]
 # (exit 3 for bpf and fd-dc; fd has no guard and solves), fd's boundary
 # determinant underflowing to zero at k = 1e-170 (exit 3), fd at
 # k = 1e-160, whose smooth errors near 1e156 must not overflow in their
-# squares and whose planewave error of 0.0 at n = 8 gets no rate, fd at
-# k = 5e-324, where kh underflows to 0 (exit 3), and smooth at k = 1.3e154,
-# whose source coefficients overflow while k^2 is finite (exit 3).
+# squares and whose planewave error of 0.0 at n = 8 gets no rate, fd on
+# smooth at k = 5e-324, where kh underflows to 0 and the boundary
+# determinant falls below its threshold (exit 3; a box study stops earlier,
+# at the Nyquist guard of its BPF fine reference), and smooth at
+# k = 1.3e154, whose source coefficients overflow while k^2 is finite
+# (exit 3).
 RUNS: dict[str, list[str]] = {
     "exactness-k64": ["exactness", "--k", "64", "--n", "400"],
     "exactness-k1000": ["exactness", "--k", "1000", "--n", "400"],
@@ -104,8 +107,8 @@ RUNS: dict[str, list[str]] = {
                                 "--benchmark", "smooth", "--scheme", "fd"],
     "tiny-k-convergence-smooth-fd": _TINY_K + ["--benchmark", "smooth"],
     "tiny-k-convergence-planewave-fd": _TINY_K + ["--benchmark", "planewave"],
-    "zero-kh-convergence-box-fd": ["convergence", "--k", "5e-324", "--n-list", "27,81",
-                                   "--benchmark", "box", "--scheme", "fd"],
+    "zero-kh-convergence-smooth-fd": ["convergence", "--k", "5e-324", "--n-list", "8,16",
+                                      "--benchmark", "smooth", "--scheme", "fd"],
     "overflow-convergence-smooth": ["convergence", "--k", "1.3e154", "--n-list", "8,16",
                                     "--benchmark", "smooth"],
 }
