@@ -23,7 +23,6 @@ from .errors import (
     NearNyquist,
     NearResonantFrequency,
     NonFiniteSample,
-    NonNestedGrids,
     NumericalGuardError,
     ResonantSource,
     SingularParameter,

@@ -10,9 +10,10 @@ verify       run one of the named verification suites
 
 All numeric output is CSV with 17-significant-digit scientific notation so
 runs diff cleanly. Exit codes: 0 success, 1 check failure, 2 usage error
-(a mesh too large for the host's memory included), 3 numerical guard
-(near-Nyquist or resonant parameters, a singular system, a source that
-overflows at the grid nodes).
+(a UsageError or an InvalidGrid, a mesh too large for the host's memory
+included), 3 numerical guard (every NumericalGuardError: near-Nyquist or
+resonant parameters, a singular system, a source that overflows at the
+grid nodes).
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import os
 import sys
 
 from .analysis import VERIFY_SUITES, convergence_study, error_report
-from .errors import (InvalidGrid, NonFiniteSample, NonNestedGrids, NumericalGuardError,
-                     SingularSystem)
+from .errors import InvalidGrid, NumericalGuardError
 from .grid import check_nested, make_grid, restrict, sample
 from .reference import BENCHMARKS, fine_grid_reference, make_benchmark
 from .schemes import SchemeKind, solve_scheme
@@ -340,10 +340,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (NumericalGuardError, SingularSystem, NonFiniteSample) as exc:
+    except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (UsageError, InvalidGrid, NonNestedGrids) as exc:
+    except (UsageError, InvalidGrid) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a mesh count an array can hold but this host cannot

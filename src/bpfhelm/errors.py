@@ -1,20 +1,17 @@
 """Exception and warning types shared across the package.
 
-Guard errors signal that a parameter combination sits on (or too close to)
-a genuine singularity of the method, e.g. kh on the Nyquist set or a
-resonant frequency. They are recoverable in the sense that the caller can
-pick different parameters; the CLI maps them to a dedicated exit code.
+Every exception here derives from one of two bases, one per CLI exit code.
+NumericalGuardError (exit 3) covers what the method cannot compute: kh on
+or too close to a singular set, a resonant source, a singular discrete
+system, a source that is not finite at the nodes. InvalidGrid (exit 2)
+covers grids the caller must not ask for. Either is recoverable in the
+sense that the caller can pick different parameters.
 """
 
 
 class NumericalGuardError(Exception):
-    """Base class for parameter-guard failures (singular or resonant setups).
-    `multiple` is the nearest multiple of the singular set's period, set by
-    the guards of `numerics` and None elsewhere."""
-
-    def __init__(self, message: str, multiple: int | None = None):
-        super().__init__(message)
-        self.multiple = multiple
+    """Base class of every failure the CLI reports as exit 3: singular or
+    resonant parameters, a singular system, a non-finite source."""
 
 
 class SingularParameter(NumericalGuardError):
@@ -35,21 +32,19 @@ class NearResonantFrequency(NumericalGuardError):
 
 
 class InvalidGrid(ValueError):
-    """Grid parameters are inconsistent: L not positive and finite, n not an
-    integer >= 2 or more nodes than an array can hold, or counts and a fine
-    resolution that break the rules of analysis.convergence_study."""
+    """Base class of every failure the CLI reports as exit 2 from the library:
+    L not positive and finite, n not an integer >= 2 or more nodes than an
+    array can hold, grids whose nodes do not nest (grid.check_nested), or
+    counts and a fine resolution that break the rules of
+    analysis.convergence_study."""
 
 
-class NonFiniteSample(ValueError):
+class NonFiniteSample(NumericalGuardError, ValueError):
     """Sampling a function produced NaN or Inf nodal values, or a source's
     coefficients overflow, so that sampling it would."""
 
 
-class NonNestedGrids(ValueError):
-    """Restriction requested between grids whose nodes do not coincide."""
-
-
-class SingularSystem(ArithmeticError):
+class SingularSystem(NumericalGuardError, ArithmeticError):
     """A tridiagonal solve hit its relative breakdown test: a 2x2 boundary
     determinant or an interior pivot below the threshold."""
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidGrid, NonFiniteSample, NonNestedGrids
+from .errors import InvalidGrid, NonFiniteSample
 from .trisolve import BLOCK
 
 
@@ -140,21 +140,22 @@ def seminorm_h1h(v: GridFunction) -> float:
 
 
 def check_nested(fine: UniformGrid, *coarse: UniformGrid) -> None:
-    """The one nesting rule: raise NonNestedGrids for the first coarse grid,
+    """The one nesting rule: raise InvalidGrid for the first coarse grid,
     in order, that fine does not refine. Fine refines a grid of the same
     domain length whose n divides n_fine and is less than it."""
     for grid in coarse:
         if abs(fine.L - grid.L) > 1e-14 * max(abs(grid.L), 1.0):
-            raise NonNestedGrids(f"domain lengths differ: {fine.L!r} vs {grid.L!r}")
+            raise InvalidGrid(f"domain lengths differ: {fine.L!r} vs {grid.L!r}")
         if fine.n % grid.n != 0:
-            raise NonNestedGrids(f"{fine.n} subintervals are not a multiple of {grid.n}")
+            raise InvalidGrid(f"{fine.n} subintervals are not a multiple of {grid.n}")
         if fine.n == grid.n:
-            raise NonNestedGrids(f"{fine.n} subintervals are not finer than {grid.n}")
+            raise InvalidGrid(f"{fine.n} subintervals are not finer than {grid.n}")
 
 
 def restrict(fine: GridFunction, coarse: UniformGrid) -> GridFunction:
     """Copy values from a nested fine grid onto the coarse nodes, exactly;
-    no interpolation is ever performed."""
+    no interpolation is ever performed. Raises InvalidGrid, by check_nested,
+    when fine does not refine coarse."""
     check_nested(fine.grid, coarse)
     stride = fine.grid.n // coarse.n
     return GridFunction(coarse, fine.values[::stride].copy())

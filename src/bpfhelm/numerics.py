@@ -11,7 +11,7 @@ covers the singular sets: kh in pi*Z, the poles 2*pi*Z minus 0 of Theta and
 the odd multiples of pi where sec(s/2) in A0 blows up. NaN or inf raises
 ValueError; an argument whose floats are more than a period apart, or that
 lies within GUARD_TOL*pi of a singular multiple, raises a typed guard error
-that carries the nearest multiple as `multiple`.
+whose message names that multiple or says that floats cannot place s.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _guard(label: str, s: float, period: float, name: str, singular, error) -> N
         why = f"within tolerance {GUARD_TOL:g} of {m}*{name}"
     else:
         return
-    raise error(f"{label.format(s)} {why}", multiple=m)
+    raise error(f"{label.format(s)} {why}")
 
 
 def bernoulli(z):
@@ -110,7 +110,7 @@ def stability_constant_a0(s: float, t: float, L: float) -> float:
 def nyquist_guard(k: float, h: float) -> None:
     """Reject kh within GUARD_TOL*pi of the Nyquist set pi*Z.
 
-    Raises NearNyquist carrying the offending multiple; returns None when
+    Raises NearNyquist naming the offending multiple; returns None when
     the distance to every multiple of pi exceeds GUARD_TOL*pi. From
     kh = 2^54 on, floats are more than pi apart, so that distance is an
     artefact of rounding m*pi; every such kh is rejected.

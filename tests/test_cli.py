@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bpfhelm import analysis, cli, reference
+from bpfhelm import analysis, cli, errors, reference
 from bpfhelm.analysis import verify_stability
 from bpfhelm.cli import build_parser, main
 from bpfhelm.reference import BENCHMARKS, clear_reference_cache, make_benchmark
@@ -798,3 +798,26 @@ class TestContract:
             assert re.search(r"(?i)\b(nan|inf)\b", out) is None
         if code == 1:
             assert argv[0] == "exactness" or (argv[0] == "verify" and "\nFAIL," in out)
+
+
+# every exception of bpfhelm.errors, in the order of definition
+_ERRORS = [obj for obj in vars(errors).values()
+           if isinstance(obj, type) and issubclass(obj, Exception) and not issubclass(obj, Warning)]
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=[error.__name__ for error in _ERRORS])
+def test_exception_base_decides_exit_code(tmp_path, capsys, monkeypatch, error):
+    # each exception derives from exactly one base, whose exit code main
+    # returns with a one-line reason; build_parser is cached, so the name
+    # cmd_exactness looks up is patched
+    assert issubclass(error, errors.NumericalGuardError) != issubclass(error, errors.InvalidGrid)
+
+    def fail(*args):
+        raise error("stubbed failure")
+
+    monkeypatch.setattr(cli, "make_benchmark", fail)
+    code = main(["exactness", "--k", "8", "--n", "8", "--out", str(tmp_path / "x.csv")])
+    guard = issubclass(error, errors.NumericalGuardError)
+    assert code == (3 if guard else 2)
+    assert capsys.readouterr().err == (
+        f"{'numerical guard' if guard else 'usage error'}: stubbed failure\n")

@@ -127,7 +127,7 @@ class TestTheta:
             theta(2.0 * math.pi)
         with pytest.raises(SingularParameter) as exc:
             theta(4.0 * math.pi + 1e-12)
-        assert exc.value.multiple == 2
+        assert "of 2*2*pi" in str(exc.value)
 
     def test_zero_not_singular(self):
         assert theta(1e-9) == pytest.approx(1.0)
@@ -236,15 +236,14 @@ class TestNyquistGuard:
     def test_exact_multiple_rejected(self):
         with pytest.raises(NearNyquist) as exc:
             nyquist_guard(math.pi, 1.0)
-        assert exc.value.multiple == 1
+        assert "of 1*pi" in str(exc.value)
 
     @pytest.mark.parametrize("kh, placed", [(1e6 * math.pi, True), (2.0**54, False)])
     def test_message_names_the_multiple_while_floats_resolve_pi(self, kh, placed):
         # from 2^54 on floats are 4 apart, so no multiple of pi can be named
         with pytest.raises(NearNyquist) as exc:
             nyquist_guard(kh, 1.0)
-        assert exc.value.multiple == round(kh / math.pi)
-        assert (f"of {exc.value.multiple}*pi" in str(exc.value)) == placed
+        assert (f"of {round(kh / math.pi)}*pi" in str(exc.value)) == placed
         assert ("too large to place against pi*Z" in str(exc.value)) != placed
 
     @pytest.mark.parametrize("call, error, first", [
@@ -264,7 +263,7 @@ class TestNyquistGuard:
     def test_near_multiple_rejected_at_default_tol(self):
         with pytest.raises(NearNyquist) as exc:
             nyquist_guard(3.0 * math.pi + 1e-12, 1.0)
-        assert exc.value.multiple == 3
+        assert "of 3*pi" in str(exc.value)
 
 
 
