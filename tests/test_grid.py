@@ -46,11 +46,11 @@ class TestMakeGrid:
         assert g.h == 2.0**-18
 
     def test_invalid(self):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidGrid, match="integer subinterval count"):
             make_grid(1.0, 1)
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidGrid, match="domain length must be positive"):
             make_grid(0.0, 8)
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidGrid, match="domain length must be positive"):
             make_grid(-2.0, 8)
 
     @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 8.5, "8", None],
