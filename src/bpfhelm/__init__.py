@@ -21,7 +21,6 @@ from .analysis import (
 from .errors import (
     InvalidGrid,
     NearNyquist,
-    NearResonantFrequency,
     NonFiniteSample,
     NumericalGuardError,
     ResonantSource,
@@ -41,7 +40,7 @@ from .grid import (
 )
 from .numerics import (
     bernoulli,
-    envelope_derivative_sup,
+    envelope_derivative,
     nyquist_guard,
     phase_factor_m,
     shifted_wavenumber,

@@ -3,7 +3,8 @@
 Every exception here derives from one of two bases, one per CLI exit code.
 NumericalGuardError (exit 3) covers what the method cannot compute: kh on
 or too close to a singular set, a resonant source, a singular discrete
-system, a source that is not finite at the nodes. InvalidGrid (exit 2)
+system, a source that is not finite at the nodes. No multiplier frequency
+is rejected: both multipliers are defined at xi = k. InvalidGrid (exit 2)
 covers grids the caller must not ask for. Either is recoverable in the
 sense that the caller can pick different parameters.
 """
@@ -25,10 +26,6 @@ class NearNyquist(NumericalGuardError):
 
 class ResonantSource(NumericalGuardError):
     """Wavenumber resonates with the source frequency (particular solution blows up)."""
-
-
-class NearResonantFrequency(NumericalGuardError):
-    """Multiplier evaluation requested too close to the removable point xi = k."""
 
 
 class InvalidGrid(ValueError):

@@ -5,6 +5,7 @@ import math
 import warnings
 from dataclasses import astuple, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -34,7 +35,6 @@ from bpfhelm.analysis import (
 from bpfhelm.errors import (
     InvalidGrid,
     NearNyquist,
-    NearResonantFrequency,
     ResonantSource,
     SingularParameter,
 )
@@ -257,21 +257,67 @@ class TestInteriorMultiplier:
     def test_bound_on_log_grid(self):
         k, h, L = 2.0**5, 2.0**-7, 1.0
         xi_grid = np.logspace(math.log10(math.pi / L), math.log10(1e3 * k), 1000)
-        xi_grid = xi_grid[np.abs(xi_grid * xi_grid - k * k) > 1e-12 * k * k]
         values = interior_multiplier(xi_grid, h, k)
         assert np.all(np.abs(values) <= interior_multiplier_bound(xi_grid, h, k) * (1.0 + 1e-10))
 
-    def test_resonance_guard(self):
-        with pytest.raises(NearResonantFrequency):
-            interior_multiplier(5.0, 0.1, 5.0)
+    def test_removable_point_matches_mpmath(self):
+        # oracle: the quotient in 40 digits across the band |xi - k| h < 1e-4,
+        # and its limit (kh/2) cot(kh/2) - 1 at xi = k, the middle sample
+        k, h = 12.0, 0.01
+        xi = k + np.linspace(-0.0099, 0.0099, 41)
+        with mpmath.workdps(40):
+            mk, mh = mpmath.mpf(k), mpmath.mpf(h)
+            th = (mk * mh) ** 2 / (4 * mpmath.sin(mk * mh / 2) ** 2)
 
-    def test_resonance_guard_on_any_element(self):
-        with pytest.raises(NearResonantFrequency, match="k = 5.0"):
-            interior_multiplier(np.array([1.0, 2.0, 5.0, 9.0]), 0.1, 5.0)
+            def exact(x):
+                if x == k:
+                    return float((mk * mh / 2) * mpmath.cot(mk * mh / 2) - 1)
+                x = mpmath.mpf(x)
+                return float((th * 4 / mh**2 * mpmath.sin(x * mh / 2) ** 2 - x * x)
+                             / (x * x - mk * mk))
+
+            expected = np.array([exact(x) for x in xi])
+        assert xi[20] == k
+        assert np.all(np.abs(interior_multiplier(xi, h, k) - expected) <= 1e-11 * np.abs(expected))
+        assert interior_multiplier(k, h, k) == pytest.approx(expected[20], rel=1e-11, abs=0.0)
+
+    def test_array_across_removable_point_takes_series_branch(self):
+        # as TestBoundaryMultiplier's test of the same name: xi = k is no
+        # longer rejected, and the quotient the series replaces never warns
+        k, h = 5.0, 0.1
+        xi = np.append(k + np.linspace(-4e-3, 4e-3, 41), [1.0, 2.0, 9.0, k])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = interior_multiplier(xi, h, k)
+        assert np.all(np.isfinite(values))
+        near = np.abs(xi - k) * h < 1e-4
+        assert 3 <= np.count_nonzero(near) < xi.size
+        assert values[-1] == interior_multiplier(k, h, k)
+        # oracle: the difference quotient itself, away from xi = k
+        off = xi != k
+        th = theta(k * h)
+        quotient = ((th * 4.0 / h**2 * np.sin(0.5 * xi[off] * h) ** 2 - xi[off] ** 2)
+                    / (xi[off] ** 2 - k * k))
+        assert np.max(np.abs(values[off] - quotient)) <= 1e-8 * np.max(np.abs(quotient))
+
+    # ROADMAP item 12's style: at xi = k the ratio to the envelope is
+    # 3 |g'((kh)^2/4)|, which tends to 1 as kh -> 0, so this is where the
+    # interior envelope is sharp.
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(k=st.floats(min_value=math.pi, max_value=1e4),
+           kh=st.floats(min_value=0.0, max_value=3.1, exclude_min=True))
+    def test_bound_holds_at_the_removable_point(self, k, kh):
+        h = kh / k
+        try:
+            value = interior_multiplier(k, h, k)
+        except NearNyquist:
+            reject()
+        assert abs(value) <= interior_multiplier_bound(k, h, k) * (1.0 + 1e-10), (k, h)
 
     def test_array_matches_scalar_calls_bitwise(self):
         k, h = 37.3, 0.05
-        xi = np.logspace(0.0, 4.0, 2000)
+        # the band |xi - k| h < 1e-4 takes the series branch
+        xi = np.concatenate([np.logspace(0.0, 4.0, 2000), k + np.linspace(-3e-3, 3e-3, 601)])
         for fn in (interior_multiplier, interior_multiplier_bound):
             values = fn(xi, h, k)
             assert values.shape == xi.shape
@@ -310,7 +356,7 @@ class TestBoundaryMultiplier:
         assert np.all(np.abs(values)
                       <= boundary_multiplier_bound(xi_grid, h, k, L) * (1.0 + 1e-10))
 
-    @pytest.mark.parametrize("k", [37.3, 4.1])  # kh 1.9, 0.2: both _sinc_sqrt_derivative branches
+    @pytest.mark.parametrize("k", [37.3, 4.1])  # kh 1.9, 0.2: both envelope_derivative("h") branches
     def test_array_matches_scalar_calls_bitwise(self, k):
         h, L = 0.05, 2.0
         xi = np.concatenate([np.logspace(0.0, 4.0, 2000), k + np.linspace(-3e-3, 3e-3, 601)])
@@ -338,6 +384,17 @@ class TestBoundaryMultiplier:
         quotient = (math.sqrt(2.0 / L) * ((k / math.sin(k * h)) * np.sin(xi[off] * h) - xi[off])
                     / (xi[off] ** 2 - k * k))
         assert np.max(np.abs(values[off] - quotient)) <= 1e-8 * np.max(np.abs(quotient))
+
+    def test_removable_point_matches_mpmath(self):
+        # kh = 0.495 puts the series' argument (kh)^2 just below 1/4, where a
+        # four-term series of h' was 2.8e-9 off; the limit at xi = k is
+        # sqrt(2/L) (kh cot(kh) - 1) / (2k)
+        k, h, L = 3.3, 0.15, 1.0
+        with mpmath.workdps(40):
+            kh = mpmath.mpf(k) * h
+            exact = float(mpmath.sqrt(2 / mpmath.mpf(L)) * (kh * mpmath.cot(kh) - 1)
+                          / (2 * k))
+        assert boundary_multiplier(k, h, k, L) == pytest.approx(exact, rel=1e-11, abs=0.0)
 
     def test_bound_formula(self):
         k, h, L = 4.0, 0.1, 1.0
@@ -394,7 +451,7 @@ class TestStabilityChecks:
             p_hom = replace(p, g0=0.0 + 0.0j, gL=0.0 + 0.0j)
             checks = (*stability_bound_check(p, solve_scheme(p, n, SchemeKind.BPF)),
                       *flux_estimate_check(p_hom, solve_scheme(p_hom, n, SchemeKind.BPF)))
-        except (SingularParameter, NearNyquist, ResonantSource, NearResonantFrequency):
+        except (SingularParameter, NearNyquist, ResonantSource):
             reject()  # a guard or a resonant source; a singular system still fails
         for c in checks:
             assert analysis._ratio(c.value, c.bound) <= 1.0 + 1e-12, (bench, c.name, k, n)

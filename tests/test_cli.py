@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import re
 
 import pytest
@@ -485,6 +486,17 @@ class TestUsageErrors:
         code = main(["convergence", "--k", "4", "--n-list", "4,8", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: cannot write --out: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_after_the_solve(self, capsys):
+        # /dev/full opens, so the up-front check passes; the write then fails
+        # with ENOSPC in _emit
+        code = main(["exactness", "--k", "8", "--n", "8", "--out", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: cannot write --out: ")
 
     def test_unwritable_out_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # table would otherwise solve its 2^18 fine references first

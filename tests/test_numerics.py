@@ -11,7 +11,7 @@ import pytest
 from bpfhelm.errors import NearNyquist, SingularParameter
 from bpfhelm.numerics import (
     bernoulli,
-    envelope_derivative_sup,
+    envelope_derivative,
     nyquist_guard,
     phase_factor_m,
     shifted_wavenumber,
@@ -282,16 +282,66 @@ class TestNonFiniteArguments:
             call(value)
 
 
+def _envelope_derivative_oracle(which: str, t: float) -> float:
+    """g'(t) or h'(t) in 40 digits: h' from its Taylor series below t = 1,
+    where the closed form cancels, and from the closed form above."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        s = mpmath.sqrt(t)
+        if t < 1:
+            dh = mpmath.fsum((-1) ** n * n * t ** (n - 1) / mpmath.factorial(2 * n + 1)
+                             for n in range(1, 30))
+        else:
+            dh = (s * mpmath.cos(s) - mpmath.sin(s)) / (2 * s**3)
+        return float(dh if which == "h" else 2 * (mpmath.sin(s) / s if t else 1) * dh)
+
+
 class TestEnvelopeDerivatives:
     def test_sup_bounds(self):
-        assert envelope_derivative_sup("g") <= 1.0 / 3.0 + 1e-6
-        assert envelope_derivative_sup("h") <= 1.0 / 6.0 + 1e-6
+        t = np.logspace(-5, 4, 100_000)
+        assert np.max(np.abs(envelope_derivative("g", t))) <= 1.0 / 3.0 + 1e-6
+        assert np.max(np.abs(envelope_derivative("h", t))) <= 1.0 / 6.0 + 1e-6
 
     def test_g_derivative_limit_at_zero(self):
         # series oracle: g(t) = 1 - t/3 + 2 t^2/45 - ..., so g'(t) ~ -1/3 + 4t/45
         t = 1e-4
-        step = 1e-6
-        g = lambda tt: math.sin(math.sqrt(tt)) ** 2 / tt
-        deriv = (g(t + step) - g(t - step)) / (2.0 * step)
-        assert deriv == pytest.approx(-1.0 / 3.0 + 4.0 * t / 45.0, abs=1e-7)
+        assert envelope_derivative("g", t) == pytest.approx(-1.0 / 3.0 + 4.0 * t / 45.0, abs=1e-9)
 
+    def test_finite_without_warning_from_zero_to_huge_t(self):
+        # the closed form divides by t rather than by sqrt(t)^3, which would
+        # overflow above t = 3e205 (xi h ~ 1e103 in the multipliers' series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert envelope_derivative("h", 0.0) == -1.0 / 6.0
+            assert envelope_derivative("g", 0.0) == -1.0 / 3.0
+            t = [0.0, 5e-324, 1e-300, 1e4, 1e210, 1e300]
+            assert np.all(np.isfinite(envelope_derivative("g", t)))
+            assert np.all(np.isfinite(envelope_derivative("h", t)))
+
+    @pytest.mark.parametrize("which", ["g", "h"])
+    def test_matches_mpmath(self, which):
+        # [0, 1e4] on a log and a uniform sample, both sides of the switch
+        # at sqrt(t) = 1/2, and the zeros s = j pi of g' and s cos s = sin s of h'
+        # (both, with their neighbours), where only an absolute error means
+        # anything. Measured worst, here and on a 10,000-point sample: 8.4e-15
+        # relative just below t = 1/4, where the series' first omitted term
+        # is 1.3e-15, and 8.4e-17 absolute from t = 1 on.
+        rng = np.random.default_rng(7)
+        below = np.nextafter(0.25, 0.0) - 2.0**-55 * np.arange(20)
+        above = 0.25 + 2.0**-54 * np.arange(20)
+        zeros = [j * math.pi for j in range(1, 32)]
+        with mpmath.workdps(30):
+            zeros += [float(mpmath.findroot(lambda s: s * mpmath.cos(s) - mpmath.sin(s),
+                                            (j + 0.5) * math.pi - 1 / ((j + 0.5) * math.pi)))
+                      for j in range(1, 32)]
+        near = np.square(np.outer(zeros, [1.0 - 1e-9, 1.0, 1.0 + 1e-9])).ravel()
+        t = np.concatenate([[0.0, 1e-300, 1e-20], below, above, np.logspace(-12, 4, 500),
+                            rng.uniform(0.0, 1e4, 500), near[near <= 1e4]])
+        exact = np.array([_envelope_derivative_oracle(which, x) for x in t])
+        values = envelope_derivative(which, t)
+        assert np.all(np.abs(values - exact) <= 1e-14 * np.abs(exact) + 2e-16)
+        assert np.array_equal(values, [envelope_derivative(which, float(x)) for x in t])
+
+    def test_unknown_envelope_rejected(self):
+        with pytest.raises(KeyError):
+            envelope_derivative("f", 1.0)
